@@ -1,0 +1,231 @@
+"""One-task orchestration across analysis, ranking, retrieval and prompting.
+
+``extract_context`` gathers the raw multi-granularity findings around a
+cursor; ``complete_task`` turns them into a rendered prompt, optionally
+under one of the ablation variants that switch whole stages off.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+
+from .config import PipelineConfig
+from .errors import ConfigError, Diagnostic
+from .filedeps import FileDependency, explicit_deps, potential_deps
+from .funcflow import ControlFlowGraph, LocalSlice, build_cfg, local_slice, render_cfg
+from .projdeps import (
+    CrossModuleDependency,
+    ModuleMap,
+    build_module_map,
+    cross_module_deps,
+)
+from .prompting import PromptDocument, render
+from .ranking import (
+    RankedContext,
+    SemanticGraph,
+    build_graph,
+    personalized_pagerank,
+    select_topk,
+)
+from .retrieval import (
+    DenseScorer,
+    ExemplarSet,
+    SnippetIndex,
+    ast_paths_of,
+    build_index,
+    rerank,
+    semantic_candidates,
+)
+from .syntax import (
+    SourceFile,
+    definitions_before,
+    enclosing_function_node,
+    identifiers_used,
+    imports_of,
+    load_source,
+    parse,
+)
+
+ABLATION_VARIANTS = ("no-cc", "no-sm", "func-only", "file-only", "proj-only", "all-raw")
+
+
+@dataclass(frozen=True)
+class CompletionTask:
+    """One work item: complete the line at ``line`` (0-based) of ``file``
+    inside the repository at ``repo``.
+
+    ``prefix_override`` replaces the unfinished line text read from the
+    file; ``ground_truth`` is the reference completion for scoring.
+    """
+
+    task_id: str
+    repo: Path | str
+    file: str
+    line: int
+    prefix_override: str | None = None
+    ground_truth: str | None = None
+
+
+@dataclass
+class ContextBundle:
+    """Raw multi-granularity findings around one cursor position."""
+
+    file: SourceFile
+    line: int
+    slice_: LocalSlice
+    cfg: ControlFlowGraph
+    cfg_text: str
+    file_deps: list[FileDependency]
+    project_deps: list[CrossModuleDependency]
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+
+@dataclass
+class TaskResult:
+    """Everything one pipeline pass produced, plus per-stage timings."""
+
+    task: CompletionTask
+    bundle: ContextBundle
+    graph: SemanticGraph | None
+    ranked: RankedContext
+    exemplars: ExemplarSet
+    prompt: PromptDocument
+    target_code: str
+    timings_ms: dict[str, float]
+
+
+def extract_context(
+    repo_root: Path | str,
+    rel_file: str,
+    line: int,
+    cfg: PipelineConfig | None = None,
+    *,
+    module_map: ModuleMap | None = None,
+) -> ContextBundle:
+    """Run the three static-analysis levels for one cursor position."""
+
+    cfg = cfg or PipelineConfig()
+    diagnostics: list[Diagnostic] = []
+    file = load_source(repo_root, rel_file)
+    tree = parse(file)
+    slice_ = local_slice(tree, line)
+    owner_node = enclosing_function_node(tree, line)
+    uses = identifiers_used(owner_node) if owner_node is not None else set()
+    defs = definitions_before(tree, line)
+    file_deps = explicit_deps(defs, uses, owner_node, body_preview_lines=cfg.body_preview_lines)
+    file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
+    if module_map is None:
+        module_map = build_module_map(repo_root, diagnostics)
+    project_deps = cross_module_deps(imports_of(tree), uses, module_map, diagnostics)
+    cfg_graph = build_cfg(slice_)
+    return ContextBundle(
+        file=file,
+        line=line,
+        slice_=slice_,
+        cfg=cfg_graph,
+        cfg_text=render_cfg(cfg_graph),
+        file_deps=file_deps,
+        project_deps=project_deps,
+        diagnostics=diagnostics,
+    )
+
+
+def _select_nodes(
+    graph: SemanticGraph | None,
+    cfg: PipelineConfig,
+    ablate: str | None,
+) -> RankedContext:
+    empty = RankedContext(scores={}, file_topk=[], project_topk=[], k=cfg.top_k, alpha=cfg.alpha)
+    if ablate in (None, "no-sm"):
+        ppr = personalized_pagerank(graph, cfg.alpha, cfg.tol, cfg.max_iter)
+        return select_topk(graph, ppr.scores, cfg.top_k, cfg.alpha)
+    if ablate in ("file-only", "all-raw", "proj-only"):
+        file_nodes = [n for n in graph.nodes if n.level == "file"]
+        project_nodes = [n for n in graph.nodes if n.level == "project"]
+        return replace(
+            empty,
+            file_topk=file_nodes if ablate != "proj-only" else [],
+            project_topk=project_nodes if ablate != "file-only" else [],
+        )
+    return empty
+
+
+def complete_task(
+    task: CompletionTask,
+    cfg: PipelineConfig | None = None,
+    *,
+    ablate: str | None = None,
+    index: SnippetIndex | None = None,
+    module_map: ModuleMap | None = None,
+    scorer=None,
+) -> TaskResult:
+    """Build the prompt for one task; generation is the caller's business.
+
+    A shared ``index`` may cover the whole repository; the target file's
+    snippets are filtered out here so results match a fresh build that
+    excluded the file.
+    """
+
+    cfg = cfg or PipelineConfig()
+    if ablate is not None and ablate not in ABLATION_VARIANTS:
+        raise ConfigError(f"unknown ablation variant {ablate!r}; pick one of {ABLATION_VARIANTS}")
+
+    started = time.perf_counter()
+    bundle = extract_context(task.repo, task.file, task.line, cfg, module_map=module_map)
+    context_ms = (time.perf_counter() - started) * 1000
+
+    if task.prefix_override is not None:
+        partial = task.prefix_override
+    elif task.line < bundle.file.line_count:
+        partial = bundle.file.line_text(task.line)
+    else:
+        partial = ""
+    target_code = bundle.slice_.code + partial
+
+    tick = time.perf_counter()
+    graph = None
+    if ablate != "no-cc":
+        graph = build_graph(bundle, body_preview_lines=cfg.body_preview_lines)
+    ranked = _select_nodes(graph, cfg, ablate)
+    cfg_text = bundle.cfg_text if ablate in (None, "no-sm", "func-only", "all-raw") else ""
+    rank_ms = (time.perf_counter() - tick) * 1000
+
+    tick = time.perf_counter()
+    if index is None:
+        pool_index = build_index(
+            task.repo, cfg.window, cfg.stride, exclude=task.file, diagnostics=bundle.diagnostics
+        )
+    else:
+        pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])
+    if scorer is None and cfg.embedding_endpoint:
+        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
+    pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
+    weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
+    exemplars = rerank(pool, ast_paths_of(target_code, cfg.path_depth), weights, cfg.k_final)
+    retrieve_ms = (time.perf_counter() - tick) * 1000
+
+    tick = time.perf_counter()
+    prompt = render(
+        ranked, cfg_text, exemplars, target_code, cfg.token_budget, target_path=task.file
+    )
+    render_ms = (time.perf_counter() - tick) * 1000
+
+    timings = {
+        "context": context_ms,
+        "rank": rank_ms,
+        "retrieve": retrieve_ms,
+        "render": render_ms,
+        "total": context_ms + rank_ms + retrieve_ms + render_ms,
+    }
+    return TaskResult(
+        task=task,
+        bundle=bundle,
+        graph=graph,
+        ranked=ranked,
+        exemplars=exemplars,
+        prompt=prompt,
+        target_code=target_code,
+        timings_ms=timings,
+    )
