@@ -202,3 +202,7 @@ def cmd_evaluate(
 
     if any(row.error for row in report.per_task):
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

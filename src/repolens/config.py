@@ -21,7 +21,6 @@ from .gateway import GenerationConfig
 _ENV_PREFIX = "REPOLENS_"
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
-_BACKENDS = ("http_chat", "mock_echo", "mock_fixture")
 
 
 @dataclass(frozen=True)
@@ -80,17 +79,12 @@ class PipelineConfig:
             ),
             (self.path_depth >= 1, "path_depth must be at least 1"),
             (self.token_budget >= 1, "token_budget must be at least 1"),
-            (self.backend in _BACKENDS, f"backend must be one of {_BACKENDS}"),
-            (self.max_new_tokens >= 1, "max_new_tokens must be at least 1"),
-            (self.temperature >= 0.0, "temperature must be non-negative"),
-            (self.timeout > 0, "timeout must be positive"),
-            (self.retries >= 0, "retries must be non-negative"),
-            (self.backoff >= 0, "backoff must be non-negative"),
-            (self.max_concurrency >= 1, "max_concurrency must be at least 1"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        # the gateway owns the checks on the backend fields
+        generation_config(self)
 
     @property
     def weights(self) -> tuple[float, float]:

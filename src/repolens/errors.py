@@ -14,8 +14,8 @@ class RepoLensError(Exception):
 
 
 class UnsupportedGrammarError(RepoLensError):
-    """Requested language has no registered grammar backend, or the parse
-    produced a node kind outside the published vocabulary."""
+    """The parse produced a node or token kind outside the published
+    vocabulary."""
 
 
 class ConfigError(RepoLensError):

@@ -19,9 +19,9 @@ from .syntax import (
     SymbolRecord,
     SyntaxNode,
     SyntaxTree,
-    enclosing_function,
     enclosing_function_node,
     parse,
+    symbol_from_definition,
 )
 
 _NODE_KINDS = ("entry", "statement", "if", "for", "while", "return", "exit")
@@ -56,15 +56,17 @@ def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
     if owner_node is not None:
         start = owner_node.span.start_line
         origin = "function"
+        owner = symbol_from_definition(file, owner_node, "function")
     else:
         start = 0
         origin = "script"
+        owner = None
     code = file.text[file.offset(start, 0) : file.offset(line, 0)] if line > start else ""
     return LocalSlice(
         code=code,
         span=Span(start, 0, line, 0),
         origin=origin,
-        owner=enclosing_function(tree, line),
+        owner=owner,
     )
 
 
@@ -89,9 +91,6 @@ class ControlFlowGraph:
     edges: list[CfgEdge]
     entry: int
     exit: int
-
-    def out_edges(self, node_id: int) -> list[CfgEdge]:
-        return [e for e in self.edges if e.src == node_id]
 
 
 _Tail = tuple[int, str]

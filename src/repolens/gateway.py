@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import requests
 
@@ -46,14 +46,21 @@ class GenerationConfig:
     fixture_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ConfigError(f"unknown backend {self.backend!r}, expected one of {_BACKENDS}")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be at least 1")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be at least 1")
+        checks = [
+            (
+                self.backend in _BACKENDS,
+                f"unknown backend {self.backend!r}, expected one of {_BACKENDS}",
+            ),
+            (self.max_new_tokens >= 1, "max_new_tokens must be at least 1"),
+            (self.temperature >= 0.0, "temperature must be non-negative"),
+            (self.timeout > 0, "timeout must be positive"),
+            (self.retries >= 0, "retries must be non-negative"),
+            (self.backoff >= 0, "backoff must be non-negative"),
+            (self.max_concurrency >= 1, "max_concurrency must be at least 1"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +88,7 @@ def _target_text(prompt: PromptDocument) -> str:
 def _fixture_lookup(cfg: GenerationConfig, task_id: str | None) -> str:
     table = cfg.fixture_table
     if table is None and cfg.fixture_path:
-        table = json.loads(open(cfg.fixture_path, encoding="utf-8").read())
+        table = json.loads(Path(cfg.fixture_path).read_text(encoding="utf-8"))
     if table is None:
         raise BackendError("mock_fixture backend needs fixture_table or fixture_path")
     if task_id is None or task_id not in table:
@@ -149,28 +156,3 @@ def generate(
         backend=cfg.backend,
         attempts=attempts,
     )
-
-
-def generate_batch(
-    items: list[tuple[str, PromptDocument]], cfg: GenerationConfig
-) -> dict[str, GenerationResult | BackendError]:
-    """Complete many prompts with bounded concurrency.
-
-    Failures stay per-task: a backend error becomes that task's value and
-    the rest of the batch still completes.
-    """
-
-    results: dict[str, GenerationResult | BackendError] = {}
-
-    def run(task_id: str, prompt: PromptDocument):
-        try:
-            return task_id, generate(prompt, cfg, task_id=task_id)
-        except BackendError as err:
-            return task_id, err
-
-    if not items:
-        return results
-    with ThreadPoolExecutor(max_workers=min(cfg.max_concurrency, len(items))) as pool:
-        for task_id, outcome in pool.map(lambda pair: run(*pair), items):
-            results[task_id] = outcome
-    return results

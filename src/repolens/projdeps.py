@@ -181,18 +181,6 @@ def _resolve_module(
     return CROSS_FILE, candidates[0]
 
 
-def classify_import(
-    rec: ImportRecord,
-    module_map: ModuleMap,
-    diagnostics: list[Diagnostic] | None = None,
-) -> str:
-    """Classify one import as cross_file or external via full-name or
-    dotted-suffix matching against the module map."""
-
-    origin, _ = _resolve_module(rec.module_path, module_map, diagnostics)
-    return origin
-
-
 def _module_record(dotted: str, file: SourceFile) -> SymbolRecord:
     last = len(file.line_index) - 1
     span = Span(0, 0, last, len(file.text) - file.line_index[last])

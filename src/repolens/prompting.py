@@ -28,7 +28,8 @@ SECTION_HEADERS = {
     "target": "### Complete the following code",
 }
 
-_SECTION_ORDER = ("function_ctx", "file_ctx", "project_ctx", "exemplars", "target")
+# drop priority: which section loses an item next, and from which end
+_DROP_ORDER = (("exemplars", -1), ("project_ctx", -1), ("file_ctx", -1), ("function_ctx", 0))
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -75,19 +76,6 @@ def _render_exemplar(entry) -> str:
     return f"{head}\n{_indent(entry.snippet.text.rstrip())}"
 
 
-def _assemble(parts: dict[str, list[str]], target_text: str) -> str:
-    blocks = []
-    for kind in _SECTION_ORDER:
-        if kind == "target":
-            blocks.append(f"{SECTION_HEADERS['target']}\n{target_text}")
-            continue
-        items = parts[kind]
-        if not items:
-            continue
-        blocks.append(SECTION_HEADERS[kind] + "\n" + "\n".join(items))
-    return "\n\n".join(blocks)
-
-
 def render(
     ranked: RankedContext,
     cfg_text: str,
@@ -97,60 +85,45 @@ def render(
     *,
     target_path: str = "",
 ) -> PromptDocument:
-    """Render the prompt, dropping low-priority items to meet the budget."""
+    """Render the prompt, dropping low-priority items to meet the budget.
+
+    Tokens never span whitespace and the prompt joins headers, items and
+    the target with newlines, so its token count is the sum of theirs:
+    each piece is counted once and the total follows the drops.
+    """
 
     target_text = target_code.rstrip("\n")
-    target_block = f"{SECTION_HEADERS['target']}\n{target_text}"
-    if estimate_tokens(target_block) > budget:
-        raise BudgetTooSmallError(
-            f"target section alone needs {estimate_tokens(target_block)} tokens, budget is {budget}"
-        )
+    total = estimate_tokens(f"{SECTION_HEADERS['target']}\n{target_text}")
+    if total > budget:
+        raise BudgetTooSmallError(f"target section alone needs {total} tokens, budget is {budget}")
 
-    cfg_lines = [line for line in cfg_text.splitlines() if line.strip()]
-    parts: dict[str, list[str]] = {
-        "function_ctx": list(cfg_lines),
-        "file_ctx": [_render_node(n, target_path) for n in ranked.file_topk],
-        "project_ctx": [_render_node(n, target_path) for n in ranked.project_topk],
-        "exemplars": [_render_exemplar(e) for e in exemplars.entries],
+    # (label, text) per item; the sections are in prompt order, target last
+    parts: dict[str, list[tuple[str, str]]] = {
+        "function_ctx": [(line, line) for line in cfg_text.splitlines() if line.strip()],
+        "file_ctx": [(n.label, _render_node(n, target_path)) for n in ranked.file_topk],
+        "project_ctx": [(n.label, _render_node(n, target_path)) for n in ranked.project_topk],
+        "exemplars": [(e.snippet.snippet_id, _render_exemplar(e)) for e in exemplars.entries],
     }
-    labels: dict[str, list[str]] = {
-        "function_ctx": list(cfg_lines),
-        "file_ctx": [n.label for n in ranked.file_topk],
-        "project_ctx": [n.label for n in ranked.project_topk],
-        "exemplars": [e.snippet.snippet_id for e in exemplars.entries],
-    }
+    costs = {kind: [estimate_tokens(text) for _, text in items] for kind, items in parts.items()}
+    for kind, item_costs in costs.items():
+        if item_costs:
+            total += estimate_tokens(SECTION_HEADERS[kind]) + sum(item_costs)
 
     truncations: list[tuple[str, str]] = []
+    for kind, end in _DROP_ORDER:
+        items = parts[kind]
+        while total > budget and items:
+            label, _ = items.pop(end)
+            total -= costs[kind].pop(end)
+            truncations.append((kind, label))
+            if not items:
+                total -= estimate_tokens(SECTION_HEADERS[kind])
 
-    def drop_one() -> bool:
-        for kind, from_tail in (
-            ("exemplars", True),
-            ("project_ctx", True),
-            ("file_ctx", True),
-            ("function_ctx", False),
-        ):
-            if parts[kind]:
-                idx = -1 if from_tail else 0
-                parts[kind].pop(idx)
-                truncations.append((kind, labels[kind].pop(idx)))
-                return True
-        return False
-
-    text = _assemble(parts, target_text)
-    while estimate_tokens(text) > budget:
-        if not drop_one():
-            break
-        text = _assemble(parts, target_text)
-
-    sections: list[tuple[str, str]] = []
-    for kind in _SECTION_ORDER:
-        if kind == "target":
-            sections.append(("target", target_text))
-        elif parts[kind]:
-            sections.append((kind, "\n".join(parts[kind])))
+    sections = [(kind, "\n".join(text for _, text in items)) for kind, items in parts.items() if items]
+    sections.append(("target", target_text))
     return PromptDocument(
         sections=sections,
-        token_count=estimate_tokens(text),
+        token_count=total,
         truncations=truncations,
-        text=text,
+        text="\n\n".join(f"{SECTION_HEADERS[kind]}\n{body}" for kind, body in sections),
     )

@@ -1,11 +1,10 @@
 """Error-tolerant Python parsing and symbol-level queries.
 
-The parser front end is pluggable: a :class:`GrammarBackend` turns raw text
-into a language-neutral concrete syntax tree (:class:`SyntaxNode`) with a
-fixed kind vocabulary, so analyzers never touch backend objects directly.
-The default backend wraps parso, which keeps parsing through syntax errors
-and surfaces the broken region as ``error_node`` -- exactly what an
-unfinished file with a cursor in the middle looks like.
+:func:`parse` runs parso and converts its tree into a concrete syntax tree
+(:class:`SyntaxNode`) with a fixed kind vocabulary, so analyzers never touch
+parso objects directly. parso keeps parsing through syntax errors and
+surfaces the broken region as ``error_node`` -- exactly what an unfinished
+file with a cursor in the middle looks like.
 
 Conventions:
   * lines and columns are 0-based internally (the CLI converts at the edge)
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Iterator, Protocol
+from typing import Iterator
 
 import parso
 
@@ -26,7 +25,7 @@ from .errors import UnsupportedGrammarError
 
 _PYTHON_GRAMMAR_VERSION = "3.10"
 
-# Nonterminals of the published grammar the default backend targets. Anything
+# Nonterminals of the published grammar the parser targets. Anything
 # outside this set (plus the canonical and leaf names below) is rejected at
 # parse time so analyzers can rely on a closed vocabulary.
 _PARSO_NONTERMINALS = frozenset(
@@ -169,21 +168,13 @@ class SyntaxNode:
             if node.is_leaf:
                 yield node
 
-    def structurally_equal(self, other: "SyntaxNode") -> bool:
-        if (self.kind, self.span, self.value, self.is_def) != (other.kind, other.span, other.value, other.is_def):
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a.structurally_equal(b) for a, b in zip(self.children, other.children))
-
 
 @dataclass(slots=True, eq=False)
 class SyntaxTree:
     root: SyntaxNode
     file: SourceFile
-    language: str = "python"
-    # backend parse handle, kept for queries that reuse backend smarts
-    backend_tree: object | None = field(default=None, repr=False)
+    # parso's own tree, read by imports_of
+    parso_module: object = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,48 +203,19 @@ class ImportRecord:
     classification: str | None = None
 
 
-class GrammarBackend(Protocol):
-    language: str
-
-    def parse(self, file: SourceFile) -> SyntaxTree: ...
+_GRAMMAR = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
 
 
-class ParsoPythonBackend:
-    """Default backend: parso with error recovery enabled."""
-
-    language = "python"
-
-    def __init__(self) -> None:
-        self._grammar = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
-
-    def parse(self, file: SourceFile) -> SyntaxTree:
-        module = self._grammar.parse(file.text, error_recovery=True)
-        converted = _convert(module)
-        if not converted:
-            root = SyntaxNode(kind="module", span=Span(0, 0, 0, 0))
-        else:
-            root = converted[0]
-        _assign_parents(root)
-        return SyntaxTree(root=root, file=file, language=self.language, backend_tree=module)
-
-
-_BACKENDS: dict[str, GrammarBackend] = {}
-
-
-def register_backend(backend: GrammarBackend) -> None:
-    _BACKENDS[backend.language] = backend
-
-
-register_backend(ParsoPythonBackend())
-
-
-def parse(file: SourceFile, language: str = "python") -> SyntaxTree:
-    """Parse ``file`` into a normalized tree; raises UnsupportedGrammarError
-    for unregistered languages."""
-    backend = _BACKENDS.get(language)
-    if backend is None:
-        raise UnsupportedGrammarError(f"no grammar backend registered for {language!r}")
-    return backend.parse(file)
+def parse(file: SourceFile) -> SyntaxTree:
+    """Parse ``file`` into a normalized tree, recovering from syntax errors."""
+    module = _GRAMMAR.parse(file.text, error_recovery=True)
+    converted = _convert(module)
+    if not converted:
+        root = SyntaxNode(kind="module", span=Span(0, 0, 0, 0))
+    else:
+        root = converted[0]
+    _assign_parents(root)
+    return SyntaxTree(root=root, file=file, parso_module=module)
 
 
 def _leaf_span(pnode) -> Span:
@@ -328,7 +290,8 @@ def declared_name(node: SyntaxNode) -> SyntaxNode | None:
     return None
 
 
-def _symbol_from_definition(file: SourceFile, node: SyntaxNode, sym_kind: str) -> SymbolRecord | None:
+def symbol_from_definition(file: SourceFile, node: SyntaxNode, sym_kind: str) -> SymbolRecord | None:
+    """Record of a function or class definition node; None if it has no name."""
     name = declared_name(node)
     if name is None:
         return None
@@ -344,15 +307,6 @@ def enclosing_function_node(tree: SyntaxTree, line: int) -> SyntaxNode | None:
         if best is None or node.span.start_line > best.span.start_line:
             best = node
     return best
-
-
-def enclosing_function(tree: SyntaxTree, line: int) -> SymbolRecord | None:
-    """Owner function of ``line`` (def line counts as inside), or None at
-    module scope."""
-    node = enclosing_function_node(tree, line)
-    if node is None:
-        return None
-    return _symbol_from_definition(tree.file, node, "function")
 
 
 def _module_statements(root: SyntaxNode) -> Iterator[SyntaxNode]:
@@ -395,11 +349,11 @@ def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
         if stmt.span.end_line >= line:
             continue
         if stmt.kind == "function_definition":
-            record = _symbol_from_definition(tree.file, stmt, "function")
+            record = symbol_from_definition(tree.file, stmt, "function")
             if record:
                 latest[record.name] = record
         elif stmt.kind == "class_definition":
-            record = _symbol_from_definition(tree.file, stmt, "class")
+            record = symbol_from_definition(tree.file, stmt, "class")
             if record:
                 latest[record.name] = record
         elif stmt.kind == "expression_statement":
@@ -464,9 +418,7 @@ def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
     ``SourceFile.path`` is assumed repository-relative); unresolvable levels
     keep their leading dots and will classify as external.
     """
-    module = tree.backend_tree
-    if module is None:
-        return []
+    module = tree.parso_module
     records: list[ImportRecord] = []
     stack = [module]
     nodes = []

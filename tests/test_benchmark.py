@@ -26,7 +26,7 @@ import pytest
 from repolens.config import PipelineConfig
 from repolens.errors import EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
-from tests.conftest import write_repo
+from tests.conftest import http_stub, write_repo
 
 MAIN_PY = """\
 import os
@@ -152,6 +152,42 @@ def test_per_task_failure_recorded_batch_completes(tmp_path):
     assert (by_id["d4"].em, by_id["d4"].es, by_id["d4"].id_em, by_id["d4"].f1) == (0, 0, 0, 0)
     assert by_id["a1"].em == 100.0
     assert report.em == pytest.approx(300 / 4)
+
+
+def test_backend_failure_recorded_batch_completes(tmp_path):
+    tasks = write_bench(tmp_path)
+    table = {"a1": TRUTHS["a1"], "c3": TRUTHS["c3"]}
+    report = run_benchmark(tasks, PipelineConfig(backend="mock_fixture"), fixture_table=table)
+    by_id = {row.task_id: row for row in report.per_task}
+    assert by_id["b2"].error.startswith("BackendError:")
+    assert (by_id["b2"].em, by_id["b2"].es, by_id["b2"].id_em, by_id["b2"].f1) == (0, 0, 0, 0)
+    for task_id in ("a1", "c3"):
+        row = by_id[task_id]
+        assert row.error == ""
+        assert (row.em, row.es, row.id_em, row.f1) == (100.0, 100.0, 100.0, 100.0)
+
+
+def test_concurrent_http_generation_keeps_replies_per_task(tmp_path):
+    # each task's unfinished line names its own marker; the stub echoes it back
+    rows = [
+        dict(TASK_ROWS[0], task_id=f"t{i}", prefix_override=f"    marker_{i} = ",
+             ground_truth=f"reply_{i}")
+        for i in range(8)
+    ]
+    tasks = write_bench(tmp_path, rows)
+
+    def handler(path, payload):
+        marker = payload["messages"][0]["content"].splitlines()[-1].split()[0]
+        return 200, {"choices": [{"message": {"content": marker.replace("marker", "reply")}}]}
+
+    with http_stub(handler) as url:
+        cfg = PipelineConfig(backend="http_chat", endpoint=url, max_concurrency=4)
+        report = run_benchmark(tasks, cfg)
+    assert [row.task_id for row in report.per_task] == [f"t{i}" for i in range(8)]
+    for i, row in enumerate(report.per_task):
+        assert row.error == ""
+        assert row.generated == f"reply_{i}"
+        assert row.em == 100.0
 
 
 def test_report_bytes_identical_without_timing(tmp_path):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +184,16 @@ def test_evaluate_with_fixture_backend_config(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["aggregates"] == {"em": 100.0, "es": 100.0, "id_em": 100.0, "f1": 100.0}
+
+
+def test_module_entry_point_prints_usage():
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "repolens.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Usage:" in done.stdout
+    assert "evaluate" in done.stdout

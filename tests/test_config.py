@@ -11,6 +11,7 @@ import pytest
 
 from repolens.config import PipelineConfig, load_config
 from repolens.errors import ConfigError
+from repolens.gateway import GenerationConfig
 
 
 def test_defaults_match_documented_values():
@@ -145,3 +146,22 @@ def test_direct_construction_validates():
         PipelineConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         PipelineConfig(timeout=0.0)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("backend", "telepathy"),
+        ("max_new_tokens", 0),
+        ("temperature", -0.1),
+        ("timeout", 0.0),
+        ("retries", -1),
+        ("backoff", -0.5),
+        ("max_concurrency", 0),
+    ],
+)
+def test_backend_fields_rejected_by_both_entry_points(name, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ConfigError):
+        GenerationConfig(**{name: value})

@@ -78,6 +78,10 @@ def _cfg(text, line):
     return build_cfg(local_slice(tree, line))
 
 
+def _out_edges(cfg, node_id):
+    return [e for e in cfg.edges if e.src == node_id]
+
+
 ALL_CASES = [
     (LOOP_FUNC, 4),
     (BRANCH_SCRIPT, 4),
@@ -153,7 +157,7 @@ def test_return_nodes_connect_only_to_exit():
     returns = [n for n in cfg.nodes if n.kind == "return"]
     assert len(returns) == 2
     for node in returns:
-        edges = cfg.out_edges(node.node_id)
+        edges = _out_edges(cfg, node.node_id)
         assert len(edges) == 1
         assert edges[0].dst == cfg.exit
 
@@ -163,7 +167,7 @@ def test_elif_desugars_into_nested_ifs():
     ifs = [n for n in cfg.nodes if n.kind == "if"]
     assert len(ifs) == 2
     first, second = sorted(ifs, key=lambda n: n.node_id)
-    false_edges = [e for e in cfg.out_edges(first.node_id) if e.label == "false"]
+    false_edges = [e for e in _out_edges(cfg, first.node_id) if e.label == "false"]
     assert [e.dst for e in false_edges] == [second.node_id]
 
 
@@ -192,18 +196,18 @@ def test_graph_invariants(text, line):
     labels = {"seq", "true", "false", "loop_back", "loop_exit"}
     assert all(n.kind in kinds for n in cfg.nodes)
     assert all(e.label in labels for e in cfg.edges)
-    assert cfg.out_edges(cfg.exit) == []
+    assert _out_edges(cfg, cfg.exit) == []
     ids = {n.node_id for n in cfg.nodes}
     for node in cfg.nodes:
         if node.node_id != cfg.exit:
-            assert cfg.out_edges(node.node_id), f"dead end at {node}"
+            assert _out_edges(cfg, node.node_id), f"dead end at {node}"
     # reachability from entry
     seen = {cfg.entry}
     frontier = [cfg.entry]
     while frontier:
         nxt = []
         for nid in frontier:
-            for edge in cfg.out_edges(nid):
+            for edge in _out_edges(cfg, nid):
                 if edge.dst not in seen:
                     seen.add(edge.dst)
                     nxt.append(edge.dst)

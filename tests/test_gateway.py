@@ -1,7 +1,8 @@
-"""Generation backends: mocks, HTTP chat protocol, retries, batching."""
+"""Generation backends: mocks, HTTP chat protocol, retries."""
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from repolens.errors import (
     ConfigError,
     MalformedResponseError,
 )
-from repolens.gateway import GenerationConfig, generate, generate_batch
+from repolens.gateway import GenerationConfig, generate
 from repolens.prompting import PromptDocument, estimate_tokens
 from tests.conftest import http_stub
 
@@ -51,6 +52,15 @@ def test_mock_fixture_missing_task_raises():
     cfg = GenerationConfig(backend="mock_fixture", fixture_table={"t1": "x = 1"})
     with pytest.raises(BackendError):
         generate(make_doc("x"), cfg, task_id="unknown")
+
+
+@pytest.mark.filterwarnings("error")
+def test_mock_fixture_reads_table_from_file(tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"t1": "x = 1"}), encoding="utf-8")
+    cfg = GenerationConfig(backend="mock_fixture", fixture_path=str(path))
+    for _ in range(3):
+        assert generate(make_doc("x = "), cfg, task_id="t1").text == "x = 1"
 
 
 def test_http_chat_roundtrip_and_payload_shape():
@@ -157,29 +167,6 @@ def test_leading_newlines_skipped_in_line_extraction():
     result = generate(make_doc("x"), cfg, task_id="t")
     assert result.text == "real = line"
     assert result.raw == "\n\nreal = line\nmore"
-
-
-def test_generate_batch_isolates_failures():
-    cfg = GenerationConfig(backend="mock_fixture", fixture_table={"a": "1", "c": "3"})
-    items = [("a", make_doc("x")), ("b", make_doc("y")), ("c", make_doc("z"))]
-    results = generate_batch(items, cfg)
-    assert results["a"].text == "1"
-    assert results["c"].text == "3"
-    assert isinstance(results["b"], BackendError)
-
-
-def test_generate_batch_concurrent_http():
-    def handler(path, payload):
-        content = payload["messages"][0]["content"]
-        return 200, chat_reply(f"done:{content[-1]}")
-
-    docs = [(f"t{i}", make_doc(f"prompt {i}")) for i in range(8)]
-    with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url, max_concurrency=4)
-        results = generate_batch(docs, cfg)
-    assert len(results) == 8
-    for i in range(8):
-        assert results[f"t{i}"].text == f"done:{i}"
 
 
 def test_config_validation():

@@ -6,7 +6,6 @@ from repolens.projdeps import (
     CROSS_FILE,
     EXTERNAL,
     build_module_map,
-    classify_import,
     cross_module_deps,
 )
 from repolens.syntax import (
@@ -53,6 +52,12 @@ def write_pipeline_repo(root):
 def _record(module_path: str, *bound: tuple[str, str]) -> ImportRecord:
     names = bound or ((module_path, module_path.split(".")[0]),)
     return ImportRecord(module_path=module_path, bound_names=names, import_span=Span(0, 0, 0, 1))
+
+
+def _classification(rec, module_map, diagnostics=None):
+    """The origin ``cross_module_deps`` records on the import."""
+    cross_module_deps([rec], set(), module_map, diagnostics)
+    return rec.classification
 
 
 def test_module_map_registers_every_source_file(tmp_path):
@@ -111,11 +116,11 @@ def test_classify_full_name_suffix_and_external(tmp_path):
         },
     )
     mmap = build_module_map(tmp_path)
-    assert classify_import(_record("utils.helpers"), mmap) == CROSS_FILE
-    assert classify_import(_record("helpers"), mmap) == CROSS_FILE
-    assert classify_import(_record("b.c"), mmap) == CROSS_FILE
-    assert classify_import(_record("os"), mmap) == EXTERNAL
-    assert classify_import(_record("pandas"), mmap) == EXTERNAL
+    assert _classification(_record("utils.helpers"), mmap) == CROSS_FILE
+    assert _classification(_record("helpers"), mmap) == CROSS_FILE
+    assert _classification(_record("b.c"), mmap) == CROSS_FILE
+    assert _classification(_record("os"), mmap) == EXTERNAL
+    assert _classification(_record("pandas"), mmap) == EXTERNAL
 
 
 def test_ambiguous_suffix_resolves_deterministically(tmp_path):
@@ -130,9 +135,9 @@ def test_ambiguous_suffix_resolves_deterministically(tmp_path):
     diagnostics = []
     mmap = build_module_map(tmp_path)
     rec = _record("common", ("shared", "shared"))
-    assert classify_import(rec, mmap, diagnostics) == CROSS_FILE
+    (dep,) = cross_module_deps([rec], {"shared"}, mmap, diagnostics)
+    assert rec.classification == CROSS_FILE
     assert [d.code for d in diagnostics] == ["ambiguous_suffix"]
-    (dep,) = cross_module_deps([rec], {"shared"}, mmap)
     assert '"x"' in dep.resolved.code
 
 

@@ -5,12 +5,21 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repolens.errors import BudgetTooSmallError
 from repolens.filedeps import explicit_deps, potential_deps
 from repolens.funcflow import build_cfg, local_slice, render_cfg
 from repolens.projdeps import build_module_map, cross_module_deps
-from repolens.prompting import SECTION_HEADERS, estimate_tokens, render
+from repolens.prompting import (
+    SECTION_HEADERS,
+    PromptDocument,
+    _render_exemplar,
+    _render_node,
+    estimate_tokens,
+    render,
+)
 from repolens.ranking import RankedContext, build_graph, personalized_pagerank, select_topk
 from repolens.retrieval import (
     ExemplarSet,
@@ -245,3 +254,82 @@ def test_full_prompt_matches_golden(tmp_path):
     ranked, cfg_text, exemplars, target_code = prompt_inputs(tmp_path)
     doc = render(ranked, cfg_text, exemplars, target_code, target_path="main.py")
     assert doc.text == golden
+
+
+def oracle_render(ranked, cfg_text, exemplars, target_code, budget, target_path=""):
+    """Reference implementation: drop one item, then re-assemble and
+    re-count the whole prompt, until it fits the budget."""
+    order = ("function_ctx", "file_ctx", "project_ctx", "exemplars")
+    target_text = target_code.rstrip("\n")
+    if estimate_tokens(f"{SECTION_HEADERS['target']}\n{target_text}") > budget:
+        raise BudgetTooSmallError("target section alone exceeds the budget")
+    cfg_lines = [line for line in cfg_text.splitlines() if line.strip()]
+    parts = {
+        "function_ctx": list(cfg_lines),
+        "file_ctx": [_render_node(n, target_path) for n in ranked.file_topk],
+        "project_ctx": [_render_node(n, target_path) for n in ranked.project_topk],
+        "exemplars": [_render_exemplar(e) for e in exemplars.entries],
+    }
+    labels = {
+        "function_ctx": list(cfg_lines),
+        "file_ctx": [n.label for n in ranked.file_topk],
+        "project_ctx": [n.label for n in ranked.project_topk],
+        "exemplars": [e.snippet.snippet_id for e in exemplars.entries],
+    }
+
+    def assemble():
+        blocks = [SECTION_HEADERS[kind] + "\n" + "\n".join(parts[kind]) for kind in order if parts[kind]]
+        return "\n\n".join(blocks + [f"{SECTION_HEADERS['target']}\n{target_text}"])
+
+    truncations = []
+    text = assemble()
+    while estimate_tokens(text) > budget:
+        kind = next(k for k in ("exemplars", "project_ctx", "file_ctx", "function_ctx") if parts[k])
+        idx = 0 if kind == "function_ctx" else -1
+        parts[kind].pop(idx)
+        truncations.append((kind, labels[kind].pop(idx)))
+        text = assemble()
+    sections = [(kind, "\n".join(parts[kind])) for kind in order if parts[kind]]
+    return PromptDocument(
+        sections=sections + [("target", target_text)],
+        token_count=estimate_tokens(text),
+        truncations=truncations,
+        text=text,
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_inputs(tmp_path_factory):
+    return prompt_inputs(tmp_path_factory.mktemp("prompt"))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_render_matches_drop_loop_oracle_at_random_budgets(shared_inputs, data):
+    ranked, cfg_text, exemplars, target_code = shared_inputs
+    # random subsets of every section, and random text in the CFG and target
+    ranked = RankedContext(
+        scores=ranked.scores,
+        file_topk=ranked.file_topk[: data.draw(st.integers(0, len(ranked.file_topk)))],
+        project_topk=ranked.project_topk[: data.draw(st.integers(0, len(ranked.project_topk)))],
+        k=ranked.k,
+        alpha=ranked.alpha,
+    )
+    exemplars = ExemplarSet(
+        entries=exemplars.entries[: data.draw(st.integers(0, len(exemplars.entries)))],
+        weights=exemplars.weights,
+    )
+    cfg_text = data.draw(st.one_of(st.just(cfg_text), st.text(max_size=200)))
+    target_code += data.draw(st.text(max_size=40))
+
+    full = oracle_render(ranked, cfg_text, exemplars, target_code, budget=10**9)
+    budget = data.draw(st.integers(1, full.token_count + 5))
+    try:
+        expected = oracle_render(ranked, cfg_text, exemplars, target_code, budget, "main.py")
+    except BudgetTooSmallError:
+        with pytest.raises(BudgetTooSmallError):
+            render(ranked, cfg_text, exemplars, target_code, budget, target_path="main.py")
+        return
+    doc = render(ranked, cfg_text, exemplars, target_code, budget, target_path="main.py")
+    assert doc.token_count == estimate_tokens(doc.text)
+    assert doc == expected

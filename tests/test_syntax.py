@@ -10,14 +10,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-import pytest
-
-from repolens.errors import UnsupportedGrammarError
+from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
     Span,
     definitions_before,
-    enclosing_function,
     enclosing_function_node,
     identifiers_used,
     imports_of,
@@ -75,6 +72,15 @@ def _tree(text, path="mod.py"):
     return parse(SourceFile.from_text(path, text))
 
 
+def _shape(node):
+    return (node.kind, node.span, node.value, node.is_def, tuple(_shape(c) for c in node.children))
+
+
+def _owner(tree, line):
+    """The owner record ``local_slice`` reports for ``line``."""
+    return local_slice(tree, line).owner
+
+
 def test_parse_empty_file_has_empty_module_root():
     tree = _tree("")
     assert tree.root.kind == "module"
@@ -98,7 +104,7 @@ def test_parse_three_functions_hand_counted_spans():
 def test_parse_is_deterministic():
     a = _tree(DEMO)
     b = _tree(DEMO)
-    assert a.root.structurally_equal(b.root)
+    assert _shape(a.root) == _shape(b.root)
 
 
 def test_parse_survives_unfinished_assignment():
@@ -107,11 +113,6 @@ def test_parse_survives_unfinished_assignment():
     assert len(names) == 1
     # identifier queries still work on the recovered tree
     assert "result" in {leaf.value for leaf in tree.root.leaves() if leaf.kind == "name"}
-
-
-def test_parse_rejects_unknown_language():
-    with pytest.raises(UnsupportedGrammarError):
-        parse(SourceFile.from_text("x.rs", "fn main() {}"), language="rust")
 
 
 def test_line_index_is_strictly_increasing():
@@ -131,25 +132,25 @@ def test_every_span_within_text_bounds():
 
 def test_enclosing_function_simple_cases():
     tree = _tree(DEMO)
-    assert enclosing_function(tree, 0) is None
-    owner = enclosing_function(tree, 15)
+    assert _owner(tree, 0) is None
+    owner = _owner(tree, 15)
     assert owner is not None and owner.name == "top"
     # the def line itself counts as inside
-    assert enclosing_function(tree, 13).name == "top"
+    assert _owner(tree, 13).name == "top"
 
 
 def test_enclosing_function_on_def_line_of_body_start():
     tree = _tree("def f():\n    pass\n")
-    assert enclosing_function(tree, 0).name == "f"
-    assert enclosing_function(tree, 1).name == "f"
+    assert _owner(tree, 0).name == "f"
+    assert _owner(tree, 1).name == "f"
 
 
 def test_enclosing_function_picks_innermost():
     tree = _tree(NESTED)
-    assert enclosing_function(tree, 3).name == "innermost"
-    assert enclosing_function(tree, 4).name == "inner"
-    assert enclosing_function(tree, 5).name == "outer"
-    assert enclosing_function(tree, 8).name == "plain"
+    assert _owner(tree, 3).name == "innermost"
+    assert _owner(tree, 4).name == "inner"
+    assert _owner(tree, 5).name == "outer"
+    assert _owner(tree, 8).name == "plain"
 
 
 def _ast_innermost(text: str, line: int) -> str | None:
@@ -168,7 +169,7 @@ def test_enclosing_function_agrees_with_ast_oracle_on_every_line():
         tree = _tree(text)
         for line in range(len(text.splitlines())):
             expected = _ast_innermost(text, line)
-            got = enclosing_function(tree, line)
+            got = _owner(tree, line)
             assert (got.name if got else None) == expected, f"line {line}"
 
 
