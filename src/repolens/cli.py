@@ -20,9 +20,8 @@ from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
 from .projdeps import build_module_map
 from .ranking import explain_graph
-from .retrieval import build_index, load_index, save_index
+from .retrieval import INDEX_FILE, build_index, index_path, load_index, save_index
 
-_INDEX_FILE = "snippets.json"
 _MODULES_FILE = "modules.json"
 
 
@@ -51,42 +50,36 @@ def main() -> None:
 @click.option("--repo", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--force", is_flag=True, help="Rebuild even when the cache looks current.")
+@click.option("--force", is_flag=True, help="Rebuild every file, ignoring the cached index.")
 def cmd_index(repo: str, out: str | None, config_path: str | None, force: bool) -> None:
-    """Build and persist the snippet index and module map for a repository."""
+    """Build and persist the snippet index and module map for a repository.
+
+    Files whose content digest matches the cached index keep their cached
+    snippets; only new or edited files are windowed again. Only the default
+    location (``<repo>/.repolens``) is read by ``complete`` and ``evaluate``.
+    """
 
     cfg = _load_cfg(config_path)
     root = Path(repo).resolve()
-    out_dir = Path(out) if out is not None else root / ".repolens"
-    index_path = out_dir / _INDEX_FILE
+    out_dir = Path(out) if out is not None else index_path(root).parent
+    snippets_path = out_dir / INDEX_FILE
     modules_path = out_dir / _MODULES_FILE
+
+    cached = None if force else load_index(snippets_path)
+    index = build_index(root, cfg.window, cfg.stride, reuse=cached)
+    if (
+        cached is not None
+        and (cached.window, cached.stride) == (cfg.window, cfg.stride)
+        and cached.digests == index.digests
+        and modules_path.exists()
+    ):
+        click.echo(f"index up to date at {out_dir}")
+        return
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(f"cannot create {out_dir}: {exc}")
-    # The default cache dir lives inside the repository, and creating it
-    # bumps the root directory's mtime; take the tree digest afterwards so
-    # an immediate re-run compares equal.
-    module_map = build_module_map(root)
-    if not force and modules_path.exists():
-        try:
-            stored = json.loads(modules_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            stored = None
-        cached = load_index(index_path)
-        if (
-            isinstance(stored, dict)
-            and stored.get("digest") == module_map.digest
-            and cached is not None
-            and (cached.window, cached.stride) == (cfg.window, cfg.stride)
-        ):
-            click.echo(f"index up to date at {out_dir}")
-            return
-
-    try:
-        index = build_index(root, cfg.window, cfg.stride)
-        save_index(index, index_path)
+        module_map = build_module_map(root)
+        save_index(index, snippets_path)
         modules_path.write_text(
             _dump_json({"digest": module_map.digest, "entries": module_map.entries}) + "\n",
             encoding="utf-8",

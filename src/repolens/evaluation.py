@@ -25,7 +25,7 @@ from .errors import BackendError, EmptyBenchmarkError, RepoLensError
 from .gateway import generate
 from .pipeline import CompletionTask, TaskResult, complete_task
 from .projdeps import ModuleMap, build_module_map
-from .retrieval import SnippetIndex, build_index
+from .retrieval import DenseScorer, SnippetIndex, build_index, index_path, load_index
 
 _WS_RUN = re.compile(r"[ \t]+")
 _IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -205,7 +205,9 @@ def run_benchmark(
     """Full pipeline plus generation and scoring for every task.
 
     Context extraction runs sequentially (module maps and snippet indexes
-    are shared per repository); generation fans out over a worker pool.
+    are shared per repository, and each index reuses the unchanged files of
+    the repository's cached ``.repolens/snippets.json``; one dense scorer
+    serves every task); generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
     the batch still completes. Rows come back sorted by task id.
     """
@@ -218,17 +220,31 @@ def run_benchmark(
     indexes: dict[Path, SnippetIndex] = {}
     results: dict[str, TaskResult] = {}
     failures: dict[str, str] = {}
-    for task in tasks:
-        root = Path(task.repo)
-        try:
-            if root not in indexes:
-                module_maps[root] = build_module_map(root)
-                indexes[root] = build_index(root, cfg.window, cfg.stride)
-            results[task.task_id] = complete_task(
-                task, cfg, ablate=ablate, index=indexes[root], module_map=module_maps[root]
-            )
-        except (RepoLensError, OSError, ValueError) as exc:
-            failures[task.task_id] = f"{type(exc).__name__}: {exc}"
+    scorer = None
+    if cfg.embedding_endpoint:
+        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
+    try:
+        for task in tasks:
+            root = Path(task.repo)
+            try:
+                if root not in indexes:
+                    module_maps[root] = build_module_map(root)
+                    indexes[root] = build_index(
+                        root, cfg.window, cfg.stride, reuse=load_index(index_path(root))
+                    )
+                results[task.task_id] = complete_task(
+                    task,
+                    cfg,
+                    ablate=ablate,
+                    index=indexes[root],
+                    module_map=module_maps[root],
+                    scorer=scorer,
+                )
+            except (RepoLensError, OSError, ValueError) as exc:
+                failures[task.task_id] = f"{type(exc).__name__}: {exc}"
+    finally:
+        if scorer is not None:
+            scorer.close()
 
     def run_one(task: CompletionTask) -> tuple[str, str, float, str]:
         tick = time.perf_counter()

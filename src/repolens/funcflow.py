@@ -11,7 +11,7 @@ back edges ``loop_back``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
     SourceFile,
@@ -39,13 +39,15 @@ class LocalSlice:
     ``origin`` is ``function`` when the cursor sits inside a function (the
     slice starts at its def line) and ``script`` otherwise (slice starts at
     the top of the file). ``span`` ends at the cursor position. ``owner``
-    is the enclosing function's symbol record, None at script origin.
+    is the enclosing function's symbol record and ``owner_node`` its
+    definition node, both None at script origin.
     """
 
     code: str
     span: Span
     origin: str
     owner: SymbolRecord | None = None
+    owner_node: SyntaxNode | None = field(default=None, compare=False, repr=False)
 
 
 def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
@@ -67,6 +69,7 @@ def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
         span=Span(start, 0, line, 0),
         origin=origin,
         owner=owner,
+        owner_node=owner_node,
     )
 
 

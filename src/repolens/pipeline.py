@@ -35,13 +35,14 @@ from .retrieval import (
     SnippetIndex,
     ast_paths_of,
     build_index,
+    index_path,
+    load_index,
     rerank,
     semantic_candidates,
 )
 from .syntax import (
     SourceFile,
     definitions_before,
-    enclosing_function_node,
     identifiers_used,
     imports_of,
     load_source,
@@ -111,7 +112,7 @@ def extract_context(
     file = load_source(repo_root, rel_file)
     tree = parse(file)
     slice_ = local_slice(tree, line)
-    owner_node = enclosing_function_node(tree, line)
+    owner_node = slice_.owner_node
     uses = identifiers_used(owner_node) if owner_node is not None else set()
     defs = definitions_before(tree, line)
     file_deps = explicit_deps(defs, uses, owner_node, body_preview_lines=cfg.body_preview_lines)
@@ -165,7 +166,9 @@ def complete_task(
 
     A shared ``index`` may cover the whole repository; the target file's
     snippets are filtered out here so results match a fresh build that
-    excluded the file.
+    excluded the file. Without one, the index is built with the target
+    excluded, reusing the unchanged files of the repository's cached index
+    (``<repo>/.repolens/snippets.json``) when there is one.
     """
 
     cfg = cfg or PipelineConfig()
@@ -195,7 +198,12 @@ def complete_task(
     tick = time.perf_counter()
     if index is None:
         pool_index = build_index(
-            task.repo, cfg.window, cfg.stride, exclude=task.file, diagnostics=bundle.diagnostics
+            task.repo,
+            cfg.window,
+            cfg.stride,
+            exclude=task.file,
+            diagnostics=bundle.diagnostics,
+            reuse=load_index(index_path(task.repo)),
         )
     else:
         pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])

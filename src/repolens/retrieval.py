@@ -9,11 +9,12 @@ differ.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import keyword
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import requests
@@ -29,7 +30,8 @@ DEFAULT_K_FINAL = 5
 DEFAULT_WEIGHTS = (0.7, 0.3)
 DEFAULT_PATH_DEPTH = 12
 
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
+INDEX_FILE = "snippets.json"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -48,10 +50,22 @@ class Snippet:
 
 @dataclass(frozen=True, slots=True)
 class SnippetIndex:
+    """Windows over a repository, in file order then start order.
+
+    ``digests`` maps each windowed file's relative path to the sha256 of
+    its text, so a later build can tell which files it may reuse.
+    """
+
     root: str
     window: int
     stride: int
     snippets: list[Snippet]
+    digests: dict[str, str] = field(default_factory=dict)
+
+
+def index_path(repo_root: Path | str) -> Path:
+    """Where ``repolens index`` keeps a repository's snippet cache by default."""
+    return Path(repo_root) / ".repolens" / INDEX_FILE
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,11 +118,24 @@ def build_index(
     stride: int = DEFAULT_STRIDE,
     exclude: str | None = None,
     diagnostics: list[Diagnostic] | None = None,
+    reuse: SnippetIndex | None = None,
 ) -> SnippetIndex:
-    """Slide a fixed window over every source file except ``exclude``."""
+    """Slide a fixed window over every source file except ``exclude``.
+
+    A file's windows depend only on its relative path, its text, the window
+    and the stride. So when ``reuse`` was built with the same window and
+    stride, the windows of every file whose content digest it records
+    unchanged are taken from it; only new or edited files are windowed, and
+    files gone from the tree drop out. The result equals a fresh build.
+    """
 
     root = Path(repo_root).resolve()
+    cached: dict[str, list[Snippet]] = {}
+    if reuse is not None and (reuse.window, reuse.stride) == (window, stride):
+        for snippet in reuse.snippets:
+            cached.setdefault(snippet.path, []).append(snippet)
     snippets: list[Snippet] = []
+    digests: dict[str, str] = {}
     for path in _iter_source_files(root, diagnostics):
         rel = path.relative_to(root).as_posix()
         if exclude is not None and rel == exclude:
@@ -125,6 +152,11 @@ def build_index(
                     )
                 )
             continue
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digests[rel] = digest
+        if rel in cached and reuse.digests.get(rel) == digest:
+            snippets.extend(cached[rel])
+            continue
         lines = text.splitlines()
         for start in range(0, max(len(lines) - window, 0) + 1, stride):
             chunk = "\n".join(lines[start : start + window])
@@ -139,15 +171,23 @@ def build_index(
                     ast_paths=ast_paths_of(chunk),
                 )
             )
-    return SnippetIndex(root=str(root), window=window, stride=stride, snippets=snippets)
+    return SnippetIndex(
+        root=str(root), window=window, stride=stride, snippets=snippets, digests=digests
+    )
 
 
 def save_index(index: SnippetIndex, path: Path | str) -> None:
+    """Write ``index`` as JSON; each distinct AST path is stored once, in a
+    table that the snippets' ``ast_paths`` index into."""
+    table = sorted({p for s in index.snippets for p in s.ast_paths})
+    slot = {p: i for i, p in enumerate(table)}
     doc = {
         "version": _INDEX_VERSION,
         "root": index.root,
         "window": index.window,
         "stride": index.stride,
+        "digests": index.digests,
+        "ast_paths": table,
         "snippets": [
             {
                 "id": s.snippet_id,
@@ -156,7 +196,7 @@ def save_index(index: SnippetIndex, path: Path | str) -> None:
                 "end": s.end_line,
                 "text": s.text,
                 "tokens": sorted(s.tokens),
-                "ast_paths": sorted(s.ast_paths),
+                "ast_paths": sorted(slot[p] for p in s.ast_paths),
             }
             for s in index.snippets
         ],
@@ -165,7 +205,8 @@ def save_index(index: SnippetIndex, path: Path | str) -> None:
 
 
 def load_index(path: Path | str) -> SnippetIndex | None:
-    """Read a cached index back; None when absent, stale or malformed."""
+    """Read a cached index back; None when absent, of another version or
+    malformed, so the caller builds afresh."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError):
@@ -173,6 +214,7 @@ def load_index(path: Path | str) -> SnippetIndex | None:
     if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION:
         return None
     try:
+        table = doc["ast_paths"]
         snippets = [
             Snippet(
                 snippet_id=row["id"],
@@ -181,15 +223,25 @@ def load_index(path: Path | str) -> SnippetIndex | None:
                 end_line=row["end"],
                 text=row["text"],
                 tokens=frozenset(row["tokens"]),
-                ast_paths=frozenset(row["ast_paths"]),
+                ast_paths=frozenset(table[i] for i in row["ast_paths"]),
             )
             for row in doc["snippets"]
         ]
-        return SnippetIndex(
-            root=doc["root"], window=doc["window"], stride=doc["stride"], snippets=snippets
+        digests = dict(doc["digests"])
+        index = SnippetIndex(
+            root=doc["root"],
+            window=doc["window"],
+            stride=doc["stride"],
+            snippets=snippets,
+            digests=digests,
         )
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, IndexError, ValueError):
         return None
+    # Every windowed file yields at least one snippet; a cache whose
+    # snippets and digests name different files was not written by us.
+    if {s.path for s in snippets} != digests.keys():
+        return None
+    return index
 
 
 def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
@@ -218,9 +270,10 @@ def _cosine(a: list[float], b: list[float]) -> float:
 class DenseScorer:
     """Embedding-endpoint scorer: POST {texts: [...]} -> {vectors: [[...]]}.
 
-    Snippet vectors are requested once and cached by snippet id; the query
-    is embedded per call. Cosine similarities are min-max normalized per
-    query so downstream weighting sees [0, 1].
+    Snippet vectors are requested once per distinct text and cached by that
+    text, so an id that names edited text after an index rebuild is embedded
+    afresh; the query is embedded per call. Cosine similarities are min-max
+    normalized per query so downstream weighting sees [0, 1].
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, session: requests.Session | None = None):
@@ -228,6 +281,9 @@ class DenseScorer:
         self.timeout = timeout
         self._session = session or requests.Session()
         self._vectors: dict[str, list[float]] = {}
+
+    def close(self) -> None:
+        self._session.close()
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
         try:
@@ -243,12 +299,11 @@ class DenseScorer:
         return vectors
 
     def scores(self, query: str, snippets: list[Snippet]) -> list[float]:
-        missing = [s for s in snippets if s.snippet_id not in self._vectors]
+        missing = list(dict.fromkeys(s.text for s in snippets if s.text not in self._vectors))
         if missing:
-            for snippet, vector in zip(missing, self._embed([s.text for s in missing])):
-                self._vectors[snippet.snippet_id] = vector
+            self._vectors.update(zip(missing, self._embed(missing)))
         query_vec = self._embed([query])[0]
-        sims = [_cosine(query_vec, self._vectors[s.snippet_id]) for s in snippets]
+        sims = [_cosine(query_vec, self._vectors[s.text]) for s in snippets]
         low, high = min(sims, default=0.0), max(sims, default=0.0)
         if high == low:
             return [1.0 if high > 0 else 0.0 for _ in sims]

@@ -70,3 +70,4 @@ def http_stub(handler):
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()

@@ -20,12 +20,14 @@ indentation included):
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repolens.config import PipelineConfig
 from repolens.errors import EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
+from repolens.retrieval import build_index
 from tests.conftest import http_stub, write_repo
 
 MAIN_PY = """\
@@ -188,6 +190,23 @@ def test_concurrent_http_generation_keeps_replies_per_task(tmp_path):
         assert row.error == ""
         assert row.generated == f"reply_{i}"
         assert row.em == 100.0
+
+
+def test_dense_scorer_shared_across_tasks_embeds_each_text_once(tmp_path):
+    tasks = write_bench(tmp_path)
+    posted = []
+
+    def handler(path, payload):
+        posted.extend(payload["texts"])
+        return 200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
+
+    with http_stub(handler) as url:
+        run_benchmark(tasks, PipelineConfig(backend="mock_echo", embedding_endpoint=url))
+    snippet_texts = {s.text for s in build_index(tmp_path / "bench").snippets}
+    counts = Counter(posted)
+    assert {text: counts[text] for text in snippet_texts} == dict.fromkeys(snippet_texts, 1)
+    # the rest are the three queries, one per task
+    assert len(posted) == len(snippet_texts) + len(TASK_ROWS)
 
 
 def test_report_bytes_identical_without_timing(tmp_path):

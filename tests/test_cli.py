@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
+from repolens.retrieval import load_index
 from tests.conftest import write_repo
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
 from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY
@@ -55,6 +56,28 @@ def test_index_builds_then_hits_cache(runner, repo):
     assert "indexed" in forced.output
 
 
+def test_index_rebuilds_after_in_place_edit(runner, repo):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    edited = PROCESSOR_PY.replace("row.strip()", "row.strip().lower()")
+    (repo / "data_processor.py").write_text(edited)
+
+    again = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert again.exit_code == 0, again.output
+    assert "indexed" in again.output
+    cached = load_index(repo / ".repolens" / "snippets.json")
+    assert any("row.strip().lower()" in s.text for s in cached.snippets)
+    assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+
+
+def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    config_path = tmp_path / "cfg.yaml"
+    config_path.write_text("window: 5\nstride: 5\n", encoding="utf-8")
+    again = runner.invoke(main, ["index", "--repo", str(repo), "--config", str(config_path)])
+    assert "indexed" in again.output
+    assert load_index(repo / ".repolens" / "snippets.json").window == 5
+
+
 def test_index_missing_repo_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["index", "--repo", str(tmp_path / "nowhere")])
     assert result.exit_code == 2
@@ -66,6 +89,16 @@ def test_complete_dry_run_prints_prompt_only(runner, repo):
     assert SECTION_HEADERS["target"] in result.output
     assert result.output.rstrip("\n").endswith("    result = process_")
     assert "--- completion" not in result.output
+
+
+def test_complete_output_same_with_and_without_cache(runner, repo):
+    args = complete_args(repo, "--dry-run", "--explain", "--no-timing")
+    uncached = runner.invoke(main, args)
+    assert uncached.exit_code == 0, uncached.output
+    assert runner.invoke(main, ["index", "--repo", str(repo)]).exit_code == 0
+    cached = runner.invoke(main, args)
+    assert cached.exit_code == 0, cached.output
+    assert cached.output == uncached.output
 
 
 def test_complete_prints_echo_completion(runner, repo):

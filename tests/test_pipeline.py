@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repolens import funcflow, pipeline, retrieval
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError
 from repolens.pipeline import (
@@ -19,7 +20,13 @@ from repolens.pipeline import (
     complete_task,
     extract_context,
 )
-from repolens.retrieval import ast_paths_of, build_index, semantic_candidates
+from repolens.retrieval import (
+    ast_paths_of,
+    build_index,
+    index_path,
+    save_index,
+    semantic_candidates,
+)
 from tests.conftest import write_repo
 
 MAIN_PY = """\
@@ -118,6 +125,22 @@ def test_extract_context_assembles_all_levels(repo):
     }
 
 
+def test_owner_function_found_once_per_extraction(repo, monkeypatch):
+    calls = []
+    real = funcflow.enclosing_function_node
+
+    def counted(tree, line):
+        calls.append(line)
+        return real(tree, line)
+
+    for module in (funcflow, pipeline):
+        monkeypatch.setattr(module, "enclosing_function_node", counted, raising=False)
+    bundle = extract_context(repo, "main.py", CURSOR)
+    assert calls == [CURSOR]
+    assert bundle.slice_.owner_node is not None
+    assert bundle.slice_.owner_node.span == bundle.slice_.owner.def_span
+
+
 def test_cursor_out_of_range_rejected(repo):
     with pytest.raises(ValueError):
         extract_context(repo, "main.py", 999)
@@ -149,6 +172,62 @@ def test_shared_index_equals_fresh_build(repo):
     fresh = complete_task(make_task(repo))
     assert with_shared.prompt.text == fresh.prompt.text
     assert all(e.snippet.path != "main.py" for e in with_shared.exemplars.entries)
+
+
+def write_cache(repo):
+    path = index_path(repo)
+    path.parent.mkdir(exist_ok=True)
+    save_index(build_index(repo), path)
+
+
+def test_current_cache_spares_every_window_parse(repo, monkeypatch):
+    parses = []
+    inside = []
+    real_build, real_parse = pipeline.build_index, retrieval.parse
+
+    def traced_build(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_build(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_parse(file):
+        if inside:
+            parses.append(file.path)
+        return real_parse(file)
+
+    monkeypatch.setattr(pipeline, "build_index", traced_build)
+    monkeypatch.setattr(retrieval, "parse", counted_parse)
+    uncached = complete_task(make_task(repo))
+    assert parses
+    write_cache(repo)
+    parses.clear()
+    cached = complete_task(make_task(repo))
+    assert parses == []
+    assert cached.prompt.text == uncached.prompt.text
+
+
+def test_in_place_edit_reaches_exemplars_through_cache(repo):
+    write_cache(repo)
+    stale = complete_task(make_task(repo))
+    assert "trimmed = os.path.basename(path)" in stale.prompt.text
+    edited = UTILS_PY.replace("trimmed = os.path.basename(path)", "trimmed = edited_marker(path)")
+    (repo / "lib" / "text_utils.py").write_text(edited)
+
+    result = complete_task(make_task(repo))
+    assert "trimmed = edited_marker(path)" in result.prompt.text
+    assert "trimmed = os.path.basename(path)" not in result.prompt.text
+    index_path(repo).unlink()
+    assert complete_task(make_task(repo)).prompt.text == result.prompt.text
+
+
+def test_malformed_cache_is_ignored(repo):
+    fresh = complete_task(make_task(repo))
+    index_path(repo).parent.mkdir()
+    for junk in ("{not json", '{"version": 1, "snippets": []}', '{"version": 2}'):
+        index_path(repo).write_text(junk)
+        assert complete_task(make_task(repo)).prompt.text == fresh.prompt.text
 
 
 def test_prefix_override_replaces_cursor_line(repo):

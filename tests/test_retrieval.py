@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repolens import retrieval
 from repolens.errors import EmbeddingBackendError
 from repolens.retrieval import (
     DEFAULT_STRIDE,
@@ -96,6 +100,20 @@ def test_index_cache_roundtrip(tmp_path):
     assert [s.snippet_id for s in loaded.snippets] == [s.snippet_id for s in index.snippets]
     assert [s.tokens for s in loaded.snippets] == [s.tokens for s in index.snippets]
     assert [s.ast_paths for s in loaded.snippets] == [s.ast_paths for s in index.snippets]
+    assert loaded == index
+
+
+def test_index_cache_stores_each_ast_path_once(tmp_path):
+    write_repo(tmp_path, {"a.py": numbered_lines(45), "b.py": numbered_lines(12)})
+    index = build_index(tmp_path)
+    cache = tmp_path / "index.json"
+    save_index(index, cache)
+    doc = json.loads(cache.read_text())
+    table = doc["ast_paths"]
+    assert table == sorted(set().union(*(s.ast_paths for s in index.snippets)))
+    assert all(isinstance(i, int) for row in doc["snippets"] for i in row["ast_paths"])
+    assert doc["digests"] == index.digests
+    assert set(index.digests) == {"a.py", "b.py"}
 
 
 def test_index_cache_version_mismatch_returns_none(tmp_path):
@@ -103,6 +121,134 @@ def test_index_cache_version_mismatch_returns_none(tmp_path):
     cache.write_text('{"version": 999, "snippets": []}')
     assert load_index(cache) is None
     assert load_index(tmp_path / "absent.json") is None
+
+
+def _v1_doc(index):
+    """The version-1 layout: inline AST path strings, no digests."""
+    return {
+        "version": 1,
+        "root": index.root,
+        "window": index.window,
+        "stride": index.stride,
+        "snippets": [
+            {
+                "id": s.snippet_id,
+                "path": s.path,
+                "start": s.start_line,
+                "end": s.end_line,
+                "text": s.text,
+                "tokens": sorted(s.tokens),
+                "ast_paths": sorted(s.ast_paths),
+            }
+            for s in index.snippets
+        ],
+    }
+
+
+def test_v1_and_malformed_caches_are_ignored(tmp_path):
+    repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25), "b.py": "x = 1\n"})
+    index = build_index(repo)
+    cache = tmp_path / "index.json"
+    save_index(index, cache)
+    good = json.loads(cache.read_text())
+
+    def bad(mutate):
+        doc = json.loads(json.dumps(good))
+        mutate(doc)
+        return doc
+
+    broken = [
+        _v1_doc(index),
+        bad(lambda d: d.pop("digests")),
+        bad(lambda d: d.pop("ast_paths")),
+        bad(lambda d: d["snippets"][0]["ast_paths"].append(len(d["ast_paths"]))),
+        bad(lambda d: d["digests"].pop("b.py")),
+        bad(lambda d: d["digests"].update({"ghost.py": "0" * 64})),
+        bad(lambda d: d.update(snippets="not a list")),
+    ]
+    for doc in broken:
+        cache.write_text(json.dumps(doc))
+        assert load_index(cache) is None, doc
+    cache.write_text(json.dumps(good)[:-40])
+    assert load_index(cache) is None
+
+
+def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
+    other = numbered_lines(30).replace("value", "other")
+    write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": other})
+    old = build_index(tmp_path)
+    parsed = []
+    real_parse = retrieval.parse
+
+    def counted_parse(file):
+        parsed.append(file.text)
+        return real_parse(file)
+
+    monkeypatch.setattr(retrieval, "parse", counted_parse)
+    assert build_index(tmp_path, reuse=old) == old
+    assert parsed == []
+
+    (tmp_path / "b.py").write_text(other + "edited = True\n")
+    (tmp_path / "c.py").write_text("fresh = 1\n")
+    rebuilt = build_index(tmp_path, reuse=old)
+    assert {s.path for s in rebuilt.snippets if s.text in parsed} == {"b.py", "c.py"}
+    assert len(parsed) == sum(s.path in ("b.py", "c.py") for s in rebuilt.snippets)
+
+    parsed.clear()
+    assert build_index(tmp_path, window=15, stride=5, reuse=rebuilt) == build_index(
+        tmp_path, window=15, stride=5
+    )
+    assert len(parsed) > 0
+
+
+_LINES = [
+    "import os",
+    "x = 1",
+    "def f(a):",
+    "    return a + x",
+    "if ready:",
+    "    pass",
+    "class C:",
+    "    y = f(2)",
+    "# note",
+    "",
+    "total = f(x) + g(y)",
+]
+_FILES = ["a.py", "b.py", "pkg/c.py", "pkg/deep/d.py"]
+_GEOMETRY = st.sampled_from([(4, 2), (5, 5), (3, 1)])
+_CONTENT = st.lists(st.sampled_from(_LINES), max_size=14).map(lambda ls: "".join(l + "\n" for l in ls))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    before=st.fixed_dictionaries({name: st.one_of(st.none(), _CONTENT) for name in _FILES}),
+    after=st.fixed_dictionaries(
+        {name: st.one_of(st.just("same"), st.none(), _CONTENT) for name in _FILES}
+    ),
+    old_geometry=_GEOMETRY,
+    new_geometry=_GEOMETRY,
+    exclude=st.sampled_from([None, *_FILES]),
+)
+def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geometry, exclude):
+    """Edits, additions and deletions, through a save/load round trip."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        write_repo(root, {name: text for name, text in before.items() if text is not None})
+        cache = root / ".repolens" / "snippets.json"
+        cache.parent.mkdir()
+        save_index(build_index(root, *old_geometry), cache)
+        for name, change in after.items():
+            if change == "same":
+                continue
+            target = root / name
+            if change is None:
+                target.unlink(missing_ok=True)
+            else:
+                write_repo(root, {name: change})
+        reused = build_index(root, *new_geometry, exclude=exclude, reuse=load_index(cache))
+        fresh = build_index(root, *new_geometry, exclude=exclude)
+        assert reused == fresh
+        assert [s.snippet_id for s in reused.snippets] == [s.snippet_id for s in fresh.snippets]
 
 
 def test_lexical_scores_hand_cases(tmp_path):
@@ -298,3 +444,33 @@ def test_dense_scorer_malformed_reply_raises():
         scorer = DenseScorer(endpoint=url)
         with pytest.raises(EmbeddingBackendError):
             scorer.scores("q", [make_snippet("s", {"x"})])
+
+
+def _recording_embedder(posted):
+    def handler(path, payload):
+        posted.append(list(payload["texts"]))
+        return 200, {"vectors": [[float(len(t)), float(t.count("_")) + 1.0] for t in payload["texts"]]}
+
+    return handler
+
+
+def test_dense_scorer_embeds_each_text_once_and_edits_afresh(tmp_path):
+    write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(30)})
+    old = build_index(tmp_path)
+    posted = []
+    with http_stub(_recording_embedder(posted)) as url:
+        scorer = DenseScorer(endpoint=url)
+        scorer.scores("value_3", old.snippets)
+        scorer.scores("value_4", old.snippets)
+        snippet_batches = [batch for batch in posted if batch[0] not in ("value_3", "value_4")]
+        embedded = [text for batch in snippet_batches for text in batch]
+        assert sorted(embedded) == sorted({s.text for s in old.snippets})
+
+        (tmp_path / "b.py").write_text(numbered_lines(29) + "edited = True\n")
+        rebuilt = build_index(tmp_path, reuse=old)
+        posted.clear()
+        scorer.scores("value_5", rebuilt.snippets)
+    old_texts = {s.text for s in old.snippets}
+    assert posted[0] == [s.text for s in rebuilt.snippets if s.text not in old_texts]
+    assert any("edited = True" in text for text in posted[0])
+    assert posted[1:] == [["value_5"]]
