@@ -18,11 +18,8 @@ from .errors import BackendError, ConfigError, EmptyBenchmarkError, RepoLensErro
 from .evaluation import format_csv, format_text, report_json, run_benchmark
 from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
-from .projdeps import build_module_map
 from .ranking import explain_graph
 from .retrieval import INDEX_FILE, build_index, index_path, load_index, save_index
-
-_MODULES_FILE = "modules.json"
 
 
 def _fail(message: str) -> None:
@@ -52,7 +49,7 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--force", is_flag=True, help="Rebuild every file, ignoring the cached index.")
 def cmd_index(repo: str, out: str | None, config_path: str | None, force: bool) -> None:
-    """Build and persist the snippet index and module map for a repository.
+    """Build and persist the snippet index for a repository.
 
     Files whose content digest matches the cached index keep their cached
     snippets; only new or edited files are windowed again. Only the default
@@ -63,7 +60,6 @@ def cmd_index(repo: str, out: str | None, config_path: str | None, force: bool) 
     root = Path(repo).resolve()
     out_dir = Path(out) if out is not None else index_path(root).parent
     snippets_path = out_dir / INDEX_FILE
-    modules_path = out_dir / _MODULES_FILE
 
     cached = None if force else load_index(snippets_path)
     index = build_index(root, cfg.window, cfg.stride, reuse=cached)
@@ -71,25 +67,16 @@ def cmd_index(repo: str, out: str | None, config_path: str | None, force: bool) 
         cached is not None
         and (cached.window, cached.stride) == (cfg.window, cfg.stride)
         and cached.digests == index.digests
-        and modules_path.exists()
     ):
         click.echo(f"index up to date at {out_dir}")
         return
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        module_map = build_module_map(root)
         save_index(index, snippets_path)
-        modules_path.write_text(
-            _dump_json({"digest": module_map.digest, "entries": module_map.entries}) + "\n",
-            encoding="utf-8",
-        )
     except OSError as exc:
         _fail(f"cannot write index to {out_dir}: {exc}")
-    click.echo(
-        f"indexed {len(index.snippets)} snippets and {len(module_map.entries)} modules"
-        f" into {out_dir}"
-    )
+    click.echo(f"indexed {len(index.snippets)} snippets into {out_dir}")
 
 
 def _explain_payload(result: TaskResult, no_timing: bool) -> dict:

@@ -1,9 +1,10 @@
-"""Pipeline configuration with layered overrides.
+"""Pipeline configuration in layers.
 
 Values resolve in a fixed order: built-in defaults, then a YAML file, then
-``REPOLENS_*`` environment variables, then explicit overrides (CLI flags).
-Unknown keys and out-of-range values raise ConfigError instead of being
-silently ignored.
+``REPOLENS_*`` environment variables. The field defaults of
+``PipelineConfig`` are the only place a default is written; layer functions
+that take a tunable default to the matching class attribute. Unknown keys
+and out-of-range values raise ConfigError instead of being silently ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class PipelineConfig:
     k_final: int = 5
     w_semantic: float = 0.7
     w_structure: float = 0.3
-    path_depth: int = 12
     embedding_endpoint: str = ""
     # prompt rendering
     token_budget: int = 4000
@@ -77,7 +77,6 @@ class PipelineConfig:
                 abs(self.w_semantic + self.w_structure - 1.0) <= 1e-9,
                 "w_semantic and w_structure must sum to 1",
             ),
-            (self.path_depth >= 1, "path_depth must be at least 1"),
             (self.token_budget >= 1, "token_budget must be at least 1"),
         ]
         for ok, message in checks:
@@ -146,10 +145,9 @@ def _field_kinds() -> dict[str, type]:
 def load_config(
     path: Path | str | None = None,
     env: Mapping[str, str] | None = None,
-    overrides: Mapping[str, object] | None = None,
 ) -> PipelineConfig:
-    """Merge a YAML file, environment variables, and explicit overrides on
-    top of the defaults; later layers win."""
+    """Merge a YAML file and environment variables on top of the
+    defaults; later layers win."""
 
     kinds = _field_kinds()
     merged: dict[str, object] = {}
@@ -179,11 +177,6 @@ def load_config(
         if key not in kinds:
             raise ConfigError(f"unknown environment variable {name}")
         merged[key] = _coerce_env(name, env[name], kinds[key])
-
-    for key, value in (overrides or {}).items():
-        if key not in kinds:
-            raise ConfigError(f"unknown config override {key!r}")
-        merged[key] = _check_value(key, value, kinds[key])
 
     return PipelineConfig(**merged)
 

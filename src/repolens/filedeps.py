@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .syntax import SymbolRecord, SyntaxNode, declared_name
-
-DEFAULT_BODY_PREVIEW_LINES = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +64,7 @@ def explicit_deps(
     uses: set[str],
     owner: SyntaxNode | None,
     *,
-    body_preview_lines: int = DEFAULT_BODY_PREVIEW_LINES,
+    body_preview_lines: int = PipelineConfig.body_preview_lines,
 ) -> list[FileDependency]:
     """Definitions whose names the target function actually references,
     excluding its own name and anything it binds locally. Empty at script
@@ -89,7 +88,7 @@ def potential_deps(
     defs: list[SymbolRecord],
     uses: set[str],
     *,
-    body_preview_lines: int = DEFAULT_BODY_PREVIEW_LINES,
+    body_preview_lines: int = PipelineConfig.body_preview_lines,
 ) -> list[FileDependency]:
     """Definitions the cursor can see but the target function has not used
     yet; the set difference applies at any scope."""

@@ -1,7 +1,7 @@
 """Function-level context: the pre-cursor slice and its control flow graph.
 
 The CFG is statement-level and deliberately shallow: branching constructs
-are expanded only down to ``max_depth`` nesting levels; anything deeper is
+are expanded only down to ``_MAX_DEPTH`` nesting levels; anything deeper is
 grouped into a single region node so the rendered path summary stays
 readable inside a prompt. try/except gets no exceptional edges; the try and
 finally suites are inlined in sequential order. Loop and branch bodies hang
@@ -29,7 +29,7 @@ _EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
 
 _LABEL_RANK = {label: i for i, label in enumerate(_EDGE_LABELS)}
 
-DEFAULT_MAX_DEPTH = 2
+_MAX_DEPTH = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,10 +100,9 @@ _Tail = tuple[int, str]
 
 
 class _Builder:
-    def __init__(self, slice_file: SourceFile, line_offset: int, max_depth: int) -> None:
+    def __init__(self, slice_file: SourceFile, line_offset: int) -> None:
         self.file = slice_file
         self.line_offset = line_offset
-        self.max_depth = max_depth
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
         self.entry = self.add("entry", "entry", None)
@@ -157,12 +156,12 @@ class _Builder:
             self.connect(node, self.exit, "seq")
             return node, []
         if kind == "if_statement":
-            if depth < self.max_depth:
+            if depth < _MAX_DEPTH:
                 return self.build_if(stmt, depth)
             node = self.stmt_node(stmt, collapsed=True)
             return node, [(node, "seq")]
         if kind in ("for_statement", "while_statement"):
-            if depth < self.max_depth:
+            if depth < _MAX_DEPTH:
                 return self.build_loop(stmt, depth)
             node = self.stmt_node(stmt, collapsed=True)
             return node, [(node, "seq")]
@@ -321,12 +320,12 @@ def _slice_statements(root: SyntaxNode, origin: str) -> list[SyntaxNode]:
     return list(root.children)
 
 
-def build_cfg(slice_: LocalSlice, max_depth: int = DEFAULT_MAX_DEPTH) -> ControlFlowGraph:
+def build_cfg(slice_: LocalSlice) -> ControlFlowGraph:
     """Statement-level CFG over the pre-cursor slice; empty slices produce
     the trivial entry -> exit graph."""
     slice_file = SourceFile.from_text("<slice>", slice_.code)
     tree = parse(slice_file)
-    builder = _Builder(slice_file, slice_.span.start_line, max_depth)
+    builder = _Builder(slice_file, slice_.span.start_line)
     stmts = _slice_statements(tree.root, slice_.origin)
     head, tails = builder.build_block(stmts, 0)
     if head is None:

@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import requests
 
@@ -24,24 +25,29 @@ from .errors import (
     ConfigError,
     MalformedResponseError,
 )
-from .prompting import PromptDocument
+
+if TYPE_CHECKING:
+    from .prompting import PromptDocument
 
 _BACKENDS = ("http_chat", "mock_echo", "mock_fixture")
 
 
 @dataclass(slots=True)
 class GenerationConfig:
-    backend: str = "mock_echo"
-    endpoint: str = ""
-    model: str = ""
-    max_new_tokens: int = 64
-    temperature: float = 0.0
-    seed: int = 123
-    stop: tuple[str, ...] = ()
-    timeout: float = 30.0
-    retries: int = 2
-    backoff: float = 0.5
-    max_concurrency: int = 4
+    """The backend slice of a ``PipelineConfig``; build one with
+    ``config.generation_config``, which supplies every field."""
+
+    backend: str
+    endpoint: str
+    model: str
+    max_new_tokens: int
+    temperature: float
+    seed: int
+    stop: tuple[str, ...]
+    timeout: float
+    retries: int
+    backoff: float
+    max_concurrency: int
     fixture_table: dict[str, str] | None = None
     fixture_path: str | None = None
 

@@ -138,10 +138,10 @@ def _select_nodes(
     cfg: PipelineConfig,
     ablate: str | None,
 ) -> RankedContext:
-    empty = RankedContext(scores={}, file_topk=[], project_topk=[], k=cfg.top_k, alpha=cfg.alpha)
+    empty = RankedContext(scores={}, file_topk=[], project_topk=[])
     if ablate in (None, "no-sm"):
         ppr = personalized_pagerank(graph, cfg.alpha, cfg.tol, cfg.max_iter)
-        return select_topk(graph, ppr.scores, cfg.top_k, cfg.alpha)
+        return select_topk(graph, ppr.scores, cfg.top_k)
     if ablate in ("file-only", "all-raw", "proj-only"):
         file_nodes = [n for n in graph.nodes if n.level == "file"]
         project_nodes = [n for n in graph.nodes if n.level == "project"]
@@ -207,11 +207,16 @@ def complete_task(
         )
     else:
         pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])
+    own_scorer = None
     if scorer is None and cfg.embedding_endpoint:
-        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
-    pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
+        scorer = own_scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
+    try:
+        pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
+    finally:
+        if own_scorer is not None:
+            own_scorer.close()
     weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
-    exemplars = rerank(pool, ast_paths_of(target_code, cfg.path_depth), weights, cfg.k_final)
+    exemplars = rerank(pool, ast_paths_of(target_code), weights, cfg.k_final)
     retrieve_ms = (time.perf_counter() - tick) * 1000
 
     tick = time.perf_counter()

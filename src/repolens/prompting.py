@@ -14,11 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .errors import BudgetTooSmallError
 from .ranking import GraphNode, RankedContext
 from .retrieval import ExemplarSet
-
-DEFAULT_BUDGET = 4000
 
 SECTION_HEADERS = {
     "function_ctx": "### Function-level context (control flow)",
@@ -81,7 +80,7 @@ def render(
     cfg_text: str,
     exemplars: ExemplarSet,
     target_code: str,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = PipelineConfig.token_budget,
     *,
     target_path: str = "",
 ) -> PromptDocument:

@@ -13,16 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .filedeps import DEFAULT_BODY_PREVIEW_LINES, code_preview
+from .config import PipelineConfig
+from .filedeps import code_preview
 from .syntax import SourceFile, SyntaxNode, identifiers_used, parse
 
 if TYPE_CHECKING:
     from .pipeline import ContextBundle
-
-DEFAULT_ALPHA = 0.85
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
-DEFAULT_TOP_K = 5
 
 _KIND_PRIORITY = {
     "cross_file_entity": 0,
@@ -74,8 +70,6 @@ class RankedContext:
     scores: dict[int, float]
     file_topk: list[GraphNode]
     project_topk: list[GraphNode]
-    k: int
-    alpha: float
 
 
 def _file_node_kind(dep) -> str:
@@ -95,7 +89,9 @@ def _project_preview(dep, file: SourceFile, body_lines: int) -> str:
     return code_preview(dep.resolved.code, body_lines)
 
 
-def build_graph(bundle: "ContextBundle", *, body_preview_lines: int = DEFAULT_BODY_PREVIEW_LINES) -> SemanticGraph:
+def build_graph(
+    bundle: "ContextBundle", *, body_preview_lines: int = PipelineConfig.body_preview_lines
+) -> SemanticGraph:
     """One node per dependency record around a single central node."""
 
     owner = bundle.slice_.owner
@@ -203,9 +199,9 @@ def _reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
 
 def personalized_pagerank(
     graph: SemanticGraph,
-    alpha: float = DEFAULT_ALPHA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    alpha: float = PipelineConfig.alpha,
+    tol: float = PipelineConfig.tol,
+    max_iter: int = PipelineConfig.max_iter,
 ) -> PprResult:
     """Power iteration on Score(v) = a*sum_in Score(u)/deg(u) + (1-a)*p(v)
     with all restart mass on the central node and dangling mass routed to
@@ -264,8 +260,7 @@ def _rank_key(scores: dict[int, float]):
 def select_topk(
     graph: SemanticGraph,
     scores: dict[int, float],
-    k: int = DEFAULT_TOP_K,
-    alpha: float = DEFAULT_ALPHA,
+    k: int = PipelineConfig.top_k,
 ) -> RankedContext:
     """Rank file-level and project-level nodes separately, keep k of each.
 
@@ -280,8 +275,6 @@ def select_topk(
         scores=scores,
         file_topk=file_nodes[:k],
         project_topk=project_nodes[:k],
-        k=k,
-        alpha=alpha,
     )
 
 

@@ -19,16 +19,14 @@ from pathlib import Path
 
 import requests
 
+from .config import PipelineConfig
 from .errors import Diagnostic, EmbeddingBackendError
 from .projdeps import _iter_source_files
 from .syntax import SourceFile, SyntaxNode, parse
 
-DEFAULT_WINDOW = 20
-DEFAULT_STRIDE = 10
-DEFAULT_POOL_SIZE = 20
-DEFAULT_K_FINAL = 5
-DEFAULT_WEIGHTS = (0.7, 0.3)
-DEFAULT_PATH_DEPTH = 12
+# AST paths are cut at this many node kinds, for the query and for every
+# snippet alike, so the two sides of the structure score always agree.
+_PATH_DEPTH = 12
 
 _INDEX_VERSION = 2
 INDEX_FILE = "snippets.json"
@@ -87,11 +85,11 @@ def identifier_tokens(text: str) -> set[str]:
     return {tok for tok in _IDENTIFIER.findall(text) if tok not in _KEYWORDS}
 
 
-def ast_paths_of(text: str, depth_cap: int = DEFAULT_PATH_DEPTH) -> frozenset[str]:
+def ast_paths_of(text: str) -> frozenset[str]:
     """Root-to-terminal node-kind paths of ``text``, identifiers erased.
 
     Each path is the "/"-joined kind sequence from the module root down to
-    one terminal token, truncated to ``depth_cap`` kinds. Erasing token
+    one terminal token, truncated to ``_PATH_DEPTH`` kinds. Erasing token
     values makes the resulting set rename-invariant.
     """
 
@@ -103,7 +101,7 @@ def ast_paths_of(text: str, depth_cap: int = DEFAULT_PATH_DEPTH) -> frozenset[st
     def descend(node: SyntaxNode, prefix: tuple[str, ...]) -> None:
         chain = prefix + (node.kind,)
         if not node.children:
-            paths.add("/".join(chain[:depth_cap]))
+            paths.add("/".join(chain[:_PATH_DEPTH]))
             return
         for child in node.children:
             descend(child, chain)
@@ -114,8 +112,8 @@ def ast_paths_of(text: str, depth_cap: int = DEFAULT_PATH_DEPTH) -> frozenset[st
 
 def build_index(
     repo_root: Path | str,
-    window: int = DEFAULT_WINDOW,
-    stride: int = DEFAULT_STRIDE,
+    window: int = PipelineConfig.window,
+    stride: int = PipelineConfig.stride,
     exclude: str | None = None,
     diagnostics: list[Diagnostic] | None = None,
     reuse: SnippetIndex | None = None,
@@ -276,7 +274,12 @@ class DenseScorer:
     normalized per query so downstream weighting sees [0, 1].
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, session: requests.Session | None = None):
+    def __init__(
+        self,
+        endpoint: str,
+        timeout: float = PipelineConfig.timeout,
+        session: requests.Session | None = None,
+    ):
         self.endpoint = endpoint
         self.timeout = timeout
         self._session = session or requests.Session()
@@ -313,7 +316,7 @@ class DenseScorer:
 def semantic_candidates(
     index: SnippetIndex,
     query: str,
-    n: int = DEFAULT_POOL_SIZE,
+    n: int = PipelineConfig.pool_size,
     scorer=None,
     diagnostics: list[Diagnostic] | None = None,
 ) -> list[tuple[Snippet, float]]:
@@ -347,8 +350,8 @@ def structure_score(query_paths: set[str] | frozenset[str], candidate_paths: set
 def rerank(
     candidates: list[tuple[Snippet, float]],
     query_paths: set[str] | frozenset[str],
-    weights: tuple[float, float] = DEFAULT_WEIGHTS,
-    k_final: int = DEFAULT_K_FINAL,
+    weights: tuple[float, float] = (PipelineConfig.w_semantic, PipelineConfig.w_structure),
+    k_final: int = PipelineConfig.k_final,
 ) -> ExemplarSet:
     """Blend semantic and structural scores and keep the best k_final.
 

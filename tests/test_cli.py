@@ -44,8 +44,7 @@ def test_index_builds_then_hits_cache(runner, repo):
     first = runner.invoke(main, ["index", "--repo", str(repo)])
     assert first.exit_code == 0, first.output
     assert "indexed" in first.output
-    assert (repo / ".repolens" / "snippets.json").exists()
-    assert (repo / ".repolens" / "modules.json").exists()
+    assert [p.name for p in (repo / ".repolens").iterdir()] == ["snippets.json"]
 
     second = runner.invoke(main, ["index", "--repo", str(repo)])
     assert second.exit_code == 0

@@ -1,17 +1,23 @@
 """Configuration loading and precedence.
 
 Precedence is fixed: built-in defaults, then the YAML file, then
-``REPOLENS_*`` environment variables, then explicit overrides (the CLI
-flags). Unknown keys and out-of-range values are rejected outright.
+``REPOLENS_*`` environment variables. Unknown keys and out-of-range values
+are rejected outright.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from repolens.config import PipelineConfig, load_config
+from repolens import config
+from repolens.config import PipelineConfig, generation_config, load_config
 from repolens.errors import ConfigError
-from repolens.gateway import GenerationConfig
 
 
 def test_defaults_match_documented_values():
@@ -46,9 +52,10 @@ def test_yaml_file_overrides_defaults(tmp_path):
 
 def test_unknown_yaml_key_rejected(tmp_path):
     path = tmp_path / "cfg.yaml"
-    path.write_text("alhpa: 0.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="alhpa"):
-        load_config(path, env={})
+    for key in ("alhpa", "path_depth"):
+        path.write_text(f"{key}: 4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, env={})
 
 
 def test_non_mapping_yaml_rejected(tmp_path):
@@ -74,11 +81,6 @@ def test_env_beats_file(tmp_path):
     path.write_text("alpha: 0.5\n", encoding="utf-8")
     cfg = load_config(path, env={"REPOLENS_ALPHA": "0.3"})
     assert cfg.alpha == 0.3
-
-
-def test_overrides_beat_env(tmp_path):
-    cfg = load_config(None, env={"REPOLENS_ALPHA": "0.3"}, overrides={"alpha": 0.2})
-    assert cfg.alpha == 0.2
 
 
 def test_env_string_coercion():
@@ -164,4 +166,21 @@ def test_backend_fields_rejected_by_both_entry_points(name, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{name: value})
     with pytest.raises(ConfigError):
-        GenerationConfig(**{name: value})
+        replace(generation_config(PipelineConfig()), **{name: value})
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # config -> gateway must not lead back to config: each module is
+    # imported with no other repolens module loaded before it
+    package = Path(config.__file__).parent
+    names = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    script = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'repolens']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module('repolens.' + name)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
+from repolens.config import PipelineConfig, generation_config
 from repolens.errors import (
     BackendError,
     BackendHttpError,
@@ -33,23 +35,27 @@ def chat_reply(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
+def gen_cfg(fixture_table: dict[str, str] | None = None, **fields) -> GenerationConfig:
+    return generation_config(PipelineConfig(**fields), fixture_table)
+
+
 def test_mock_echo_returns_last_target_line():
     doc = make_doc("def f():\n    return total + 1")
-    result = generate(doc, GenerationConfig(backend="mock_echo"))
+    result = generate(doc, gen_cfg(backend="mock_echo"))
     assert result.text == "    return total + 1"
     assert result.backend == "mock_echo"
     assert result.attempts == 1
 
 
 def test_mock_fixture_returns_table_entry():
-    cfg = GenerationConfig(backend="mock_fixture", fixture_table={"t1": "x = 1", "t2": "y = 2"})
+    cfg = gen_cfg({"t1": "x = 1", "t2": "y = 2"}, backend="mock_fixture")
     doc = make_doc("x = ")
     assert generate(doc, cfg, task_id="t1").text == "x = 1"
     assert generate(doc, cfg, task_id="t2").text == "y = 2"
 
 
 def test_mock_fixture_missing_task_raises():
-    cfg = GenerationConfig(backend="mock_fixture", fixture_table={"t1": "x = 1"})
+    cfg = gen_cfg({"t1": "x = 1"}, backend="mock_fixture")
     with pytest.raises(BackendError):
         generate(make_doc("x"), cfg, task_id="unknown")
 
@@ -58,7 +64,7 @@ def test_mock_fixture_missing_task_raises():
 def test_mock_fixture_reads_table_from_file(tmp_path):
     path = tmp_path / "fixtures.json"
     path.write_text(json.dumps({"t1": "x = 1"}), encoding="utf-8")
-    cfg = GenerationConfig(backend="mock_fixture", fixture_path=str(path))
+    cfg = gen_cfg(backend="mock_fixture", fixture_path=str(path))
     for _ in range(3):
         assert generate(make_doc("x = "), cfg, task_id="t1").text == "x = 1"
 
@@ -72,7 +78,7 @@ def test_http_chat_roundtrip_and_payload_shape():
 
     doc = make_doc("value = ")
     with http_stub(handler) as url:
-        cfg = GenerationConfig(
+        cfg = gen_cfg(
             backend="http_chat",
             endpoint=url + "/v1/chat/completions",
             model="test-model",
@@ -100,7 +106,7 @@ def test_http_chat_retries_on_server_error_then_succeeds():
         return 200, chat_reply("ok_line")
 
     with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url, backoff=0.01)
+        cfg = gen_cfg(backend="http_chat", endpoint=url, backoff=0.01)
         result = generate(make_doc("x"), cfg)
     assert result.text == "ok_line"
     assert result.attempts == 3
@@ -112,7 +118,7 @@ def test_http_chat_gives_up_after_retry_budget():
         return 503, {"error": "always down"}
 
     with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url, backoff=0.01)
+        cfg = gen_cfg(backend="http_chat", endpoint=url, backoff=0.01)
         with pytest.raises(BackendHttpError) as excinfo:
             generate(make_doc("x"), cfg)
     assert excinfo.value.status == 503
@@ -126,7 +132,7 @@ def test_http_chat_client_error_fails_immediately():
         return 404, {"error": "no such route"}
 
     with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url, backoff=0.01)
+        cfg = gen_cfg(backend="http_chat", endpoint=url, backoff=0.01)
         with pytest.raises(BackendHttpError) as excinfo:
             generate(make_doc("x"), cfg)
     assert excinfo.value.status == 404
@@ -139,7 +145,7 @@ def test_http_chat_timeout_becomes_backend_timeout():
         return 200, chat_reply("late")
 
     with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url, timeout=0.05, backoff=0.01)
+        cfg = gen_cfg(backend="http_chat", endpoint=url, timeout=0.05, backoff=0.01)
         with pytest.raises(BackendTimeoutError):
             generate(make_doc("x"), cfg)
 
@@ -149,30 +155,29 @@ def test_http_chat_malformed_reply_raises():
         return 200, {"no_choices": True}
 
     with http_stub(handler) as url:
-        cfg = GenerationConfig(backend="http_chat", endpoint=url)
+        cfg = gen_cfg(backend="http_chat", endpoint=url)
         with pytest.raises(MalformedResponseError):
             generate(make_doc("x"), cfg)
 
 
 def test_stop_sequences_trim_client_side():
     doc = make_doc("x = ")
-    cfg = GenerationConfig(
-        backend="mock_fixture", fixture_table={"t": "head;tail"}, stop=(";",)
-    )
+    cfg = gen_cfg({"t": "head;tail"}, backend="mock_fixture", stop=(";",))
     assert generate(doc, cfg, task_id="t").text == "head"
 
 
 def test_leading_newlines_skipped_in_line_extraction():
-    cfg = GenerationConfig(backend="mock_fixture", fixture_table={"t": "\n\nreal = line\nmore"})
+    cfg = gen_cfg({"t": "\n\nreal = line\nmore"}, backend="mock_fixture")
     result = generate(make_doc("x"), cfg, task_id="t")
     assert result.text == "real = line"
     assert result.raw == "\n\nreal = line\nmore"
 
 
 def test_config_validation():
+    valid = gen_cfg()
     with pytest.raises(ConfigError):
-        GenerationConfig(max_new_tokens=0)
+        replace(valid, max_new_tokens=0)
     with pytest.raises(ConfigError):
-        GenerationConfig(timeout=0)
+        replace(valid, timeout=0)
     with pytest.raises(ConfigError):
-        GenerationConfig(backend="unknown_backend")
+        replace(valid, backend="unknown_backend")

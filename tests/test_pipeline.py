@@ -27,7 +27,7 @@ from repolens.retrieval import (
     save_index,
     semantic_candidates,
 )
-from tests.conftest import write_repo
+from tests.conftest import http_stub, write_repo
 
 MAIN_PY = """\
 import os
@@ -305,3 +305,28 @@ def test_ablate_unknown_variant_rejected(repo):
     with pytest.raises(ConfigError, match="telepathy"):
         complete_task(make_task(repo), ablate="telepathy")
     assert "no-cc" in ABLATION_VARIANTS
+
+
+def test_complete_task_closes_only_the_scorer_it_made(repo, monkeypatch):
+    closed = []
+    close = retrieval.DenseScorer.close
+
+    def recording_close(scorer):
+        closed.append(scorer)
+        close(scorer)
+
+    monkeypatch.setattr(retrieval.DenseScorer, "close", recording_close)
+
+    def handler(path, payload):
+        return 200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
+
+    with http_stub(handler) as url:
+        cfg = PipelineConfig(embedding_endpoint=url)
+        made = complete_task(make_task(repo), cfg)
+        assert len(closed) == 1
+        assert not [d for d in made.bundle.diagnostics if d.code == "embedding_fallback"]
+
+        given = retrieval.DenseScorer(url)
+        complete_task(make_task(repo), cfg, scorer=given)
+        assert len(closed) == 1 and closed[0] is not given
+        given.close()

@@ -132,7 +132,7 @@ def prompt_inputs(tmp_path):
 
 
 def empty_ranked() -> RankedContext:
-    return RankedContext(scores={}, file_topk=[], project_topk=[], k=5, alpha=0.85)
+    return RankedContext(scores={}, file_topk=[], project_topk=[])
 
 
 def test_optional_sections_omitted_when_empty(tmp_path):
@@ -312,8 +312,6 @@ def test_render_matches_drop_loop_oracle_at_random_budgets(shared_inputs, data):
         scores=ranked.scores,
         file_topk=ranked.file_topk[: data.draw(st.integers(0, len(ranked.file_topk)))],
         project_topk=ranked.project_topk[: data.draw(st.integers(0, len(ranked.project_topk)))],
-        k=ranked.k,
-        alpha=ranked.alpha,
     )
     exemplars = ExemplarSet(
         entries=exemplars.entries[: data.draw(st.integers(0, len(exemplars.entries)))],

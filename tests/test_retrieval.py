@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repolens import retrieval
+from repolens.config import PipelineConfig
 from repolens.errors import EmbeddingBackendError
 from repolens.retrieval import (
-    DEFAULT_STRIDE,
-    DEFAULT_WINDOW,
     DenseScorer,
     LexicalScorer,
     Snippet,
@@ -52,13 +51,14 @@ def test_window_enumeration_matches_brute_force(tmp_path):
     index = build_index(tmp_path)
     starts = [s.start_line for s in index.snippets]
     line_total = 40
-    expected = list(range(0, max(line_total - DEFAULT_WINDOW, 0) + 1, DEFAULT_STRIDE))
+    window, stride = PipelineConfig.window, PipelineConfig.stride
+    expected = list(range(0, max(line_total - window, 0) + 1, stride))
     assert starts == expected == [0, 10, 20]
     for snip in index.snippets:
-        assert snip.end_line - snip.start_line <= DEFAULT_WINDOW
+        assert snip.end_line - snip.start_line <= window
         assert snip.snippet_id == f"long.py:{snip.start_line}"
     # consecutive windows overlap by window - stride lines
-    assert index.snippets[0].end_line - index.snippets[1].start_line == DEFAULT_WINDOW - DEFAULT_STRIDE
+    assert index.snippets[0].end_line - index.snippets[1].start_line == window - stride
 
 
 def test_short_file_is_one_snippet(tmp_path):
@@ -330,8 +330,8 @@ def test_ast_paths_are_kind_sequences_without_identifiers():
 
 def test_ast_paths_depth_cap():
     nested = "x = ((((((((((((((1))))))))))))))\n"
-    paths = ast_paths_of(nested, depth_cap=4)
-    assert all(len(p.split("/")) <= 4 for p in paths)
+    depths = {len(p.split("/")) for p in ast_paths_of(nested)}
+    assert max(depths) == retrieval._PATH_DEPTH
 
 
 def test_rerank_reduction_at_zero_struct_weight():
