@@ -5,31 +5,71 @@ as cross-file or external, and partitions imported entities into explicit
 (alias referenced by the target function) and potential (imported but not
 yet used) dependencies. Cross-file entries carry the resolved definition
 parsed out of the mapped source file.
+
+Two process-wide caches keep repeated calls cheap, each holding at most a
+fixed number of entries and dropping the least recently used one:
+
+  * module maps, per repository root, rebuilt when a directory's mtime moves;
+  * per-module facts (the definition table with each definition's reference
+    sets, and those of the module root), keyed by the sha256 of the module's
+    text. Every lookup reads and hashes the file, so an in-place edit is
+    never served stale; no syntax tree is kept. Files that cannot be read or
+    parsed are never cached and report on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 from .errors import Diagnostic
 from .syntax import (
     ImportRecord,
+    References,
     SourceFile,
     Span,
     SymbolRecord,
-    SyntaxTree,
     definitions_before,
-    load_source,
     parse,
+    reference_sets,
 )
 
 CROSS_FILE = "cross_file"
 EXTERNAL = "external"
 
 _SKIP_DIRS = {"__pycache__"}
+
+# entries kept by the process-wide caches below
+_MAP_LIMIT = 16
+_FACTS_LIMIT = 256
+
+
+class _Lru:
+    """Thread-safe map of at most ``limit`` entries; storing one more
+    drops the least recently used."""
+
+    def __init__(self, limit: int):
+        self._limit = limit
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._limit:
+                self._entries.popitem(last=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +138,7 @@ def _dotted_name(rel: PurePosixPath) -> str | None:
     return ".".join(parts)
 
 
-_MAP_CACHE: dict[str, ModuleMap] = {}
+_MAP_CACHE = _Lru(_MAP_LIMIT)
 
 
 def _tree_digest(root: Path) -> str:
@@ -153,7 +193,7 @@ def build_module_map(
         entries[dotted] = str(rel)
 
     built = ModuleMap(root=str(root), entries=entries, digest=digest)
-    _MAP_CACHE[str(root)] = built
+    _MAP_CACHE.put(str(root), built)
     return built
 
 
@@ -181,26 +221,51 @@ def _resolve_module(
     return CROSS_FILE, candidates[0]
 
 
-def _module_record(dotted: str, file: SourceFile) -> SymbolRecord:
-    last = len(file.line_index) - 1
-    span = Span(0, 0, last, len(file.text) - file.line_index[last])
-    return SymbolRecord(name=dotted, sym_kind="module", def_span=span, code=file.text)
+@dataclass(frozen=True, slots=True)
+class _ModuleFacts:
+    """What dependency resolution reads off one module's text."""
+
+    definitions: dict[str, SymbolRecord]  # module-scope name -> latest definition
+    span: Span  # the whole module
+    refs: References  # of the module root
 
 
-class _SourceCache:
-    """Parse each mapped file at most once per dependency pass."""
+_FACTS_CACHE = _Lru(_FACTS_LIMIT)
+
+
+def _module_facts(root: str, rel: str) -> tuple[str, _ModuleFacts]:
+    """The text of ``rel`` and its facts; parsed only when no module with
+    the same text is cached."""
+    text = (Path(root) / rel).read_text(encoding="utf-8")
+    key = hashlib.sha256(text.encode()).digest()
+    facts = _FACTS_CACHE.get(key)
+    if facts is None:
+        file = SourceFile.from_text(rel, text)
+        tree = parse(file)
+        last = file.line_count - 1
+        facts = _ModuleFacts(
+            definitions={r.name: r for r in definitions_before(tree, tree.root.span.end_line + 1)},
+            span=Span(0, 0, last, len(text) - file.line_index[last]),
+            refs=reference_sets(tree.root),
+        )
+        _FACTS_CACHE.put(key, facts)
+    return text, facts
+
+
+class _ModuleReader:
+    """Reads each mapped module at most once per dependency pass and
+    reports each one that cannot be read or parsed once per pass."""
 
     def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None):
         self._map = module_map
         self._diagnostics = diagnostics
-        self._loaded: dict[str, tuple[SourceFile, SyntaxTree] | None] = {}
+        self._loaded: dict[str, tuple[str, _ModuleFacts] | None] = {}
 
-    def get(self, dotted: str) -> tuple[SourceFile, SyntaxTree] | None:
+    def get(self, dotted: str) -> tuple[str, _ModuleFacts] | None:
         if dotted not in self._loaded:
             rel = self._map.path_of(dotted)
             try:
-                file = load_source(self._map.root, rel)
-                self._loaded[dotted] = (file, parse(file))
+                self._loaded[dotted] = _module_facts(self._map.root, rel)
             except (OSError, UnicodeDecodeError, ValueError) as err:
                 self._loaded[dotted] = None
                 if self._diagnostics is not None:
@@ -213,32 +278,32 @@ class _SourceCache:
                     )
         return self._loaded[dotted]
 
-
-def _definition_in(tree: SyntaxTree, name: str) -> SymbolRecord | None:
-    for record in definitions_before(tree, tree.root.span.end_line + 1):
-        if record.name == name:
-            return record
-    return None
+    def module_record(self, dotted: str) -> SymbolRecord | None:
+        """The whole module as one record named ``dotted``."""
+        loaded = self.get(dotted)
+        if loaded is None:
+            return None
+        text, facts = loaded
+        return SymbolRecord(name=dotted, sym_kind="module", def_span=facts.span, code=text, refs=facts.refs)
 
 
 def _resolve_symbol(
     key: str,
     symbol: str,
     module_map: ModuleMap,
-    cache: _SourceCache,
+    reader: _ModuleReader,
     diagnostics: list[Diagnostic] | None,
 ) -> tuple[SymbolRecord | None, str | None]:
-    loaded = cache.get(key)
+    loaded = reader.get(key)
     if loaded is not None:
-        file, tree = loaded
-        found = _definition_in(tree, symbol)
+        found = loaded[1].definitions.get(symbol)
         if found is not None:
             return found, module_map.path_of(key)
     sub = f"{key}.{symbol}"
     if sub in module_map.entries:
-        sub_loaded = cache.get(sub)
-        if sub_loaded is not None:
-            return _module_record(sub, sub_loaded[0]), module_map.path_of(sub)
+        sub_record = reader.module_record(sub)
+        if sub_record is not None:
+            return sub_record, module_map.path_of(sub)
     if loaded is not None and diagnostics is not None:
         diagnostics.append(
             Diagnostic(
@@ -266,18 +331,14 @@ def cross_module_deps(
     single potential dependency.
     """
 
-    cache = _SourceCache(module_map, diagnostics)
+    reader = _ModuleReader(module_map, diagnostics)
     deps: list[CrossModuleDependency] = []
     for rec in imports:
         origin, key = _resolve_module(rec.module_path, module_map, diagnostics)
         rec.classification = origin
         for symbol, alias in rec.bound_names:
             if symbol == "*":
-                resolved = None
-                if key is not None:
-                    loaded = cache.get(key)
-                    if loaded is not None:
-                        resolved = _module_record(key, loaded[0])
+                resolved = reader.module_record(key) if key is not None else None
                 deps.append(
                     CrossModuleDependency(
                         import_rec=rec,
@@ -295,13 +356,12 @@ def cross_module_deps(
             resolved_path = None
             if key is not None:
                 if symbol == rec.module_path:
-                    loaded = cache.get(key)
-                    if loaded is not None:
-                        resolved = _module_record(key, loaded[0])
+                    resolved = reader.module_record(key)
+                    if resolved is not None:
                         resolved_path = module_map.path_of(key)
                 else:
                     resolved, resolved_path = _resolve_symbol(
-                        key, symbol, module_map, cache, diagnostics
+                        key, symbol, module_map, reader, diagnostics
                     )
             deps.append(
                 CrossModuleDependency(

@@ -4,7 +4,9 @@ The target function becomes the central node with a center_link edge to
 every other node, so random-walk restarts concentrate on it and importance
 decays with structural distance. Semantic edges (invocation, usage,
 inheritance) are added only where one node's code actually references
-another node's label. Scores come from personalized pagerank by power
+another node's label; the reference sets come with each dependency's
+record, read off its already-parsed definition, so nothing is re-parsed
+here. Scores come from personalized pagerank by power
 iteration; dangling mass teleports back to the central node.
 """
 
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .config import PipelineConfig
 from .filedeps import code_preview
-from .syntax import SourceFile, SyntaxNode, identifiers_used, parse
+from .syntax import References, SourceFile
 
 if TYPE_CHECKING:
     from .pipeline import ContextBundle
@@ -95,6 +97,8 @@ def build_graph(
     """One node per dependency record around a single central node."""
 
     owner = bundle.slice_.owner
+    # what each non-central node's code references; the central node never links out
+    references: list[References] = []
     nodes = [
         GraphNode(
             node_id=0,
@@ -121,6 +125,7 @@ def build_graph(
                 payload=dep,
             )
         )
+        references.append(dep.symbol.refs)
     for dep in bundle.project_deps:
         span = dep.import_rec.import_span
         nodes.append(
@@ -135,66 +140,23 @@ def build_graph(
                 payload=dep,
             )
         )
+        references.append(dep.resolved.refs if dep.resolved is not None else References())
 
     edges = [GraphEdge(src=0, dst=n.node_id, relation="center_link") for n in nodes[1:]]
-    for node in nodes[1:]:
-        used, called, bases = _reference_sets(node.code)
+    for node, refs in zip(nodes[1:], references):
         for other in nodes:
             if other.node_id == node.node_id:
                 continue
-            if other.label in bases:
+            if other.label in refs.bases:
                 relation = "inheritance"
-            elif other.label in called:
+            elif other.label in refs.called:
                 relation = "invocation"
-            elif other.label in used:
+            elif other.label in refs.used:
                 relation = "usage"
             else:
                 continue
             edges.append(GraphEdge(src=node.node_id, dst=other.node_id, relation=relation))
     return SemanticGraph(nodes=nodes, edges=edges, central_id=0)
-
-
-def _base_names(class_node: SyntaxNode) -> set[str]:
-    open_idx = close_idx = None
-    for i, child in enumerate(class_node.children):
-        if child.kind == "operator" and child.value == "(":
-            open_idx = i
-        elif child.kind == "operator" and child.value == ")":
-            close_idx = i
-            break
-    if open_idx is None or close_idx is None:
-        return set()
-    names: set[str] = set()
-    for child in class_node.children[open_idx + 1 : close_idx]:
-        names |= identifiers_used(child)
-    return names
-
-
-def _reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
-    """Names a code fragment reads, calls directly, and inherits from."""
-
-    if not code.strip():
-        return set(), set(), set()
-    tree = parse(SourceFile.from_text("node.py", code))
-    used = identifiers_used(tree.root)
-    called: set[str] = set()
-    bases: set[str] = set()
-    for node in tree.root.walk():
-        if node.kind == "class_definition":
-            bases |= _base_names(node)
-            continue
-        if node.kind not in ("atom_expr", "power") or len(node.children) < 2:
-            continue
-        head, trailer = node.children[0], node.children[1]
-        if (
-            head.kind == "name"
-            and not head.is_def
-            and trailer.kind == "trailer"
-            and trailer.children
-            and trailer.children[0].value == "("
-        ):
-            called.add(head.value or "")
-    return used, called, bases
 
 
 def personalized_pagerank(

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path, PurePosixPath
 from typing import Iterator
 
@@ -106,11 +107,9 @@ class SourceFile:
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceFile":
-        idx = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                idx.append(i + 1)
-        return cls(path=path, text=text, line_index=tuple(idx))
+        lines = text.split("\n")
+        starts = accumulate((len(line) + 1 for line in lines[:-1]), initial=0)
+        return cls(path=path, text=text, line_index=tuple(starts))
 
     @property
     def line_count(self) -> int:
@@ -178,13 +177,24 @@ class SyntaxTree:
 
 
 @dataclass(frozen=True, slots=True)
+class References:
+    """Names a piece of code reads, calls directly, and inherits from."""
+
+    used: frozenset[str] = frozenset()
+    called: frozenset[str] = frozenset()
+    bases: frozenset[str] = frozenset()
+
+
+@dataclass(frozen=True, slots=True)
 class SymbolRecord:
-    """A named definition: where it lives and its verbatim code."""
+    """A named definition: where it lives, its verbatim code, and the
+    names that code references (read off the definition's own node)."""
 
     name: str
-    sym_kind: str  # function | class | variable | import_alias
+    sym_kind: str  # function | class | variable | import_alias | module
     def_span: Span
     code: str
+    refs: References = field(compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -295,7 +305,13 @@ def symbol_from_definition(file: SourceFile, node: SyntaxNode, sym_kind: str) ->
     name = declared_name(node)
     if name is None:
         return None
-    return SymbolRecord(name=name.value or "", sym_kind=sym_kind, def_span=node.span, code=file.span_text(node.span))
+    return SymbolRecord(
+        name=name.value or "",
+        sym_kind=sym_kind,
+        def_span=node.span,
+        code=file.span_text(node.span),
+        refs=reference_sets(node),
+    )
 
 
 def enclosing_function_node(tree: SyntaxTree, line: int) -> SyntaxNode | None:
@@ -358,37 +374,80 @@ def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
                 latest[record.name] = record
         elif stmt.kind == "expression_statement":
             code = tree.file.span_text(stmt.span)
+            refs = reference_sets(stmt)
             for leaf in stmt.leaves():
                 if leaf.kind == "name" and leaf.is_def and not _attribute_position(leaf):
                     latest[leaf.value or ""] = SymbolRecord(
-                        name=leaf.value or "", sym_kind="variable", def_span=stmt.span, code=code
+                        name=leaf.value or "", sym_kind="variable", def_span=stmt.span, code=code, refs=refs
                     )
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
 def identifiers_used(node: SyntaxNode) -> set[str]:
-    """Names in reference position under ``node``: definitions, attribute
-    names after a dot, keyword-argument names and import paths are excluded,
-    so the base of ``pd.read_csv`` counts while ``read_csv`` does not."""
+    """Names in reference position under ``node``; see :func:`reference_sets`."""
+    return set(reference_sets(node).used)
+
+
+def _base_names(class_node: SyntaxNode) -> set[str]:
+    open_idx = close_idx = None
+    for i, child in enumerate(class_node.children):
+        if child.kind == "operator" and child.value == "(":
+            open_idx = i
+        elif child.kind == "operator" and child.value == ")":
+            close_idx = i
+            break
+    if open_idx is None or close_idx is None:
+        return set()
+    names: set[str] = set()
+    for child in class_node.children[open_idx + 1 : close_idx]:
+        names |= identifiers_used(child)
+    return names
+
+
+def reference_sets(node: SyntaxNode) -> References:
+    """What ``node``'s code references, in one pass over the subtree.
+
+    ``used``: names in reference position. Definitions, attribute names
+    after a dot, keyword-argument names and import paths are excluded, so
+    the base of ``pd.read_csv`` counts while ``read_csv`` does not.
+    ``called``: names called directly (``f(...)``, not ``a.f(...)``).
+    ``bases``: names read in the base lists of the classes it defines.
+    """
     used: set[str] = set()
+    called: set[str] = set()
+    bases: set[str] = set()
     stack = [node]
     while stack:
         current = stack.pop()
-        if current.kind in ("import_statement", "import_from_statement"):
+        kind = current.kind
+        if kind in ("import_statement", "import_from_statement"):
             continue
-        if current.children:
-            stack.extend(current.children)
+        children = current.children
+        if not children:
+            if (
+                kind == "name"
+                and not current.is_def
+                and current.value
+                and not (current.parent is not None and current.parent.kind == "fstring_conversion")
+                and not _attribute_position(current)
+                and not _keyword_argument_position(current)
+            ):
+                used.add(current.value)
             continue
-        leaf = current
-        if leaf.kind != "name" or leaf.is_def:
-            continue
-        if leaf.parent is not None and leaf.parent.kind == "fstring_conversion":
-            continue
-        if _attribute_position(leaf) or _keyword_argument_position(leaf):
-            continue
-        if leaf.value:
-            used.add(leaf.value)
-    return used
+        stack.extend(children)
+        if kind == "class_definition":
+            bases |= _base_names(current)
+        elif kind in ("atom_expr", "power") and len(children) >= 2:
+            head, trailer = children[0], children[1]
+            if (
+                head.kind == "name"
+                and not head.is_def
+                and trailer.kind == "trailer"
+                and trailer.children
+                and trailer.children[0].value == "("
+            ):
+                called.add(head.value or "")
+    return References(frozenset(used), frozenset(called), frozenset(bases))
 
 
 def _file_package_parts(path: str) -> list[str] | None:

@@ -9,9 +9,12 @@ entities.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
-from repolens import funcflow, pipeline, retrieval
+from repolens import funcflow, pipeline, projdeps, retrieval, syntax
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError
 from repolens.pipeline import (
@@ -330,3 +333,101 @@ def test_complete_task_closes_only_the_scorer_it_made(repo, monkeypatch):
         complete_task(make_task(repo), cfg, scorer=given)
         assert len(closed) == 1 and closed[0] is not given
         given.close()
+
+
+def project_section(result) -> str:
+    return dict(result.prompt.sections)["project_ctx"]
+
+
+def test_in_place_edit_of_imported_module_is_never_served_stale(repo):
+    module = repo / "data_processor.py"
+    before = complete_task(make_task(repo))
+    assert "def process_data(row):" in project_section(before)
+
+    stat = module.stat()
+    edited = PROCESSOR_PY.replace("process_data(row):\n    return row.", "process_data(rec):\n    return rec.")
+    assert edited != PROCESSOR_PY and len(edited) == len(PROCESSOR_PY)
+    module.write_text(edited)
+    os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert module.stat().st_mtime_ns == stat.st_mtime_ns
+    assert module.stat().st_size == stat.st_size
+
+    after = complete_task(make_task(repo))
+    assert "def process_data(rec):" in project_section(after)
+    assert "def process_data(row):" not in project_section(after)
+
+
+def test_unreadable_imported_module_reports_on_every_call(repo):
+    module = repo / "data_processor.py"
+    module.write_bytes(b"\xff\xfe not utf8")
+    for _ in range(2):
+        result = complete_task(make_task(repo))
+        errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
+        assert [d.context["path"] for d in errors] == ["data_processor.py"]
+        resolved = {d.symbol: d.resolved for d in result.bundle.project_deps}
+        assert resolved["process_data"] is None
+    module.write_text(PROCESSOR_PY)
+    result = complete_task(make_task(repo))
+    assert not [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
+    assert "def process_data(row):" in project_section(result)
+
+
+def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
+    parses: list[tuple[str, str]] = []
+    in_graph: list[bool] = []
+    real_parse, real_build_graph = syntax.parse, pipeline.build_graph
+
+    def wrap_parse(module_name):
+        def counted_parse(file):
+            parses.append((module_name, file.path))
+            if in_graph:
+                raise AssertionError(f"build_graph parsed {file.path}")
+            return real_parse(file)
+
+        return counted_parse
+
+    def traced_build_graph(*args, **kwargs):
+        in_graph.append(True)
+        try:
+            return real_build_graph(*args, **kwargs)
+        finally:
+            in_graph.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
+            monkeypatch.setattr(module, "parse", wrap_parse(name.removeprefix("repolens.")))
+    monkeypatch.setattr(pipeline, "build_graph", traced_build_graph)
+    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(projdeps._FACTS_LIMIT))
+    index = build_index(repo)
+    module_map = projdeps.build_module_map(repo)
+
+    parses.clear()
+    complete_task(make_task(repo), index=index, module_map=module_map)
+    assert ("projdeps", "data_processor.py") in parses  # a cold cache parses imports
+
+    parses.clear()
+    complete_task(make_task(repo), index=index, module_map=module_map)
+    assert sorted(parses) == [
+        ("funcflow", "<slice>"),
+        ("pipeline", "main.py"),
+        ("retrieval", "snippet.py"),
+    ]
+
+
+def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path, monkeypatch):
+    main = MAIN_PY.replace(
+        "from data_processor import process_data, parse_code\n",
+        "from data_processor import process_data, parse_code, missing\nimport broken\n",
+    )
+    write_repo(tmp_path, {"main.py": main, "data_processor.py": PROCESSOR_PY, "lib/text_utils.py": UTILS_PY})
+    (tmp_path / "broken.py").write_bytes(b"\xff not utf8")
+    task = make_task(tmp_path, line=CURSOR + 1)
+    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(projdeps._FACTS_LIMIT))
+
+    cold = complete_task(task)
+    warm = complete_task(task)
+    codes = sorted(d.code for d in cold.bundle.diagnostics)
+    assert codes == ["resolution_error", "resolution_error", "unreadable_file"]
+    assert warm.bundle.diagnostics == cold.bundle.diagnostics
+    assert warm.prompt == cold.prompt
+    assert warm.graph.edges == cold.graph.edges

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repolens import projdeps
 from repolens.projdeps import (
     CROSS_FILE,
     EXTERNAL,
@@ -104,6 +105,45 @@ def test_module_map_is_cached_until_tree_changes(tmp_path):
     write_repo(tmp_path, {"two.py": "b = 2\n"})
     rebuilt = build_module_map(tmp_path)
     assert "two" in rebuilt.entries
+
+
+def test_module_map_cache_evicts_least_recently_used_root(tmp_path):
+    roots = [
+        write_repo(tmp_path / f"repo{i}", {"m.py": f"x = {i}\n"})
+        for i in range(projdeps._MAP_LIMIT + 1)
+    ]
+    maps = [build_module_map(root) for root in roots[:-1]]
+    assert build_module_map(roots[0]) is maps[0]  # a hit, now the most recent
+    build_module_map(roots[-1])  # one past the bound
+    assert build_module_map(roots[0]) is maps[0]
+    rebuilt = build_module_map(roots[1])  # the oldest entry was dropped
+    assert rebuilt is not maps[1]
+    assert rebuilt == maps[1]
+
+
+def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(2))
+    parsed = []
+    real_parse = projdeps.parse
+
+    def counted_parse(file):
+        parsed.append(file.text)
+        return real_parse(file)
+
+    monkeypatch.setattr(projdeps, "parse", counted_parse)
+    texts = ["def a():\n    return 1\n", "def b():\n    return 2\n", "def c():\n    return 3\n"]
+    for i, text in enumerate(texts):
+        write_repo(tmp_path, {f"m{i}.py": text, f"copy{i}.py": text})
+    first = projdeps._module_facts(str(tmp_path), "m0.py")[1]
+    # the same text under another path is the same entry
+    assert projdeps._module_facts(str(tmp_path), "copy0.py")[1] is first
+    projdeps._module_facts(str(tmp_path), "m1.py")
+    projdeps._module_facts(str(tmp_path), "m2.py")  # drops m0, the oldest
+    assert parsed == texts
+    again = projdeps._module_facts(str(tmp_path), "m0.py")[1]
+    assert again is not first
+    assert again.definitions == first.definitions
+    assert parsed == texts + texts[:1]
 
 
 def test_classify_full_name_suffix_and_external(tmp_path):

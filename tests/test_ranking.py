@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repolens import projdeps
 from repolens.config import PipelineConfig
 from repolens.filedeps import explicit_deps, potential_deps
 from repolens.funcflow import local_slice
@@ -32,14 +34,23 @@ from repolens.syntax import (
     SourceFile,
     Span,
     SymbolRecord,
+    SyntaxNode,
     definitions_before,
     enclosing_function_node,
     identifiers_used,
     imports_of,
     load_source,
     parse,
+    reference_sets,
 )
 from tests.conftest import write_repo
+
+TESTS_DIR = Path(__file__).parent
+SOURCE_DIRS = (
+    TESTS_DIR / "corpus_cases",
+    TESTS_DIR / "dep_cases",
+    TESTS_DIR.parent / "src" / "repolens",
+)
 
 
 def dense_ppr(n: int, edges: list[tuple[int, int]], central: int, alpha: float) -> np.ndarray:
@@ -355,3 +366,81 @@ def test_explain_graph_is_json_ready(tmp_path):
     assert set(parsed) == {"nodes", "edges", "scores", "selections"}
     assert len(parsed["nodes"]) == len(graph.nodes)
     assert parsed["selections"]["file"] == [n.node_id for n in ranked.file_topk]
+
+
+def _oracle_base_names(class_node: SyntaxNode) -> set[str]:
+    open_idx = close_idx = None
+    for i, child in enumerate(class_node.children):
+        if child.kind == "operator" and child.value == "(":
+            open_idx = i
+        elif child.kind == "operator" and child.value == ")":
+            close_idx = i
+            break
+    if open_idx is None or close_idx is None:
+        return set()
+    names: set[str] = set()
+    for child in class_node.children[open_idx + 1 : close_idx]:
+        names |= identifiers_used(child)
+    return names
+
+
+def _oracle_reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
+    """Oracle: how ``build_graph`` once found a node's references, by
+    parsing the node's code string on its own."""
+    if not code.strip():
+        return set(), set(), set()
+    tree = parse(SourceFile.from_text("node.py", code))
+    used = identifiers_used(tree.root)
+    called: set[str] = set()
+    bases: set[str] = set()
+    for node in tree.root.walk():
+        if node.kind == "class_definition":
+            bases |= _oracle_base_names(node)
+            continue
+        if node.kind not in ("atom_expr", "power") or len(node.children) < 2:
+            continue
+        head, trailer = node.children[0], node.children[1]
+        if (
+            head.kind == "name"
+            and not head.is_def
+            and trailer.kind == "trailer"
+            and trailer.children
+            and trailer.children[0].value == "("
+        ):
+            called.add(head.value or "")
+    return used, called, bases
+
+
+def _as_sets(refs) -> tuple[set[str], set[str], set[str]]:
+    return set(refs.used), set(refs.called), set(refs.bases)
+
+
+def test_node_reference_sets_match_reparse_oracle():
+    """Every module-level definition (shadowed ones too) and every module
+    root: the sets read off the parsed node, the records ``definitions_before``
+    hands to file-level nodes, and the facts project-level nodes read all
+    equal the sets from re-parsing the code alone."""
+    checked = 0
+    for directory in SOURCE_DIRS:
+        paths = sorted(directory.glob("*.py"))
+        assert paths, directory
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            tree = parse(SourceFile.from_text(path.name, text))
+            where = path.name
+            for stmt in tree.root.children:
+                inner = stmt.children if stmt.kind == "decorated_definition" else (stmt,)
+                for node in inner:
+                    if node.kind in ("function_definition", "class_definition", "expression_statement"):
+                        code = tree.file.span_text(node.span)
+                        assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
+                        checked += 1
+            for record in definitions_before(tree, tree.root.span.end_line + 1):
+                assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, record.name)
+
+            _, facts = projdeps._module_facts(str(path.parent), path.name)
+            assert _as_sets(facts.refs) == _oracle_reference_sets(text), where
+            for name, record in facts.definitions.items():
+                assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, name)
+            checked += 1
+    assert checked > 200

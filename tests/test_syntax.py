@@ -10,6 +10,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
@@ -119,6 +122,24 @@ def test_line_index_is_strictly_increasing():
     src = SourceFile.from_text("m.py", DEMO)
     assert src.line_index[0] == 0
     assert list(src.line_index) == sorted(set(src.line_index))
+
+
+def _scanned_line_index(text: str) -> tuple[int, ...]:
+    """Oracle: the per-character scan ``SourceFile.from_text`` used to run."""
+    idx = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            idx.append(i + 1)
+    return tuple(idx)
+
+
+@given(st.text(alphabet=st.sampled_from(["a", "é", " ", "\t", "\n", "\r"])))
+@example("")
+@example("no trailing newline")
+@example("a\r\nb\r\n")
+@example("\n\n")
+def test_line_index_matches_character_scan(text):
+    assert SourceFile.from_text("m.py", text).line_index == _scanned_line_index(text)
 
 
 def test_every_span_within_text_bounds():
