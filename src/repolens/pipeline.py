@@ -43,7 +43,6 @@ from .retrieval import (
 from .syntax import (
     SourceFile,
     definitions_before,
-    identifiers_used,
     imports_of,
     load_source,
     parse,
@@ -113,7 +112,7 @@ def extract_context(
     tree = parse(file)
     slice_ = local_slice(tree, line)
     owner_node = slice_.owner_node
-    uses = identifiers_used(owner_node) if owner_node is not None else set()
+    uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
     defs = definitions_before(tree, line)
     file_deps = explicit_deps(defs, uses, owner_node, body_preview_lines=cfg.body_preview_lines)
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)

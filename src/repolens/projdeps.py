@@ -6,23 +6,19 @@ as cross-file or external, and partitions imported entities into explicit
 yet used) dependencies. Cross-file entries carry the resolved definition
 parsed out of the mapped source file.
 
-Two process-wide caches keep repeated calls cheap, each holding at most a
-fixed number of entries and dropping the least recently used one:
-
-  * module maps, per repository root, rebuilt when a directory's mtime moves;
-  * per-module facts (the definition table with each definition's reference
-    sets, and those of the module root), keyed by the sha256 of the module's
-    text. Every lookup reads and hashes the file, so an in-place edit is
-    never served stale; no syntax tree is kept. Files that cannot be read or
-    parsed are never cached and report on every call.
+The module map is rebuilt on every call, so it always reflects the tree
+and always reports its diagnostics. One process-wide cache keeps repeated
+calls cheap: per-module facts (the definition table with each definition's
+reference sets, and those of the module root), keyed by the module's text
+and holding the 256 most recently used texts. Every lookup reads the file,
+so an in-place edit is never served stale; no syntax tree is kept. Files
+that cannot be read or parsed are never cached and report on every call.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
@@ -43,45 +39,12 @@ EXTERNAL = "external"
 
 _SKIP_DIRS = {"__pycache__"}
 
-# entries kept by the process-wide caches below
-_MAP_LIMIT = 16
-_FACTS_LIMIT = 256
-
-
-class _Lru:
-    """Thread-safe map of at most ``limit`` entries; storing one more
-    drops the least recently used."""
-
-    def __init__(self, limit: int):
-        self._limit = limit
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if len(self._entries) > self._limit:
-                self._entries.popitem(last=False)
-
-
 @dataclass(frozen=True, slots=True)
 class ModuleMap:
     """Dotted module name → repository-relative posix path."""
 
     root: str
     entries: dict[str, str]
-    digest: str
-
-    def __contains__(self, dotted: str) -> bool:
-        return dotted in self.entries
 
     def path_of(self, dotted: str) -> str | None:
         return self.entries.get(dotted)
@@ -138,23 +101,6 @@ def _dotted_name(rel: PurePosixPath) -> str | None:
     return ".".join(parts)
 
 
-_MAP_CACHE = _Lru(_MAP_LIMIT)
-
-
-def _tree_digest(root: Path) -> str:
-    h = hashlib.sha256()
-    for dirpath, dirnames, _ in os.walk(root):
-        dirnames[:] = sorted(
-            d for d in dirnames if not d.startswith(".") and d not in _SKIP_DIRS
-        )
-        h.update(dirpath.encode())
-        try:
-            h.update(str(os.stat(dirpath).st_mtime_ns).encode())
-        except OSError:
-            continue
-    return h.hexdigest()
-
-
 def build_module_map(
     repo_root: Path | str, diagnostics: list[Diagnostic] | None = None
 ) -> ModuleMap:
@@ -167,11 +113,6 @@ def build_module_map(
     """
 
     root = Path(repo_root).resolve()
-    digest = _tree_digest(root)
-    cached = _MAP_CACHE.get(str(root))
-    if cached is not None and cached.digest == digest:
-        return cached
-
     entries: dict[str, str] = {}
     for path in _iter_source_files(root, diagnostics):
         rel = PurePosixPath(path.relative_to(root).as_posix())
@@ -192,9 +133,7 @@ def build_module_map(
                 continue
         entries[dotted] = str(rel)
 
-    built = ModuleMap(root=str(root), entries=entries, digest=digest)
-    _MAP_CACHE.put(str(root), built)
-    return built
+    return ModuleMap(root=str(root), entries=entries)
 
 
 def _resolve_module(
@@ -230,26 +169,23 @@ class _ModuleFacts:
     refs: References  # of the module root
 
 
-_FACTS_CACHE = _Lru(_FACTS_LIMIT)
+@functools.lru_cache(maxsize=256)
+def _facts_of(text: str) -> _ModuleFacts:
+    """The facts of one module text; modules with equal text share them."""
+    file = SourceFile.from_text("<module>", text)
+    tree = parse(file)
+    last = file.line_count - 1
+    return _ModuleFacts(
+        definitions={r.name: r for r in definitions_before(tree, tree.root.span.end_line + 1)},
+        span=Span(0, 0, last, len(text) - file.line_index[last]),
+        refs=reference_sets(tree.root),
+    )
 
 
 def _module_facts(root: str, rel: str) -> tuple[str, _ModuleFacts]:
-    """The text of ``rel`` and its facts; parsed only when no module with
-    the same text is cached."""
+    """The text of ``rel`` and its facts."""
     text = (Path(root) / rel).read_text(encoding="utf-8")
-    key = hashlib.sha256(text.encode()).digest()
-    facts = _FACTS_CACHE.get(key)
-    if facts is None:
-        file = SourceFile.from_text(rel, text)
-        tree = parse(file)
-        last = file.line_count - 1
-        facts = _ModuleFacts(
-            definitions={r.name: r for r in definitions_before(tree, tree.root.span.end_line + 1)},
-            span=Span(0, 0, last, len(text) - file.line_index[last]),
-            refs=reference_sets(tree.root),
-        )
-        _FACTS_CACHE.put(key, facts)
-    return text, facts
+    return text, _facts_of(text)
 
 
 class _ModuleReader:

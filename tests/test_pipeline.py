@@ -397,13 +397,13 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
         if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
             monkeypatch.setattr(module, "parse", wrap_parse(name.removeprefix("repolens.")))
     monkeypatch.setattr(pipeline, "build_graph", traced_build_graph)
-    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(projdeps._FACTS_LIMIT))
+    projdeps._facts_of.cache_clear()
     index = build_index(repo)
     module_map = projdeps.build_module_map(repo)
 
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
-    assert ("projdeps", "data_processor.py") in parses  # a cold cache parses imports
+    assert "projdeps" in {module for module, _ in parses}  # a cold cache parses imports
 
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
@@ -414,20 +414,23 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
     ]
 
 
-def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path, monkeypatch):
+def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path):
     main = MAIN_PY.replace(
         "from data_processor import process_data, parse_code\n",
         "from data_processor import process_data, parse_code, missing\nimport broken\n",
     )
-    write_repo(tmp_path, {"main.py": main, "data_processor.py": PROCESSOR_PY, "lib/text_utils.py": UTILS_PY})
+    files = {"main.py": main, "data_processor.py": PROCESSOR_PY, "lib/text_utils.py": UTILS_PY}
+    # a module and a package that map to the same dotted name
+    files |= {"pkg.py": "x = 1\n", "pkg/__init__.py": "y = 2\n"}
+    write_repo(tmp_path, files)
     (tmp_path / "broken.py").write_bytes(b"\xff not utf8")
     task = make_task(tmp_path, line=CURSOR + 1)
-    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(projdeps._FACTS_LIMIT))
+    projdeps._facts_of.cache_clear()
 
     cold = complete_task(task)
     warm = complete_task(task)
     codes = sorted(d.code for d in cold.bundle.diagnostics)
-    assert codes == ["resolution_error", "resolution_error", "unreadable_file"]
+    assert codes == ["module_collision", "resolution_error", "resolution_error", "unreadable_file"]
     assert warm.bundle.diagnostics == cold.bundle.diagnostics
     assert warm.prompt == cold.prompt
     assert warm.graph.edges == cold.graph.edges

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 from repolens import projdeps
 from repolens.projdeps import (
     CROSS_FILE,
@@ -98,31 +100,24 @@ def test_module_map_package_wins_collision(tmp_path):
     assert [d.code for d in diagnostics] == ["module_collision"]
 
 
-def test_module_map_is_cached_until_tree_changes(tmp_path):
+def test_module_map_sees_module_added_after_first_build(tmp_path):
     write_repo(tmp_path, {"one.py": "a = 1\n"})
-    first = build_module_map(tmp_path)
-    assert build_module_map(tmp_path) is first
+    assert list(build_module_map(tmp_path).entries) == ["one"]
     write_repo(tmp_path, {"two.py": "b = 2\n"})
-    rebuilt = build_module_map(tmp_path)
-    assert "two" in rebuilt.entries
+    assert "two" in build_module_map(tmp_path).entries
 
 
-def test_module_map_cache_evicts_least_recently_used_root(tmp_path):
-    roots = [
-        write_repo(tmp_path / f"repo{i}", {"m.py": f"x = {i}\n"})
-        for i in range(projdeps._MAP_LIMIT + 1)
-    ]
-    maps = [build_module_map(root) for root in roots[:-1]]
-    assert build_module_map(roots[0]) is maps[0]  # a hit, now the most recent
-    build_module_map(roots[-1])  # one past the bound
-    assert build_module_map(roots[0]) is maps[0]
-    rebuilt = build_module_map(roots[1])  # the oldest entry was dropped
-    assert rebuilt is not maps[1]
-    assert rebuilt == maps[1]
+def test_module_map_sees_module_added_without_directory_mtime_change(tmp_path):
+    write_repo(tmp_path, {"one.py": "a = 1\n"})
+    before = os.stat(tmp_path)
+    assert list(build_module_map(tmp_path).entries) == ["one"]
+    write_repo(tmp_path, {"two.py": "b = 2\n"})
+    os.utime(tmp_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert "two" in build_module_map(tmp_path).entries
 
 
 def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
-    monkeypatch.setattr(projdeps, "_FACTS_CACHE", projdeps._Lru(2))
+    projdeps._facts_of.cache_clear()
     parsed = []
     real_parse = projdeps.parse
 
@@ -131,14 +126,14 @@ def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
         return real_parse(file)
 
     monkeypatch.setattr(projdeps, "parse", counted_parse)
-    texts = ["def a():\n    return 1\n", "def b():\n    return 2\n", "def c():\n    return 3\n"]
-    for i, text in enumerate(texts):
-        write_repo(tmp_path, {f"m{i}.py": text, f"copy{i}.py": text})
+    limit = projdeps._facts_of.cache_info().maxsize
+    texts = [f"def f{i}():\n    return {i}\n" for i in range(limit + 1)]
+    write_repo(tmp_path, {"copy0.py": texts[0]} | {f"m{i}.py": text for i, text in enumerate(texts)})
     first = projdeps._module_facts(str(tmp_path), "m0.py")[1]
     # the same text under another path is the same entry
     assert projdeps._module_facts(str(tmp_path), "copy0.py")[1] is first
-    projdeps._module_facts(str(tmp_path), "m1.py")
-    projdeps._module_facts(str(tmp_path), "m2.py")  # drops m0, the oldest
+    for i in range(1, limit + 1):  # the last one drops m0, the oldest
+        projdeps._module_facts(str(tmp_path), f"m{i}.py")
     assert parsed == texts
     again = projdeps._module_facts(str(tmp_path), "m0.py")[1]
     assert again is not first
