@@ -19,7 +19,7 @@ from .evaluation import format_csv, format_text, report_json, run_benchmark
 from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
 from .ranking import explain_graph
-from .retrieval import INDEX_FILE, build_index, index_path, load_index, save_index
+from .retrieval import build_index, index_path, load_index, save_index
 
 
 def _fail(message: str) -> None:
@@ -45,21 +45,20 @@ def main() -> None:
 
 @main.command("index")
 @click.option("--repo", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--out", type=click.Path(file_okay=False), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--force", is_flag=True, help="Rebuild every file, ignoring the cached index.")
-def cmd_index(repo: str, out: str | None, config_path: str | None, force: bool) -> None:
-    """Build and persist the snippet index for a repository.
+def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
+    """Build and persist the snippet index in ``<repo>/.repolens``, where
+    ``complete`` and ``evaluate`` read it.
 
     Files whose content digest matches the cached index keep their cached
-    snippets; only new or edited files are windowed again. Only the default
-    location (``<repo>/.repolens``) is read by ``complete`` and ``evaluate``.
+    snippets; only new or edited files are windowed again.
     """
 
     cfg = _load_cfg(config_path)
     root = Path(repo).resolve()
-    out_dir = Path(out) if out is not None else index_path(root).parent
-    snippets_path = out_dir / INDEX_FILE
+    snippets_path = index_path(root)
+    out_dir = snippets_path.parent
 
     cached = None if force else load_index(snippets_path)
     index = build_index(root, cfg.window, cfg.stride, reuse=cached)

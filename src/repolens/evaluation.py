@@ -223,28 +223,24 @@ def run_benchmark(
     scorer = None
     if cfg.embedding_endpoint:
         scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
-    try:
-        for task in tasks:
-            root = Path(task.repo)
-            try:
-                if root not in indexes:
-                    module_maps[root] = build_module_map(root)
-                    indexes[root] = build_index(
-                        root, cfg.window, cfg.stride, reuse=load_index(index_path(root))
-                    )
-                results[task.task_id] = complete_task(
-                    task,
-                    cfg,
-                    ablate=ablate,
-                    index=indexes[root],
-                    module_map=module_maps[root],
-                    scorer=scorer,
+    for task in tasks:
+        root = Path(task.repo)
+        try:
+            if root not in indexes:
+                module_maps[root] = build_module_map(root)
+                indexes[root] = build_index(
+                    root, cfg.window, cfg.stride, reuse=load_index(index_path(root))
                 )
-            except (RepoLensError, OSError, ValueError) as exc:
-                failures[task.task_id] = f"{type(exc).__name__}: {exc}"
-    finally:
-        if scorer is not None:
-            scorer.close()
+            results[task.task_id] = complete_task(
+                task,
+                cfg,
+                ablate=ablate,
+                index=indexes[root],
+                module_map=module_maps[root],
+                scorer=scorer,
+            )
+        except (RepoLensError, OSError, ValueError) as exc:
+            failures[task.task_id] = f"{type(exc).__name__}: {exc}"
 
     def run_one(task: CompletionTask) -> tuple[str, str, float, str]:
         tick = time.perf_counter()

@@ -24,7 +24,6 @@ from .syntax import (
     symbol_from_definition,
 )
 
-_NODE_KINDS = ("entry", "statement", "if", "for", "while", "return", "exit")
 _EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
 
 _LABEL_RANK = {label: i for i, label in enumerate(_EDGE_LABELS)}

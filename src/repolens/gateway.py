@@ -5,18 +5,20 @@ user message carrying the prompt). ``mock_echo`` and ``mock_fixture`` are
 deterministic stand-ins for tests and offline runs: echo returns the last
 line of the prompt's target section, fixture looks completions up by task
 id. Server errors and timeouts are retried with exponential backoff;
-client errors fail immediately.
+client errors fail immediately. ``post_json`` is the one HTTP client of the
+package; the dense retriever uses it too.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import requests
 
 from .errors import (
     BackendError,
@@ -102,6 +104,39 @@ def _fixture_lookup(cfg: GenerationConfig, task_id: str | None) -> str:
     return table[task_id]
 
 
+def post_json(url: str, payload: object, timeout: float) -> object:
+    """POST ``payload`` as JSON to ``url`` and return the decoded reply.
+
+    Transport failures become package errors here: an error status is a
+    ``BackendHttpError``, no answer within ``timeout`` seconds a
+    ``BackendTimeoutError``, a URL that is not http(s) or any other
+    failure to connect or read a ``BackendError``, and a body that is not
+    JSON a ``MalformedResponseError``.
+    """
+
+    if not url.lower().startswith(("http://", "https://")):
+        raise BackendError(f"request to {url} failed: not an http(s) URL")
+    data = json.dumps(payload).encode()
+    try:
+        request = urllib.request.Request(
+            url, data=data, headers={"Content-Type": "application/json"}
+        )
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            body = response.read()
+    except urllib.error.HTTPError as err:
+        err.close()
+        raise BackendHttpError(err.code) from err
+    except (OSError, http.client.HTTPException, ValueError) as err:
+        # a connect timeout arrives wrapped in URLError, a read timeout bare
+        if isinstance(err, TimeoutError) or isinstance(getattr(err, "reason", None), TimeoutError):
+            raise BackendTimeoutError(f"no answer from {url} within {timeout}s") from err
+        raise BackendError(f"request to {url} failed: {err}") from err
+    try:
+        return json.loads(body)
+    except ValueError as err:
+        raise MalformedResponseError(f"reply from {url} is not JSON: {err}") from err
+
+
 def _http_chat(prompt: PromptDocument, cfg: GenerationConfig) -> tuple[str, int]:
     payload = {
         "model": cfg.model,
@@ -114,32 +149,26 @@ def _http_chat(prompt: PromptDocument, cfg: GenerationConfig) -> tuple[str, int]
         payload["stop"] = list(cfg.stop)
 
     last_error: BackendError | None = None
-    attempts = 0
     for attempt in range(cfg.retries + 1):
-        attempts = attempt + 1
         if attempt:
             time.sleep(cfg.backoff * 2 ** (attempt - 1))
         try:
-            response = requests.post(cfg.endpoint, json=payload, timeout=cfg.timeout)
-        except requests.Timeout:
-            last_error = BackendTimeoutError(
-                f"no answer from {cfg.endpoint} within {cfg.timeout}s"
-            )
+            reply = post_json(cfg.endpoint, payload, cfg.timeout)
+        except BackendHttpError as err:
+            if err.status < 500:
+                raise
+            last_error = err
             continue
-        except requests.RequestException as err:
-            raise BackendError(f"request to {cfg.endpoint} failed: {err}") from err
-        if 500 <= response.status_code < 600:
-            last_error = BackendHttpError(response.status_code)
+        except BackendTimeoutError as err:
+            last_error = err
             continue
-        if response.status_code >= 400:
-            raise BackendHttpError(response.status_code)
         try:
-            content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as err:
+            content = reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as err:
             raise MalformedResponseError(f"unexpected completion payload: {err}") from err
         if not isinstance(content, str):
             raise MalformedResponseError("completion content is not text")
-        return content, attempts
+        return content, attempt + 1
     assert last_error is not None
     raise last_error
 

@@ -206,14 +206,9 @@ def complete_task(
         )
     else:
         pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])
-    own_scorer = None
     if scorer is None and cfg.embedding_endpoint:
-        scorer = own_scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
-    try:
-        pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
-    finally:
-        if own_scorer is not None:
-            own_scorer.close()
+        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
+    pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
     weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
     exemplars = rerank(pool, ast_paths_of(target_code), weights, cfg.k_final)
     retrieve_ms = (time.perf_counter() - tick) * 1000

@@ -271,7 +271,6 @@ def cross_module_deps(
     deps: list[CrossModuleDependency] = []
     for rec in imports:
         origin, key = _resolve_module(rec.module_path, module_map, diagnostics)
-        rec.classification = origin
         for symbol, alias in rec.bound_names:
             if symbol == "*":
                 resolved = reader.module_record(key) if key is not None else None

@@ -17,10 +17,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
-
 from .config import PipelineConfig
-from .errors import Diagnostic, EmbeddingBackendError
+from .errors import BackendError, Diagnostic, EmbeddingBackendError
+from .gateway import post_json
 from .projdeps import _iter_source_files
 from .syntax import SourceFile, SyntaxNode, parse
 
@@ -29,7 +28,6 @@ from .syntax import SourceFile, SyntaxNode, parse
 _PATH_DEPTH = 12
 
 _INDEX_VERSION = 2
-INDEX_FILE = "snippets.json"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -62,8 +60,8 @@ class SnippetIndex:
 
 
 def index_path(repo_root: Path | str) -> Path:
-    """Where ``repolens index`` keeps a repository's snippet cache by default."""
-    return Path(repo_root) / ".repolens" / INDEX_FILE
+    """Where ``repolens index`` keeps a repository's snippet cache."""
+    return Path(repo_root) / ".repolens" / "snippets.json"
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,28 +272,15 @@ class DenseScorer:
     normalized per query so downstream weighting sees [0, 1].
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        timeout: float = PipelineConfig.timeout,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, endpoint: str, timeout: float = PipelineConfig.timeout):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._vectors: dict[str, list[float]] = {}
-
-    def close(self) -> None:
-        self._session.close()
 
     def _embed(self, texts: list[str]) -> list[list[float]]:
         try:
-            response = self._session.post(
-                self.endpoint, json={"texts": texts}, timeout=self.timeout
-            )
-            response.raise_for_status()
-            vectors = response.json()["vectors"]
-        except (requests.RequestException, KeyError, ValueError) as err:
+            vectors = post_json(self.endpoint, {"texts": texts}, self.timeout)["vectors"]
+        except (BackendError, KeyError, TypeError) as err:
             raise EmbeddingBackendError(f"embedding request failed: {err}") from err
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise EmbeddingBackendError("embedding reply does not match request size")

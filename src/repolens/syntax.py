@@ -197,20 +197,18 @@ class SymbolRecord:
     refs: References = field(compare=False, repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ImportRecord:
     """One imported module and the names it binds locally.
 
     ``bound_names`` pairs (imported symbol, local alias); for plain module
     imports it holds a single entry binding the module itself. Wildcard
-    imports bind ``("*", "*")``. ``classification`` is filled in by the
-    project-level analysis (cross_file or external).
+    imports bind ``("*", "*")``.
     """
 
     module_path: str
     bound_names: tuple[tuple[str, str], ...]
     import_span: Span
-    classification: str | None = None
 
 
 _GRAMMAR = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
@@ -383,11 +381,6 @@ def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
-def identifiers_used(node: SyntaxNode) -> set[str]:
-    """Names in reference position under ``node``; see :func:`reference_sets`."""
-    return set(reference_sets(node).used)
-
-
 def _base_names(class_node: SyntaxNode) -> set[str]:
     open_idx = close_idx = None
     for i, child in enumerate(class_node.children):
@@ -400,7 +393,7 @@ def _base_names(class_node: SyntaxNode) -> set[str]:
         return set()
     names: set[str] = set()
     for child in class_node.children[open_idx + 1 : close_idx]:
-        names |= identifiers_used(child)
+        names |= reference_sets(child).used
     return names
 
 

@@ -43,15 +43,15 @@ def write_repo(root: Path, files: dict[str, str]) -> Path:
 def http_stub(handler):
     """Serve JSON POSTs on an ephemeral local port.
 
-    ``handler(path, payload) -> (status, reply_dict)`` runs per request;
-    yields the base URL.
+    ``handler(path, payload, headers) -> (status, reply_dict)`` runs per
+    request; yields the base URL.
     """
 
     class _Stub(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"{}")
-            status, reply = handler(self.path, payload)
+            status, reply = handler(self.path, payload, self.headers)
             data = json.dumps(reply).encode()
             try:
                 self.send_response(status)

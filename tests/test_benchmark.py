@@ -178,7 +178,7 @@ def test_concurrent_http_generation_keeps_replies_per_task(tmp_path):
     ]
     tasks = write_bench(tmp_path, rows)
 
-    def handler(path, payload):
+    def handler(path, payload, headers):
         marker = payload["messages"][0]["content"].splitlines()[-1].split()[0]
         return 200, {"choices": [{"message": {"content": marker.replace("marker", "reply")}}]}
 
@@ -196,7 +196,7 @@ def test_dense_scorer_shared_across_tasks_embeds_each_text_once(tmp_path):
     tasks = write_bench(tmp_path)
     posted = []
 
-    def handler(path, payload):
+    def handler(path, payload, headers):
         posted.extend(payload["texts"])
         return 200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
 

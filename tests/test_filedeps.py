@@ -15,7 +15,7 @@ from repolens.syntax import (
     SourceFile,
     definitions_before,
     enclosing_function_node,
-    identifiers_used,
+    reference_sets,
     parse,
 )
 
@@ -76,7 +76,7 @@ def _ast_module_defs(text: str, line: int) -> list[str]:
 def _inputs(tree, line):
     owner = enclosing_function_node(tree, line)
     defs = definitions_before(tree, line)
-    uses = identifiers_used(owner) if owner is not None else set()
+    uses = set(reference_sets(owner).used) if owner is not None else set()
     return owner, defs, uses
 
 
@@ -183,7 +183,7 @@ def test_function_preview_truncates_to_signature_plus_body_lines():
     tree = parse(SourceFile.from_text("m.py", text))
     owner = enclosing_function_node(tree, 16)
     defs = definitions_before(tree, 16)
-    uses = identifiers_used(owner)
+    uses = set(reference_sets(owner).used)
     (dep,) = explicit_deps(defs, uses, owner, body_preview_lines=8)
     preview_lines = dep.preview.splitlines()
     assert preview_lines[0] == "def big(n):"

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repolens import gateway
 from repolens.config import PipelineConfig, generation_config
 from repolens.errors import (
     BackendError,
@@ -71,9 +72,11 @@ def test_mock_fixture_reads_table_from_file(tmp_path):
 
 def test_http_chat_roundtrip_and_payload_shape():
     seen = {}
+    content_types = []
 
-    def handler(path, payload):
+    def handler(path, payload, headers):
         seen.update(payload)
+        content_types.append(headers["Content-Type"])
         return 200, chat_reply("completed_line()\nextra tail")
 
     doc = make_doc("value = ")
@@ -94,12 +97,13 @@ def test_http_chat_roundtrip_and_payload_shape():
     assert seen["temperature"] == 0.0
     assert seen["seed"] == 123
     assert seen["stop"] == ["###"]
+    assert content_types == ["application/json"]
 
 
 def test_http_chat_retries_on_server_error_then_succeeds():
     calls = {"n": 0}
 
-    def handler(path, payload):
+    def handler(path, payload, headers):
         calls["n"] += 1
         if calls["n"] < 3:
             return 500, {"error": "boom"}
@@ -114,7 +118,7 @@ def test_http_chat_retries_on_server_error_then_succeeds():
 
 
 def test_http_chat_gives_up_after_retry_budget():
-    def handler(path, payload):
+    def handler(path, payload, headers):
         return 503, {"error": "always down"}
 
     with http_stub(handler) as url:
@@ -127,7 +131,7 @@ def test_http_chat_gives_up_after_retry_budget():
 def test_http_chat_client_error_fails_immediately():
     calls = {"n": 0}
 
-    def handler(path, payload):
+    def handler(path, payload, headers):
         calls["n"] += 1
         return 404, {"error": "no such route"}
 
@@ -140,7 +144,7 @@ def test_http_chat_client_error_fails_immediately():
 
 
 def test_http_chat_timeout_becomes_backend_timeout():
-    def handler(path, payload):
+    def handler(path, payload, headers):
         time.sleep(0.5)
         return 200, chat_reply("late")
 
@@ -150,8 +154,25 @@ def test_http_chat_timeout_becomes_backend_timeout():
             generate(make_doc("x"), cfg)
 
 
+def test_http_chat_unreachable_endpoint_fails_without_retry(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    cfg = gen_cfg(backend="http_chat", endpoint="http://127.0.0.1:9/", timeout=0.5)
+    with pytest.raises(BackendError) as excinfo:
+        generate(make_doc("x"), cfg)
+    assert not isinstance(excinfo.value, BackendTimeoutError)
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("url", ["file:///dev/null", "ftp://127.0.0.1:9/", "not a url"])
+def test_post_json_rejects_urls_that_are_not_http(url):
+    with pytest.raises(BackendError) as excinfo:
+        gateway.post_json(url, {}, timeout=0.5)
+    assert type(excinfo.value) is BackendError
+
+
 def test_http_chat_malformed_reply_raises():
-    def handler(path, payload):
+    def handler(path, payload, headers):
         return 200, {"no_choices": True}
 
     with http_stub(handler) as url:

@@ -310,29 +310,13 @@ def test_ablate_unknown_variant_rejected(repo):
     assert "no-cc" in ABLATION_VARIANTS
 
 
-def test_complete_task_closes_only_the_scorer_it_made(repo, monkeypatch):
-    closed = []
-    close = retrieval.DenseScorer.close
-
-    def recording_close(scorer):
-        closed.append(scorer)
-        close(scorer)
-
-    monkeypatch.setattr(retrieval.DenseScorer, "close", recording_close)
-
-    def handler(path, payload):
+def test_complete_task_scores_with_dense_endpoint(repo):
+    def handler(path, payload, headers):
         return 200, {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
 
     with http_stub(handler) as url:
-        cfg = PipelineConfig(embedding_endpoint=url)
-        made = complete_task(make_task(repo), cfg)
-        assert len(closed) == 1
-        assert not [d for d in made.bundle.diagnostics if d.code == "embedding_fallback"]
-
-        given = retrieval.DenseScorer(url)
-        complete_task(make_task(repo), cfg, scorer=given)
-        assert len(closed) == 1 and closed[0] is not given
-        given.close()
+        result = complete_task(make_task(repo), PipelineConfig(embedding_endpoint=url))
+    assert not [d for d in result.bundle.diagnostics if d.code == "embedding_fallback"]
 
 
 def project_section(result) -> str:

@@ -16,7 +16,7 @@ from repolens.syntax import (
     SourceFile,
     Span,
     enclosing_function_node,
-    identifiers_used,
+    reference_sets,
     imports_of,
     load_source,
     parse,
@@ -58,9 +58,9 @@ def _record(module_path: str, *bound: tuple[str, str]) -> ImportRecord:
 
 
 def _classification(rec, module_map, diagnostics=None):
-    """The origin ``cross_module_deps`` records on the import."""
-    cross_module_deps([rec], set(), module_map, diagnostics)
-    return rec.classification
+    """The origin ``cross_module_deps`` gives the import's one binding."""
+    (dep,) = cross_module_deps([rec], set(), module_map, diagnostics)
+    return dep.origin
 
 
 def test_module_map_registers_every_source_file(tmp_path):
@@ -171,7 +171,7 @@ def test_ambiguous_suffix_resolves_deterministically(tmp_path):
     mmap = build_module_map(tmp_path)
     rec = _record("common", ("shared", "shared"))
     (dep,) = cross_module_deps([rec], {"shared"}, mmap, diagnostics)
-    assert rec.classification == CROSS_FILE
+    assert dep.origin == CROSS_FILE
     assert [d.code for d in diagnostics] == ["ambiguous_suffix"]
     assert '"x"' in dep.resolved.code
 
@@ -181,7 +181,7 @@ def test_pipeline_scenario_partition(tmp_path):
     file = load_source(tmp_path, "main.py")
     tree = parse(file)
     owner = enclosing_function_node(tree, 9)
-    uses = identifiers_used(owner)
+    uses = set(reference_sets(owner).used)
     mmap = build_module_map(tmp_path)
     deps = cross_module_deps(imports_of(tree), uses, mmap)
 
@@ -228,7 +228,7 @@ def test_every_bound_alias_classified_exactly_once(tmp_path):
     file = load_source(tmp_path, "main.py")
     tree = parse(file)
     owner = enclosing_function_node(tree, 9)
-    uses = identifiers_used(owner)
+    uses = set(reference_sets(owner).used)
     imports = imports_of(tree)
     deps = cross_module_deps(imports, uses, build_module_map(tmp_path))
 
@@ -239,8 +239,8 @@ def test_every_bound_alias_classified_exactly_once(tmp_path):
     assert got == expected
     for d in deps:
         assert d.dep_kind == ("explicit" if d.alias in uses else "potential")
-    for rec in imports:
-        assert rec.classification in (CROSS_FILE, EXTERNAL)
+    for d in deps:
+        assert d.origin in (CROSS_FILE, EXTERNAL)
 
 
 def test_relative_import_resolves_through_package(tmp_path):

@@ -31,7 +31,7 @@ from repolens.retrieval import (
 from repolens.syntax import (
     definitions_before,
     enclosing_function_node,
-    identifiers_used,
+    reference_sets,
     imports_of,
     load_source,
     parse,
@@ -113,7 +113,7 @@ def prompt_inputs(tmp_path):
     slice_ = local_slice(tree, CURSOR)
     owner = enclosing_function_node(tree, CURSOR)
     defs = definitions_before(tree, CURSOR)
-    uses = identifiers_used(owner)
+    uses = set(reference_sets(owner).used)
     bundle = Bundle(
         file=file,
         line=CURSOR,

@@ -37,7 +37,6 @@ from repolens.syntax import (
     SyntaxNode,
     definitions_before,
     enclosing_function_node,
-    identifiers_used,
     imports_of,
     load_source,
     parse,
@@ -158,7 +157,7 @@ def _dep_bundle(tmp_path, main_text: str, extra_files: dict[str, str] | None = N
     slice_ = local_slice(tree, line)
     owner = enclosing_function_node(tree, line)
     defs = definitions_before(tree, line)
-    uses = identifiers_used(owner) if owner is not None else set()
+    uses = set(reference_sets(owner).used) if owner is not None else set()
     file_deps = explicit_deps(defs, uses, owner) + potential_deps(defs, uses)
     project_deps = cross_module_deps(imports_of(tree), uses, build_module_map(tmp_path))
     return SimpleNamespace(
@@ -380,7 +379,7 @@ def _oracle_base_names(class_node: SyntaxNode) -> set[str]:
         return set()
     names: set[str] = set()
     for child in class_node.children[open_idx + 1 : close_idx]:
-        names |= identifiers_used(child)
+        names |= set(reference_sets(child).used)
     return names
 
 
@@ -390,7 +389,7 @@ def _oracle_reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
     if not code.strip():
         return set(), set(), set()
     tree = parse(SourceFile.from_text("node.py", code))
-    used = identifiers_used(tree.root)
+    used = set(reference_sets(tree.root).used)
     called: set[str] = set()
     bases: set[str] = set()
     for node in tree.root.walk():

@@ -404,7 +404,10 @@ def test_dense_scorer_ranks_by_cosine():
         "off axis": [0.0, 1.0],
     }
 
-    def handler(path, payload):
+    content_types = []
+
+    def handler(path, payload, headers):
+        content_types.append(headers["Content-Type"])
         return 200, {"vectors": [vectors[t] for t in payload["texts"]]}
 
     # hand-built snippets keep the text-to-vector mapping obvious
@@ -420,6 +423,7 @@ def test_dense_scorer_ranks_by_cosine():
     assert [s.snippet_id for s, _ in top] == ["near", "off"]
     assert top[0][1] == 1.0
     assert top[1][1] == 0.0
+    assert set(content_types) == {"application/json"}
 
 
 def test_dense_scorer_failure_falls_back_to_lexical():
@@ -436,8 +440,23 @@ def test_dense_scorer_failure_falls_back_to_lexical():
     assert any(d.code == "embedding_fallback" for d in diagnostics)
 
 
+def test_dense_scorer_server_error_falls_back_to_lexical():
+    def handler(path, payload, headers):
+        return 500, {"error": "boom"}
+
+    class Holder:
+        snippets = [make_snippet("a", {"shared", "one"}), make_snippet("b", {"unrelated"})]
+
+    diagnostics = []
+    with http_stub(handler) as url:
+        scorer = DenseScorer(endpoint=url)
+        top = semantic_candidates(Holder, "shared thing", n=2, scorer=scorer, diagnostics=diagnostics)
+    assert [s.snippet_id for s, _ in top] == ["a", "b"]
+    assert [d.code for d in diagnostics] == ["embedding_fallback"]
+
+
 def test_dense_scorer_malformed_reply_raises():
-    def handler(path, payload):
+    def handler(path, payload, headers):
         return 200, {"unexpected": []}
 
     with http_stub(handler) as url:
@@ -447,7 +466,7 @@ def test_dense_scorer_malformed_reply_raises():
 
 
 def _recording_embedder(posted):
-    def handler(path, payload):
+    def handler(path, payload, headers):
         posted.append(list(payload["texts"]))
         return 200, {"vectors": [[float(len(t)), float(t.count("_")) + 1.0] for t in payload["texts"]]}
 

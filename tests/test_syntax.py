@@ -19,7 +19,7 @@ from repolens.syntax import (
     Span,
     definitions_before,
     enclosing_function_node,
-    identifiers_used,
+    reference_sets,
     imports_of,
     parse,
 )
@@ -234,13 +234,13 @@ def test_definitions_before_excludes_current_line():
 def test_identifiers_used_reads_off_references():
     tree = _tree(DEMO)
     node = enclosing_function_node(tree, 15)
-    used = identifiers_used(node)
+    used = set(reference_sets(node).used)
     assert used == {"os", "path", "pd", "local", "process_data", "frame", "MAX"}
 
 
 def test_identifiers_used_excludes_attribute_and_kwarg_names():
     tree = _tree("def f(frame):\n    out = pd.read_csv(frame, sep=',')\n")
-    used = identifiers_used(enclosing_function_node(tree, 1))
+    used = set(reference_sets(enclosing_function_node(tree, 1)).used)
     assert "read_csv" not in used
     assert "sep" not in used
     assert used == {"pd", "frame"}
@@ -248,7 +248,7 @@ def test_identifiers_used_excludes_attribute_and_kwarg_names():
 
 def test_identifiers_used_empty_body():
     tree = _tree("def f():\n    pass\n")
-    assert identifiers_used(enclosing_function_node(tree, 1)) == set()
+    assert set(reference_sets(enclosing_function_node(tree, 1)).used) == set()
 
 
 def _ast_loads(text: str) -> set[str]:
@@ -264,7 +264,7 @@ def _ast_loads(text: str) -> set[str]:
 def test_identifiers_used_matches_ast_load_oracle_on_fixtures():
     for text in (THREE_FUNCS, DEMO, NESTED):
         tree = _tree(text)
-        assert identifiers_used(tree.root) == _ast_loads(text)
+        assert set(reference_sets(tree.root).used) == _ast_loads(text)
 
 
 def test_identifiers_used_matches_ast_load_oracle_on_real_corpus():
@@ -273,7 +273,7 @@ def test_identifiers_used_matches_ast_load_oracle_on_real_corpus():
     for path in corpus:
         text = path.read_text()
         tree = _tree(text, path.name)
-        assert identifiers_used(tree.root) == _ast_loads(text), path.name
+        assert set(reference_sets(tree.root).used) == _ast_loads(text), path.name
 
 
 def test_imports_of_plain_and_aliased():
