@@ -14,8 +14,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
 from .errors import ConfigError
 from .gateway import GenerationConfig
 
@@ -153,6 +151,8 @@ def load_config(
     merged: dict[str, object] = {}
 
     if path is not None:
+        import yaml  # only a config file needs the YAML parser
+
         try:
             doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:

@@ -168,6 +168,10 @@ def load_tasks(tasks_path: Path | str) -> list[CompletionTask]:
             raise ValueError(f"tasks file line {lineno}: unknown fields {sorted(unknown)}")
         if not isinstance(row["line"], int) or isinstance(row["line"], bool) or row["line"] < 1:
             raise ValueError(f"tasks file line {lineno}: line must be a 1-based integer")
+        for key in ("repo", "file", "prefix_override"):
+            value = row.get(key)  # a null prefix_override counts as absent
+            if not isinstance(value, str) and (value is not None or key != "prefix_override"):
+                raise ValueError(f"tasks file line {lineno}: {key} must be a string")
         task_id = str(row["task_id"])
         if task_id in seen:
             raise ValueError(f"tasks file line {lineno}: duplicate task id {task_id!r}")

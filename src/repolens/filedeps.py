@@ -2,9 +2,9 @@
 
 Pre-cursor definitions split into two buckets against the usage set of the
 target function: names both defined and used are explicit dependencies,
-names defined but unused are potential ones. Function-internal
-self-references (locals shadowing a module name, the function calling
-itself) never count as dependencies. At script scope there is no usage set,
+names defined but unused are potential ones. Names the function binds
+(locals shadowing a module name, its own name when it calls itself) never
+count as dependencies. At script scope there is no usage set,
 so every pre-cursor definition lands in the potential bucket.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .syntax import SymbolRecord, SyntaxNode, declared_name
+from .syntax import SymbolRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,18 +24,6 @@ class FileDependency:
     symbol: SymbolRecord
     dep_kind: str  # explicit | potential
     preview: str
-
-
-def local_bindings(owner: SyntaxNode | None) -> set[str]:
-    """Names bound inside the owner function: parameters, assignment
-    targets, loop variables, nested definitions."""
-    if owner is None:
-        return set()
-    return {
-        leaf.value
-        for leaf in owner.leaves()
-        if leaf.kind == "name" and leaf.is_def and leaf.value
-    }
 
 
 def code_preview(code: str, body_lines: int) -> str:
@@ -62,25 +50,20 @@ def _preview(symbol: SymbolRecord, body_lines: int) -> str:
 def explicit_deps(
     defs: list[SymbolRecord],
     uses: set[str],
-    owner: SyntaxNode | None,
+    owner: SymbolRecord | None,
     *,
     body_preview_lines: int = PipelineConfig.body_preview_lines,
 ) -> list[FileDependency]:
     """Definitions whose names the target function actually references,
-    excluding its own name and anything it binds locally. Empty at script
-    scope (no owner means no usage matching)."""
+    excluding what the function binds (its own name included). Empty at
+    script scope (no owner means no usage matching)."""
     if owner is None:
         return []
-    bindings = local_bindings(owner)
-    name_leaf = declared_name(owner)
-    owner_name = name_leaf.value if name_leaf else None
-    effective = uses - bindings
-    if owner_name:
-        effective.discard(owner_name)
+    effective = uses.difference(owner.refs.bound)
     return [
         FileDependency(symbol=d, dep_kind="explicit", preview=_preview(d, body_preview_lines))
         for d in defs
-        if d.name in effective and d.name != owner_name
+        if d.name in effective
     ]
 
 

@@ -11,7 +11,7 @@ back edges ``loop_back``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     SourceFile,
@@ -38,26 +38,24 @@ class LocalSlice:
     ``origin`` is ``function`` when the cursor sits inside a function (the
     slice starts at its def line) and ``script`` otherwise (slice starts at
     the top of the file). ``span`` ends at the cursor position. ``owner``
-    is the enclosing function's symbol record and ``owner_node`` its
-    definition node, both None at script origin.
+    is the enclosing function's symbol record, None at script origin.
     """
 
     code: str
     span: Span
     origin: str
     owner: SymbolRecord | None = None
-    owner_node: SyntaxNode | None = field(default=None, compare=False, repr=False)
 
 
 def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
     file = tree.file
     if not 0 <= line <= file.line_count:
         raise ValueError(f"cursor line {line} outside file with {file.line_count} lines")
-    owner_node = enclosing_function_node(tree, line)
-    if owner_node is not None:
-        start = owner_node.span.start_line
+    node = enclosing_function_node(tree, line)
+    if node is not None:
+        start = node.span.start_line
         origin = "function"
-        owner = symbol_from_definition(file, owner_node, "function")
+        owner = symbol_from_definition(file, node, "function")
     else:
         start = 0
         origin = "script"
@@ -68,7 +66,6 @@ def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
         span=Span(start, 0, line, 0),
         origin=origin,
         owner=owner,
-        owner_node=owner_node,
     )
 
 

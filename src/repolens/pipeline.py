@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import PipelineConfig
 from .errors import ConfigError, Diagnostic
 from .filedeps import FileDependency, explicit_deps, potential_deps
-from .funcflow import ControlFlowGraph, LocalSlice, build_cfg, local_slice, render_cfg
+from .funcflow import LocalSlice, build_cfg, local_slice, render_cfg
 from .projdeps import (
     CrossModuleDependency,
     ModuleMap,
@@ -75,7 +75,6 @@ class ContextBundle:
     file: SourceFile
     line: int
     slice_: LocalSlice
-    cfg: ControlFlowGraph
     cfg_text: str
     file_deps: list[FileDependency]
     project_deps: list[CrossModuleDependency]
@@ -111,21 +110,18 @@ def extract_context(
     file = load_source(repo_root, rel_file)
     tree = parse(file)
     slice_ = local_slice(tree, line)
-    owner_node = slice_.owner_node
     uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
     defs = definitions_before(tree, line)
-    file_deps = explicit_deps(defs, uses, owner_node, body_preview_lines=cfg.body_preview_lines)
+    file_deps = explicit_deps(defs, uses, slice_.owner, body_preview_lines=cfg.body_preview_lines)
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
     if module_map is None:
         module_map = build_module_map(repo_root, diagnostics)
     project_deps = cross_module_deps(imports_of(tree), uses, module_map, diagnostics)
-    cfg_graph = build_cfg(slice_)
     return ContextBundle(
         file=file,
         line=line,
         slice_=slice_,
-        cfg=cfg_graph,
-        cfg_text=render_cfg(cfg_graph),
+        cfg_text=render_cfg(build_cfg(slice_)),
         file_deps=file_deps,
         project_deps=project_deps,
         diagnostics=diagnostics,

@@ -31,8 +31,6 @@ _KIND_PRIORITY = {
     "symbol": 5,
 }
 
-_RELATIONS = ("center_link", "invocation", "usage", "inheritance")
-
 
 @dataclass(frozen=True, slots=True)
 class GraphNode:

@@ -52,7 +52,6 @@ class SnippetIndex:
     its text, so a later build can tell which files it may reuse.
     """
 
-    root: str
     window: int
     stride: int
     snippets: list[Snippet]
@@ -167,9 +166,7 @@ def build_index(
                     ast_paths=ast_paths_of(chunk),
                 )
             )
-    return SnippetIndex(
-        root=str(root), window=window, stride=stride, snippets=snippets, digests=digests
-    )
+    return SnippetIndex(window=window, stride=stride, snippets=snippets, digests=digests)
 
 
 def save_index(index: SnippetIndex, path: Path | str) -> None:
@@ -179,7 +176,6 @@ def save_index(index: SnippetIndex, path: Path | str) -> None:
     slot = {p: i for i, p in enumerate(table)}
     doc = {
         "version": _INDEX_VERSION,
-        "root": index.root,
         "window": index.window,
         "stride": index.stride,
         "digests": index.digests,
@@ -225,7 +221,6 @@ def load_index(path: Path | str) -> SnippetIndex | None:
         ]
         digests = dict(doc["digests"])
         index = SnippetIndex(
-            root=doc["root"],
             window=doc["window"],
             stride=doc["stride"],
             snippets=snippets,
@@ -329,7 +324,7 @@ def semantic_candidates(
 
 def structure_score(query_paths: set[str] | frozenset[str], candidate_paths: set[str] | frozenset[str]) -> float:
     """Jaccard similarity of two AST path sets; 0 when both are empty."""
-    return _jaccard(set(query_paths), set(candidate_paths))
+    return _jaccard(query_paths, candidate_paths)
 
 
 def rerank(

@@ -11,6 +11,8 @@ Conventions:
   * node spans cover the first through last retained token; layout trivia
     (newlines, the end marker, ``;`` separators) is dropped during
     conversion, as are ``simple_stmt`` wrappers
+  * nodes carry no parent pointer, so trees are acyclic; :func:`reference_sets`
+    judges each name's position from its parent on the way down
 """
 
 from __future__ import annotations
@@ -149,7 +151,6 @@ class SyntaxNode:
     children: tuple["SyntaxNode", ...] = ()
     value: str | None = None
     is_def: bool = False
-    parent: "SyntaxNode | None" = field(default=None, repr=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -178,11 +179,23 @@ class SyntaxTree:
 
 @dataclass(frozen=True, slots=True)
 class References:
-    """Names a piece of code reads, calls directly, and inherits from."""
+    """Names a piece of code reads, calls directly, inherits from, and binds.
+
+    ``used``: names in reference position. Definitions, attribute names
+    after a dot, keyword-argument names and import paths are excluded, so
+    the base of ``pd.read_csv`` counts while ``read_csv`` does not.
+    ``called``: names called directly (``f(...)``, not ``a.f(...)``).
+    ``bases``: names read in the base lists of the classes it defines.
+    ``bound``: names it binds -- parameters; assignment, loop, ``with``,
+    ``except`` and comprehension targets; nested definition names; import
+    aliases -- in source order, each once. An attribute target
+    (``self.x = ...``) binds nothing.
+    """
 
     used: frozenset[str] = frozenset()
     called: frozenset[str] = frozenset()
     bases: frozenset[str] = frozenset()
+    bound: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +235,6 @@ def parse(file: SourceFile) -> SyntaxTree:
         root = SyntaxNode(kind="module", span=Span(0, 0, 0, 0))
     else:
         root = converted[0]
-    _assign_parents(root)
     return SyntaxTree(root=root, file=file, parso_module=module)
 
 
@@ -281,15 +293,6 @@ def _convert(pnode) -> list[SyntaxNode]:
     return [SyntaxNode(kind=kind, span=_union_span(kids), children=tuple(kids))]
 
 
-def _assign_parents(root: SyntaxNode) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            child.parent = node
-            stack.append(child)
-
-
 def declared_name(node: SyntaxNode) -> SyntaxNode | None:
     """The name leaf a function/class definition binds, if any."""
     for child in node.children:
@@ -333,27 +336,6 @@ def _module_statements(root: SyntaxNode) -> Iterator[SyntaxNode]:
             yield child
 
 
-def _attribute_position(leaf: SyntaxNode) -> bool:
-    parent = leaf.parent
-    return (
-        parent is not None
-        and parent.kind == "trailer"
-        and bool(parent.children)
-        and parent.children[0].value == "."
-    )
-
-
-def _keyword_argument_position(leaf: SyntaxNode) -> bool:
-    parent = leaf.parent
-    return (
-        parent is not None
-        and parent.kind == "argument"
-        and len(parent.children) >= 2
-        and parent.children[0] is leaf
-        and parent.children[1].value == "="
-    )
-
-
 def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
     """Module-scope functions, classes and assigned variables whose
     definition ends strictly before ``line``; redefinitions keep the latest
@@ -373,91 +355,81 @@ def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
         elif stmt.kind == "expression_statement":
             code = tree.file.span_text(stmt.span)
             refs = reference_sets(stmt)
-            for leaf in stmt.leaves():
-                if leaf.kind == "name" and leaf.is_def and not _attribute_position(leaf):
-                    latest[leaf.value or ""] = SymbolRecord(
-                        name=leaf.value or "", sym_kind="variable", def_span=stmt.span, code=code, refs=refs
-                    )
+            for name in refs.bound:
+                latest[name] = SymbolRecord(
+                    name=name, sym_kind="variable", def_span=stmt.span, code=code, refs=refs
+                )
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
-def _base_names(class_node: SyntaxNode) -> set[str]:
-    open_idx = close_idx = None
-    for i, child in enumerate(class_node.children):
-        if child.kind == "operator" and child.value == "(":
-            open_idx = i
-        elif child.kind == "operator" and child.value == ")":
-            close_idx = i
-            break
-    if open_idx is None or close_idx is None:
-        return set()
-    names: set[str] = set()
-    for child in class_node.children[open_idx + 1 : close_idx]:
-        names |= reference_sets(child).used
-    return names
-
-
 def reference_sets(node: SyntaxNode) -> References:
-    """What ``node``'s code references, in one pass over the subtree.
+    """What ``node``'s code references and binds, in one pass over the subtree.
 
-    ``used``: names in reference position. Definitions, attribute names
-    after a dot, keyword-argument names and import paths are excluded, so
-    the base of ``pd.read_csv`` counts while ``read_csv`` does not.
-    ``called``: names called directly (``f(...)``, not ``a.f(...)``).
-    ``bases``: names read in the base lists of the classes it defines.
+    Each name's position is judged from its parent while walking down: the
+    walk does not enter attribute trailers (``.name``) or f-string
+    conversions, skips the name of a keyword argument, and marks the
+    parenthesised children of a class definition as its base list.
     """
     used: set[str] = set()
     called: set[str] = set()
     bases: set[str] = set()
-    stack = [node]
+    bound: dict[str, None] = {}
+    in_bases = False
+    stack: list[SyntaxNode | None] = [node]
     while stack:
         current = stack.pop()
-        kind = current.kind
-        if kind in ("import_statement", "import_from_statement"):
+        if current is None:  # a class base list starts or ends here
+            in_bases = not in_bases
             continue
+        kind = current.kind
         children = current.children
         if not children:
-            if (
-                kind == "name"
-                and not current.is_def
-                and current.value
-                and not (current.parent is not None and current.parent.kind == "fstring_conversion")
-                and not _attribute_position(current)
-                and not _keyword_argument_position(current)
-            ):
-                used.add(current.value)
+            if kind == "name" and current.value:
+                if current.is_def:
+                    bound.setdefault(current.value)
+                else:
+                    used.add(current.value)
+                    if in_bases:
+                        bases.add(current.value)
             continue
-        stack.extend(children)
+        if kind in ("import_statement", "import_from_statement"):
+            for leaf in current.leaves():
+                if leaf.kind == "name" and leaf.is_def and leaf.value:
+                    bound.setdefault(leaf.value)
+            continue
+        if kind == "fstring_conversion" or (kind == "trailer" and children[0].value == "."):
+            continue
         if kind == "class_definition":
-            bases |= _base_names(current)
+            values = [child.value for child in children]
+            if "(" in values and ")" in values:
+                # 'class' NAME '(' bases ')' ':' block, pushed in reverse
+                lo, hi = values.index("(") + 1, values.index(")")
+                stack.extend(reversed(children[hi:]))
+                stack.append(None)
+                stack.extend(reversed(children[lo:hi]))
+                stack.append(None)
+                children = children[:lo]
+        elif kind == "argument" and len(children) >= 2 and children[1].value == "=" and children[0].is_leaf:
+            children = children[1:]
         elif kind in ("atom_expr", "power") and len(children) >= 2:
             head, trailer = children[0], children[1]
             if (
                 head.kind == "name"
                 and not head.is_def
                 and trailer.kind == "trailer"
-                and trailer.children
                 and trailer.children[0].value == "("
             ):
                 called.add(head.value or "")
-    return References(frozenset(used), frozenset(called), frozenset(bases))
-
-
-def _file_package_parts(path: str) -> list[str] | None:
-    parts = list(PurePosixPath(path).with_suffix("").parts)
-    if not parts:
-        return None
-    if parts[-1] == "__init__":
-        return parts[:-1]
-    return parts[:-1]
+        stack.extend(reversed(children))
+    return References(frozenset(used), frozenset(called), frozenset(bases), tuple(bound))
 
 
 def _resolve_relative(path: str, level: int, tail: str) -> str | None:
-    package = _file_package_parts(path)
-    if package is None or level - 1 > len(package):
+    # level 1 is the file's own package: its path minus the file name
+    parts = PurePosixPath(path).with_suffix("").parts
+    if level > len(parts):
         return None
-    base = package[: len(package) - (level - 1)]
-    joined = ".".join(base)
+    joined = ".".join(parts[: len(parts) - level])
     if tail:
         return f"{joined}.{tail}" if joined else tail
     return joined or None

@@ -194,6 +194,17 @@ def test_evaluate_empty_tasks_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "field, value", [("repo", 7), ("file", ["main.py"]), ("prefix_override", 5)]
+)
+def test_evaluate_wrongly_typed_task_field_exits_2(runner, tmp_path, field, value):
+    rows = [TASK_ROWS[0], {**TASK_ROWS[1], field: value}]
+    tasks = write_bench(tmp_path, rows)
+    result = runner.invoke(main, ["evaluate", "--tasks", str(tasks)])
+    assert result.exit_code == 2, result.output
+    assert f"tasks file line 2: {field} must be a string" in result.output
+
+
 def test_evaluate_unknown_ablation_exits_2(runner, tmp_path):
     tasks = write_bench(tmp_path)
     result = runner.invoke(main, ["evaluate", "--tasks", str(tasks), "--ablate", "telepathy"])

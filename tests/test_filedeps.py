@@ -9,14 +9,25 @@ on every fixture in dep_cases/.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
-from repolens.filedeps import explicit_deps, local_bindings, potential_deps
+from repolens.filedeps import explicit_deps, potential_deps
+from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
     definitions_before,
     enclosing_function_node,
     reference_sets,
     parse,
+)
+
+ROOT = Path(__file__).parent.parent
+BINDING_DIRS = (
+    ROOT / "tests" / "dep_cases",
+    ROOT / "tests" / "corpus_cases",
+    ROOT / "src" / "repolens",
+    ROOT / "perfbench" / "corpora" / "repolens_7369f41" / "repolens",
+    ROOT / "perfbench" / "corpora" / "stdlib_email" / "email",
 )
 
 
@@ -74,9 +85,9 @@ def _ast_module_defs(text: str, line: int) -> list[str]:
 
 
 def _inputs(tree, line):
-    owner = enclosing_function_node(tree, line)
+    owner = local_slice(tree, line).owner
     defs = definitions_before(tree, line)
-    uses = set(reference_sets(owner).used) if owner is not None else set()
+    uses = set(owner.refs.used) if owner is not None else set()
     return owner, defs, uses
 
 
@@ -173,17 +184,48 @@ def test_local_bindings_cover_params_and_targets():
         )
     )
     owner = enclosing_function_node(tree, 1)
-    assert local_bindings(owner) >= {"a", "b", "c", "d", "g"}
-    assert local_bindings(None) == set()
+    assert set(reference_sets(owner).bound) >= {"a", "b", "c", "d", "g"}
+
+
+def test_bindings_match_ast_oracle_on_every_function():
+    checked = 0
+    for directory in BINDING_DIRS:
+        paths = sorted(directory.rglob("*.py"))
+        assert paths, directory
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            ast_fns = {
+                node.lineno - 1: node
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            tree = parse(SourceFile.from_text(path.name, text))
+            for node in tree.root.walk():
+                if node.kind != "function_definition":
+                    continue
+                fn = ast_fns[node.span.start_line]
+                assert set(reference_sets(node).bound) == _ast_bindings(fn) | {fn.name}, (path.name, fn.name)
+                checked += 1
+    assert checked > 800
+
+
+def test_attribute_target_is_not_a_local_binding():
+    text = (
+        "cache = {}\n\n\n"
+        "class Store:\n    def fill(self):\n        self.cache = cache\n        return self.cache\n"
+    )
+    tree = parse(SourceFile.from_text("m.py", text))
+    owner, defs, uses = _inputs(tree, 6)
+    assert "cache" not in owner.refs.bound
+    assert [d.symbol.name for d in explicit_deps(defs, uses, owner)] == ["cache"]
+    assert potential_deps(defs, uses) == []
 
 
 def test_function_preview_truncates_to_signature_plus_body_lines():
     lines = "\n".join(f"    x{i} = {i}" for i in range(12))
     text = f"def big(n):\n{lines}\n\n\ndef target(q):\n    w = big(q)  # cursor\n"
     tree = parse(SourceFile.from_text("m.py", text))
-    owner = enclosing_function_node(tree, 16)
-    defs = definitions_before(tree, 16)
-    uses = set(reference_sets(owner).used)
+    owner, defs, uses = _inputs(tree, 16)
     (dep,) = explicit_deps(defs, uses, owner, body_preview_lines=8)
     preview_lines = dep.preview.splitlines()
     assert preview_lines[0] == "def big(n):"

@@ -140,8 +140,7 @@ def test_owner_function_found_once_per_extraction(repo, monkeypatch):
         monkeypatch.setattr(module, "enclosing_function_node", counted, raising=False)
     bundle = extract_context(repo, "main.py", CURSOR)
     assert calls == [CURSOR]
-    assert bundle.slice_.owner_node is not None
-    assert bundle.slice_.owner_node.span == bundle.slice_.owner.def_span
+    assert bundle.slice_.owner is not None
 
 
 def test_cursor_out_of_range_rejected(repo):

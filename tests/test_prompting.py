@@ -30,8 +30,6 @@ from repolens.retrieval import (
 )
 from repolens.syntax import (
     definitions_before,
-    enclosing_function_node,
-    reference_sets,
     imports_of,
     load_source,
     parse,
@@ -111,9 +109,9 @@ def prompt_inputs(tmp_path):
     file = load_source(tmp_path, "main.py")
     tree = parse(file)
     slice_ = local_slice(tree, CURSOR)
-    owner = enclosing_function_node(tree, CURSOR)
+    owner = slice_.owner
     defs = definitions_before(tree, CURSOR)
-    uses = set(reference_sets(owner).used)
+    uses = set(owner.refs.used)
     bundle = Bundle(
         file=file,
         line=CURSOR,

@@ -36,7 +36,6 @@ from repolens.syntax import (
     SymbolRecord,
     SyntaxNode,
     definitions_before,
-    enclosing_function_node,
     imports_of,
     load_source,
     parse,
@@ -155,9 +154,9 @@ def _dep_bundle(tmp_path, main_text: str, extra_files: dict[str, str] | None = N
     tree = parse(file)
     line = cursor if cursor is not None else file.line_count - 1
     slice_ = local_slice(tree, line)
-    owner = enclosing_function_node(tree, line)
+    owner = slice_.owner
     defs = definitions_before(tree, line)
-    uses = set(reference_sets(owner).used) if owner is not None else set()
+    uses = set(owner.refs.used) if owner is not None else set()
     file_deps = explicit_deps(defs, uses, owner) + potential_deps(defs, uses)
     project_deps = cross_module_deps(imports_of(tree), uses, build_module_map(tmp_path))
     return SimpleNamespace(

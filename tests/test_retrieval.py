@@ -101,6 +101,10 @@ def test_index_cache_roundtrip(tmp_path):
     assert [s.tokens for s in loaded.snippets] == [s.tokens for s in index.snippets]
     assert [s.ast_paths for s in loaded.snippets] == [s.ast_paths for s in index.snippets]
     assert loaded == index
+    # caches written while the index still recorded its root keep loading
+    doc = json.loads(cache.read_text())
+    cache.write_text(json.dumps({**doc, "root": str(tmp_path)}))
+    assert load_index(cache) == index
 
 
 def test_index_cache_stores_each_ast_path_once(tmp_path):
@@ -127,7 +131,6 @@ def _v1_doc(index):
     """The version-1 layout: inline AST path strings, no digests."""
     return {
         "version": 1,
-        "root": index.root,
         "window": index.window,
         "stride": index.stride,
         "snippets": [
