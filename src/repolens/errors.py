@@ -13,11 +13,6 @@ class RepoLensError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedGrammarError(RepoLensError):
-    """The parse produced a node or token kind outside the published
-    vocabulary."""
-
-
 class ConfigError(RepoLensError):
     """Configuration document contains unknown keys or out-of-range values."""
 

@@ -168,11 +168,14 @@ def load_tasks(tasks_path: Path | str) -> list[CompletionTask]:
             raise ValueError(f"tasks file line {lineno}: unknown fields {sorted(unknown)}")
         if not isinstance(row["line"], int) or isinstance(row["line"], bool) or row["line"] < 1:
             raise ValueError(f"tasks file line {lineno}: line must be a 1-based integer")
-        for key in ("repo", "file", "prefix_override"):
+        for key in ("repo", "file", "ground_truth", "prefix_override"):
             value = row.get(key)  # a null prefix_override counts as absent
             if not isinstance(value, str) and (value is not None or key != "prefix_override"):
                 raise ValueError(f"tasks file line {lineno}: {key} must be a string")
-        task_id = str(row["task_id"])
+        task_id = row["task_id"]
+        if not isinstance(task_id, (str, int)) or isinstance(task_id, bool):
+            raise ValueError(f"tasks file line {lineno}: task_id must be a string or an integer")
+        task_id = str(task_id)
         if task_id in seen:
             raise ValueError(f"tasks file line {lineno}: duplicate task id {task_id!r}")
         seen.add(task_id)
@@ -186,7 +189,7 @@ def load_tasks(tasks_path: Path | str) -> list[CompletionTask]:
                 file=row["file"],
                 line=row["line"] - 1,
                 prefix_override=row.get("prefix_override"),
-                ground_truth=str(row["ground_truth"]),
+                ground_truth=row["ground_truth"],
             )
         )
     if not tasks:

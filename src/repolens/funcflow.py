@@ -147,16 +147,16 @@ class _Builder:
         kind = stmt.kind
         if kind in ("operator", "keyword", "error_leaf"):
             return None, []
-        if kind == "return_statement":
+        if kind == "return_stmt":
             node = self.stmt_node(stmt, "return")
             self.connect(node, self.exit, "seq")
             return node, []
-        if kind == "if_statement":
+        if kind == "if_stmt":
             if depth < _MAX_DEPTH:
-                return self.build_if(stmt, depth)
+                return self.build_if(_split_clauses(stmt.children, ("if", "elif", "else")), depth)
             node = self.stmt_node(stmt, collapsed=True)
             return node, [(node, "seq")]
-        if kind in ("for_statement", "while_statement"):
+        if kind in ("for_stmt", "while_stmt"):
             if depth < _MAX_DEPTH:
                 return self.build_loop(stmt, depth)
             node = self.stmt_node(stmt, collapsed=True)
@@ -168,16 +168,10 @@ class _Builder:
         node = self.stmt_node(stmt)
         return node, [(node, "seq")]
 
-    def build_if(self, stmt: SyntaxNode, depth: int) -> tuple[int | None, list[_Tail]]:
-        clauses = _split_clauses(stmt.children, ("if", "elif", "else"))
-        if not clauses:
-            node = self.stmt_node(stmt)
-            return node, [(node, "seq")]
-        return self._chain_if(stmt, clauses, depth)
-
-    def _chain_if(
-        self, stmt: SyntaxNode, clauses: list[tuple[SyntaxNode, list[SyntaxNode]]], depth: int
+    def build_if(
+        self, clauses: list[tuple[SyntaxNode, list[SyntaxNode]]], depth: int
     ) -> tuple[int, list[_Tail]]:
+        # clauses[0] is the 'if' clause: parso opens every if_stmt with its keyword
         kw, body = clauses[0]
         line = kw.span.start_line
         node = self.add("if", self.file.line_text(line).strip(), line + self.line_offset)
@@ -202,17 +196,16 @@ class _Builder:
                 tails.extend(branch_tails)
         else:
             # elif: desugar into a nested if hanging off the false edge
-            nested, nested_tails = self._chain_if(stmt, rest, depth)
+            nested, nested_tails = self.build_if(rest, depth)
             self.connect(node, nested, "false")
             tails.extend(nested_tails)
         return node, tails
 
     def build_loop(self, stmt: SyntaxNode, depth: int) -> tuple[int, list[_Tail]]:
-        keyword = "while" if stmt.kind == "while_statement" else "for"
+        keyword = "while" if stmt.kind == "while_stmt" else "for"
         clauses = _split_clauses(stmt.children, (keyword, "else"))
         node = self.add(keyword, self.header_text(stmt, collapsed=False), stmt.span.start_line + self.line_offset)
-        body = clauses[0][1] if clauses else []
-        head, body_tails = self.build_block(body, depth + 1)
+        head, body_tails = self.build_block(clauses[0][1], depth + 1)
         if head is not None:
             self.connect(node, head, "true")
             for tail, _label in body_tails:
@@ -241,11 +234,9 @@ class _Builder:
             if child.kind == "except_clause" or (child.kind == "keyword" and child.value == "except"):
                 take = False
                 continue
-            if child.kind == "block" and take:
+            if child.kind == "suite" and take:
                 stmts.extend(child.children)
                 take = False
-            elif child.kind == "block":
-                continue
         head, tails = self.build_block(stmts, depth)
         if head is None:
             node = self.stmt_node(stmt, collapsed=True)
@@ -257,7 +248,7 @@ class _Builder:
         node = self.add("statement", header, stmt.span.start_line + self.line_offset)
         body: list[SyntaxNode] = []
         for child in stmt.children:
-            if child.kind == "block":
+            if child.kind == "suite":
                 body.extend(child.children)
         seen_colon = False
         if not body:
@@ -295,7 +286,7 @@ def _split_clauses(
             i += 1
         i += 1  # past ':'
         body: list[SyntaxNode] = []
-        if i < n and children[i].kind == "block":
+        if i < n and children[i].kind == "suite":
             body = list(children[i].children)
             i += 1
         else:
@@ -308,9 +299,9 @@ def _split_clauses(
 
 
 def _slice_statements(root: SyntaxNode, origin: str) -> list[SyntaxNode]:
-    if origin == "function" and root.children and root.children[0].kind == "function_definition":
+    if origin == "function" and root.children and root.children[0].kind == "funcdef":
         for child in root.children[0].children:
-            if child.kind == "block":
+            if child.kind == "suite":
                 return list(child.children)
         return []
     return list(root.children)

@@ -27,7 +27,7 @@ from .syntax import SourceFile, SyntaxNode, parse
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)

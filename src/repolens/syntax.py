@@ -1,16 +1,19 @@
 """Error-tolerant Python parsing and symbol-level queries.
 
 :func:`parse` runs parso and converts its tree into a concrete syntax tree
-(:class:`SyntaxNode`) with a fixed kind vocabulary, so analyzers never touch
-parso objects directly. parso keeps parsing through syntax errors and
-surfaces the broken region as ``error_node`` -- exactly what an unfinished
-file with a cursor in the middle looks like.
+(:class:`SyntaxNode`), so analyzers never touch parso objects directly. A
+node's kind is parso's own type name (``file_input``, ``funcdef``,
+``suite``, ``expr_stmt``, ``name``, ...). parso keeps parsing through syntax
+errors and surfaces the broken region as ``error_node`` -- exactly what an
+unfinished file with a cursor in the middle looks like.
 
 Conventions:
   * lines and columns are 0-based internally (the CLI converts at the edge)
   * node spans cover the first through last retained token; layout trivia
     (newlines, the end marker, ``;`` separators) is dropped during
-    conversion, as are ``simple_stmt`` wrappers
+    conversion, ``simple_stmt`` wrappers are spliced into their parent, and
+    ``async_funcdef``/``async_stmt`` are flattened into the inner
+    statement, which keeps its kind and gains the ``async`` keyword
   * nodes carry no parent pointer, so trees are acyclic; :func:`reference_sets`
     judges each name's position from its parent on the way down
 """
@@ -24,62 +27,9 @@ from typing import Iterator
 
 import parso
 
-from .errors import UnsupportedGrammarError
-
 _PYTHON_GRAMMAR_VERSION = "3.10"
 
-# Nonterminals of the published grammar the parser targets. Anything
-# outside this set (plus the canonical and leaf names below) is rejected at
-# parse time so analyzers can rely on a closed vocabulary.
-_PARSO_NONTERMINALS = frozenset(
-    """
-    and_expr and_test annassign arglist argument arith_expr assert_stmt async_funcdef async_stmt
-    atom atom_expr augassign break_stmt classdef comp_for comp_if comp_iter comp_op comparison
-    compound_stmt continue_stmt decorated decorator decorators del_stmt dictorsetmaker
-    dotted_as_name dotted_as_names dotted_name encoding_decl eval_input except_clause expr expr_stmt
-    exprlist factor file_input flow_stmt for_stmt fstring fstring_content fstring_conversion
-    fstring_expr fstring_format_spec funcdef global_stmt if_stmt import_as_name import_as_names
-    import_from import_name import_stmt lambdef namedexpr_test nonlocal_stmt not_test or_test
-    parameters pass_stmt power raise_stmt return_stmt shift_expr simple_stmt single_input sliceop
-    small_stmt star_expr stmt strings subscript subscriptlist suite sync_comp_for term test testlist
-    testlist_comp testlist_star_expr tfpdef trailer try_stmt typedargslist varargslist vfpdef
-    while_stmt with_item with_stmt xor_expr yield_arg yield_expr yield_stmt error_node param
-    """.split()
-)
-
-_LEAF_KINDS = frozenset(
-    {
-        "name",
-        "number",
-        "string",
-        "operator",
-        "keyword",
-        "fstring_start",
-        "fstring_string",
-        "fstring_end",
-        "error_leaf",
-    }
-)
-
-_KIND_MAP = {
-    "file_input": "module",
-    "funcdef": "function_definition",
-    "async_funcdef": "function_definition",
-    "classdef": "class_definition",
-    "if_stmt": "if_statement",
-    "for_stmt": "for_statement",
-    "while_stmt": "while_statement",
-    "return_stmt": "return_statement",
-    "import_name": "import_statement",
-    "import_from": "import_from_statement",
-    "expr_stmt": "expression_statement",
-    "suite": "block",
-    "decorated": "decorated_definition",
-}
-
 _DROPPED_LEAVES = frozenset({"newline", "endmarker"})
-
-VOCABULARY = frozenset(_KIND_MAP.values()) | _PARSO_NONTERMINALS | _LEAF_KINDS
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +91,11 @@ def load_source(root: Path | str, rel_path: str) -> SourceFile:
 class SyntaxNode:
     """One node of the normalized concrete syntax tree.
 
-    ``value`` is set for leaves (the token text); ``is_def`` marks name
-    leaves that bind a definition (function/class names, parameters,
-    assignment targets) rather than reference one.
+    ``kind`` is parso's type name for the node or token (see the module
+    docstring for what conversion normalises). ``value`` is set for leaves
+    (the token text); ``is_def`` marks name leaves that bind a definition
+    (function/class names, parameters, assignment targets) rather than
+    reference one.
     """
 
     kind: str
@@ -230,11 +182,7 @@ _GRAMMAR = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
 def parse(file: SourceFile) -> SyntaxTree:
     """Parse ``file`` into a normalized tree, recovering from syntax errors."""
     module = _GRAMMAR.parse(file.text, error_recovery=True)
-    converted = _convert(module)
-    if not converted:
-        root = SyntaxNode(kind="module", span=Span(0, 0, 0, 0))
-    else:
-        root = converted[0]
+    (root,) = _convert(module)
     return SyntaxTree(root=root, file=file, parso_module=module)
 
 
@@ -256,8 +204,6 @@ def _convert(pnode) -> list[SyntaxNode]:
         kind = pnode.type
         if kind in _DROPPED_LEAVES:
             return []
-        if kind not in _LEAF_KINDS:
-            raise UnsupportedGrammarError(f"unknown token kind {kind!r}")
         is_def = False
         if kind == "name":
             is_def = bool(pnode.is_definition())
@@ -277,20 +223,17 @@ def _convert(pnode) -> list[SyntaxNode]:
 
     if pnode.type in ("async_funcdef", "async_stmt"):
         # flatten the async wrapper into the inner statement so analyzers
-        # see a plain function_definition / for_statement / with_stmt
+        # see a plain funcdef / for_stmt / with_stmt
         inner = next((k for k in kids if not k.is_leaf), None)
         if inner is not None:
             merged = tuple(k for k in kids if k is not inner) + inner.children
             return [SyntaxNode(kind=inner.kind, span=_union_span(kids), children=merged)]
 
-    kind = _KIND_MAP.get(pnode.type, pnode.type)
-    if kind not in VOCABULARY:
-        raise UnsupportedGrammarError(f"unknown node kind {kind!r}")
     if not kids:
         if pnode.type == "file_input":
-            return [SyntaxNode(kind="module", span=Span(0, 0, 0, 0))]
+            return [SyntaxNode(kind="file_input", span=Span(0, 0, 0, 0))]
         return []
-    return [SyntaxNode(kind=kind, span=_union_span(kids), children=tuple(kids))]
+    return [SyntaxNode(kind=pnode.type, span=_union_span(kids), children=tuple(kids))]
 
 
 def declared_name(node: SyntaxNode) -> SyntaxNode | None:
@@ -316,10 +259,10 @@ def symbol_from_definition(file: SourceFile, node: SyntaxNode, sym_kind: str) ->
 
 
 def enclosing_function_node(tree: SyntaxTree, line: int) -> SyntaxNode | None:
-    """Innermost function_definition whose span contains ``line``."""
+    """Innermost ``funcdef`` whose span contains ``line``."""
     best: SyntaxNode | None = None
     for node in tree.root.walk():
-        if node.kind != "function_definition" or not node.span.contains_line(line):
+        if node.kind != "funcdef" or not node.span.contains_line(line):
             continue
         if best is None or node.span.start_line > best.span.start_line:
             best = node
@@ -328,12 +271,32 @@ def enclosing_function_node(tree: SyntaxTree, line: int) -> SyntaxNode | None:
 
 def _module_statements(root: SyntaxNode) -> Iterator[SyntaxNode]:
     for child in root.children:
-        if child.kind == "decorated_definition":
+        if child.kind == "decorated":
             for inner in child.children:
-                if inner.kind in ("function_definition", "class_definition"):
+                if inner.kind in ("funcdef", "classdef"):
                     yield inner
         else:
             yield child
+
+
+# Comprehension variables and lambda parameters bind in a scope of their own.
+_NESTED_SCOPES = frozenset({"sync_comp_for", "comp_for", "lambdef"})
+
+
+def _module_targets(stmt: SyntaxNode) -> Iterator[str]:
+    """Names a module-level assignment binds in the module's scope, in
+    source order: ``reference_sets(stmt).bound`` without the variables of
+    comprehensions and lambdas."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        if node.kind == "name":
+            if node.is_def and node.value:
+                yield node.value
+        elif node.kind in _NESTED_SCOPES or (node.kind == "trailer" and node.children[0].value == "."):
+            continue  # a nested scope, or ``.name`` (an attribute target binds nothing)
+        else:
+            stack.extend(reversed(node.children))
 
 
 def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
@@ -344,18 +307,18 @@ def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
     for stmt in _module_statements(tree.root):
         if stmt.span.end_line >= line:
             continue
-        if stmt.kind == "function_definition":
+        if stmt.kind == "funcdef":
             record = symbol_from_definition(tree.file, stmt, "function")
             if record:
                 latest[record.name] = record
-        elif stmt.kind == "class_definition":
+        elif stmt.kind == "classdef":
             record = symbol_from_definition(tree.file, stmt, "class")
             if record:
                 latest[record.name] = record
-        elif stmt.kind == "expression_statement":
+        elif stmt.kind == "expr_stmt":
             code = tree.file.span_text(stmt.span)
             refs = reference_sets(stmt)
-            for name in refs.bound:
+            for name in _module_targets(stmt):
                 latest[name] = SymbolRecord(
                     name=name, sym_kind="variable", def_span=stmt.span, code=code, refs=refs
                 )
@@ -392,14 +355,14 @@ def reference_sets(node: SyntaxNode) -> References:
                     if in_bases:
                         bases.add(current.value)
             continue
-        if kind in ("import_statement", "import_from_statement"):
+        if kind in ("import_name", "import_from"):
             for leaf in current.leaves():
                 if leaf.kind == "name" and leaf.is_def and leaf.value:
                     bound.setdefault(leaf.value)
             continue
         if kind == "fstring_conversion" or (kind == "trailer" and children[0].value == "."):
             continue
-        if kind == "class_definition":
+        if kind == "classdef":
             values = [child.value for child in children]
             if "(" in values and ")" in values:
                 # 'class' NAME '(' bases ')' ':' block, pushed in reverse

@@ -195,14 +195,24 @@ def test_evaluate_empty_tasks_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("repo", 7), ("file", ["main.py"]), ("prefix_override", 5)]
+    "field, value",
+    [
+        ("repo", 7),
+        ("file", ["main.py"]),
+        ("prefix_override", 5),
+        ("ground_truth", None),
+        ("ground_truth", ["x = 1"]),
+        ("task_id", None),
+        ("task_id", True),
+    ],
 )
 def test_evaluate_wrongly_typed_task_field_exits_2(runner, tmp_path, field, value):
     rows = [TASK_ROWS[0], {**TASK_ROWS[1], field: value}]
     tasks = write_bench(tmp_path, rows)
     result = runner.invoke(main, ["evaluate", "--tasks", str(tasks)])
     assert result.exit_code == 2, result.output
-    assert f"tasks file line 2: {field} must be a string" in result.output
+    expected = "a string or an integer" if field == "task_id" else "a string"
+    assert f"tasks file line 2: {field} must be {expected}" in result.output
 
 
 def test_evaluate_unknown_ablation_exits_2(runner, tmp_path):

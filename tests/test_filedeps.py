@@ -76,7 +76,7 @@ def _ast_module_defs(text: str, line: int) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
                 for n in ast.walk(t):
-                    if isinstance(n, ast.Name):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
                         names.append(n.id)
         for name in names:
             latest[name] = node.lineno - 1
@@ -201,12 +201,25 @@ def test_bindings_match_ast_oracle_on_every_function():
             }
             tree = parse(SourceFile.from_text(path.name, text))
             for node in tree.root.walk():
-                if node.kind != "function_definition":
+                if node.kind != "funcdef":
                     continue
                 fn = ast_fns[node.span.start_line]
                 assert set(reference_sets(node).bound) == _ast_bindings(fn) | {fn.name}, (path.name, fn.name)
                 checked += 1
     assert checked > 800
+
+
+def test_module_definitions_match_ast_oracle_on_every_file():
+    checked = 0
+    for directory in BINDING_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            tree = parse(SourceFile.from_text(path.name, text))
+            end = tree.file.line_count + 1
+            got = [d.name for d in definitions_before(tree, end)]
+            assert got == _ast_module_defs(text, end), path
+            checked += len(got)
+    assert checked > 500
 
 
 def test_attribute_target_is_not_a_local_binding():

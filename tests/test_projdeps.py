@@ -210,7 +210,7 @@ def test_cross_file_resolved_code_reparses_to_named_def(tmp_path):
     dep = next(d for d in deps if d.symbol == "process_data")
     retree = parse(SourceFile.from_text("x.py", dep.resolved.code))
     func = retree.root.children[0]
-    assert func.kind == "function_definition"
+    assert func.kind == "funcdef"
     name_leaf = next(l for l in func.leaves() if l.kind == "name")
     assert name_leaf.value == "process_data"
 

@@ -392,7 +392,7 @@ def _oracle_reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
     called: set[str] = set()
     bases: set[str] = set()
     for node in tree.root.walk():
-        if node.kind == "class_definition":
+        if node.kind == "classdef":
             bases |= _oracle_base_names(node)
             continue
         if node.kind not in ("atom_expr", "power") or len(node.children) < 2:
@@ -427,9 +427,9 @@ def test_node_reference_sets_match_reparse_oracle():
             tree = parse(SourceFile.from_text(path.name, text))
             where = path.name
             for stmt in tree.root.children:
-                inner = stmt.children if stmt.kind == "decorated_definition" else (stmt,)
+                inner = stmt.children if stmt.kind == "decorated" else (stmt,)
                 for node in inner:
-                    if node.kind in ("function_definition", "class_definition", "expression_statement"):
+                    if node.kind in ("funcdef", "classdef", "expr_stmt"):
                         code = tree.file.span_text(node.span)
                         assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
                         checked += 1

@@ -162,6 +162,7 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
 
     broken = [
         _v1_doc(index),
+        bad(lambda d: d.update(version=2)),  # v2 paths spelled the renamed kinds
         bad(lambda d: d.pop("digests")),
         bad(lambda d: d.pop("ast_paths")),
         bad(lambda d: d["snippets"][0]["ast_paths"].append(len(d["ast_paths"]))),
@@ -292,8 +293,8 @@ def test_semantic_candidates_order_and_cutoff():
 
 
 def test_structure_score_hand_cases():
-    p = {"module/expression_statement/name", "module/if_statement/keyword"}
-    q = {"module/expression_statement/name", "module/while_statement/keyword"}
+    p = {"file_input/expr_stmt/name", "file_input/if_stmt/keyword"}
+    q = {"file_input/expr_stmt/name", "file_input/while_stmt/keyword"}
     assert structure_score(p, p) == 1.0
     assert structure_score(p, {"other/path"}) == 0.0
     assert structure_score(p, q) == pytest.approx(1 / 3)
@@ -328,7 +329,7 @@ def test_ast_paths_are_kind_sequences_without_identifiers():
     assert all(tok.isidentifier() for p in paths for tok in p.split("/"))
     renamed = ast_paths_of("result = anything(2)\n")
     assert paths == renamed
-    assert any(p.startswith("module/") for p in paths)
+    assert any(p.startswith("file_input/") for p in paths)
 
 
 def test_ast_paths_depth_cap():

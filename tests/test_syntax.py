@@ -86,20 +86,20 @@ def _owner(tree, line):
 
 def test_parse_empty_file_has_empty_module_root():
     tree = _tree("")
-    assert tree.root.kind == "module"
+    assert tree.root.kind == "file_input"
     assert tree.root.children == ()
 
 
 def test_parse_single_assignment_spans_line_zero():
     tree = _tree("x = 1\n")
     kinds = [c.kind for c in tree.root.children]
-    assert kinds == ["expression_statement"]
+    assert kinds == ["expr_stmt"]
     assert tree.root.children[0].span == Span(0, 0, 0, 5)
 
 
 def test_parse_three_functions_hand_counted_spans():
     tree = _tree(THREE_FUNCS)
-    defs = [c for c in tree.root.children if c.kind == "function_definition"]
+    defs = [c for c in tree.root.children if c.kind == "funcdef"]
     got = [(d.span.start_line, d.span.end_line) for d in defs]
     assert got == [(0, 1), (4, 6), (9, 10)]
 
@@ -112,7 +112,7 @@ def test_parse_is_deterministic():
 
 def test_parse_survives_unfinished_assignment():
     tree = _tree("def f():\n    x = 1\n    result =\n")
-    names = [c for c in tree.root.walk() if c.kind == "function_definition"]
+    names = [c for c in tree.root.walk() if c.kind == "funcdef"]
     assert len(names) == 1
     # identifier queries still work on the recovered tree
     assert "result" in {leaf.value for leaf in tree.root.leaves() if leaf.kind == "name"}
