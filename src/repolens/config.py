@@ -29,7 +29,7 @@ class PipelineConfig:
     # graph ranking
     alpha: float = 0.85
     tol: float = 1e-8
-    max_iter: int = 100
+    max_iter: int = 200
     top_k: int = 5
     body_preview_lines: int = 8
     # snippet retrieval and re-ranking
@@ -53,9 +53,9 @@ class PipelineConfig:
     timeout: float = 30.0
     retries: int = 2
     backoff: float = 0.5
-    max_concurrency: int = 4
     fixture_path: str = ""
     # evaluation
+    max_concurrency: int = 4
     idem_unordered: bool = False
 
     def __post_init__(self) -> None:
@@ -76,6 +76,7 @@ class PipelineConfig:
                 "w_semantic and w_structure must sum to 1",
             ),
             (self.token_budget >= 1, "token_budget must be at least 1"),
+            (self.max_concurrency >= 1, "max_concurrency must be at least 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -197,7 +198,6 @@ def generation_config(
         timeout=cfg.timeout,
         retries=cfg.retries,
         backoff=cfg.backoff,
-        max_concurrency=cfg.max_concurrency,
         fixture_table=fixture_table,
         fixture_path=cfg.fixture_path or None,
     )

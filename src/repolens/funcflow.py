@@ -13,16 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (
-    SourceFile,
-    Span,
-    SymbolRecord,
-    SyntaxNode,
-    SyntaxTree,
-    enclosing_function_node,
-    parse,
-    symbol_from_definition,
-)
+from .syntax import FileFacts, SourceFile, Span, SymbolRecord, SyntaxNode, parse
 
 _EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
 
@@ -47,24 +38,20 @@ class LocalSlice:
     owner: SymbolRecord | None = None
 
 
-def local_slice(tree: SyntaxTree, line: int) -> LocalSlice:
-    file = tree.file
+def local_slice(facts: FileFacts, line: int) -> LocalSlice:
+    """The slice ending at ``line``, owned by the innermost function whose
+    span contains the line (the one that starts last)."""
+    file = facts.file
     if not 0 <= line <= file.line_count:
         raise ValueError(f"cursor line {line} outside file with {file.line_count} lines")
-    node = enclosing_function_node(tree, line)
-    if node is not None:
-        start = node.span.start_line
-        origin = "function"
-        owner = symbol_from_definition(file, node, "function")
-    else:
-        start = 0
-        origin = "script"
-        owner = None
+    enclosing = [record for record in facts.functions if record.def_span.contains_line(line)]
+    owner = max(enclosing, key=lambda record: record.def_span.start_line, default=None)
+    start = owner.def_span.start_line if owner is not None else 0
     code = file.text[file.offset(start, 0) : file.offset(line, 0)] if line > start else ""
     return LocalSlice(
         code=code,
         span=Span(start, 0, line, 0),
-        origin=origin,
+        origin="function" if owner is not None else "script",
         owner=owner,
     )
 

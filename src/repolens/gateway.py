@@ -49,7 +49,6 @@ class GenerationConfig:
     timeout: float
     retries: int
     backoff: float
-    max_concurrency: int
     fixture_table: dict[str, str] | None = None
     fixture_path: str | None = None
 
@@ -64,7 +63,6 @@ class GenerationConfig:
             (self.timeout > 0, "timeout must be positive"),
             (self.retries >= 0, "retries must be non-negative"),
             (self.backoff >= 0, "backoff must be non-negative"),
-            (self.max_concurrency >= 1, "max_concurrency must be at least 1"),
         ]
         for ok, message in checks:
             if not ok:

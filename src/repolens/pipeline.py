@@ -20,6 +20,7 @@ from .projdeps import (
     ModuleMap,
     build_module_map,
     cross_module_deps,
+    facts_of,
 )
 from .prompting import PromptDocument, render
 from .ranking import (
@@ -40,13 +41,7 @@ from .retrieval import (
     rerank,
     semantic_candidates,
 )
-from .syntax import (
-    SourceFile,
-    definitions_before,
-    imports_of,
-    load_source,
-    parse,
-)
+from .syntax import SourceFile, definitions_before, load_source
 
 ABLATION_VARIANTS = ("no-cc", "no-sm", "func-only", "file-only", "proj-only", "all-raw")
 
@@ -108,15 +103,15 @@ def extract_context(
     cfg = cfg or PipelineConfig()
     diagnostics: list[Diagnostic] = []
     file = load_source(repo_root, rel_file)
-    tree = parse(file)
-    slice_ = local_slice(tree, line)
+    facts = facts_of(file.path, file.text)
+    slice_ = local_slice(facts, line)
     uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
-    defs = definitions_before(tree, line)
+    defs = definitions_before(facts, line)
     file_deps = explicit_deps(defs, uses, slice_.owner, body_preview_lines=cfg.body_preview_lines)
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
     if module_map is None:
         module_map = build_module_map(repo_root, diagnostics)
-    project_deps = cross_module_deps(imports_of(tree), uses, module_map, diagnostics)
+    project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics)
     return ContextBundle(
         file=file,
         line=line,

@@ -7,32 +7,25 @@ yet used) dependencies. Cross-file entries carry the resolved definition
 parsed out of the mapped source file.
 
 The module map is rebuilt on every call, so it always reflects the tree
-and always reports its diagnostics. One process-wide cache keeps repeated
-calls cheap: per-module facts (the definition table with each definition's
-reference sets, and those of the module root), keyed by the module's text
-and holding the 256 most recently used texts. Every lookup reads the file,
-so an in-place edit is never served stale; no syntax tree is kept. Files
-that cannot be read or parsed are never cached and report on every call.
+and always reports its diagnostics. :func:`facts_of` is the one process-wide
+cache over file text: the ``syntax.FileFacts`` of every file a task reads,
+the target file and each imported module alike, keyed by repository-relative
+path and text (relative imports resolve against the path) and holding the
+256 most recently used entries. Every lookup reads the file, so an in-place
+edit is never served stale; no syntax tree is kept. Files that cannot be
+read or parsed are never cached and report on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 from .errors import Diagnostic
-from .syntax import (
-    ImportRecord,
-    References,
-    SourceFile,
-    Span,
-    SymbolRecord,
-    definitions_before,
-    parse,
-    reference_sets,
-)
+from .syntax import FileFacts, ImportRecord, SourceFile, SymbolRecord, file_facts, parse
 
 CROSS_FILE = "cross_file"
 EXTERNAL = "external"
@@ -160,32 +153,11 @@ def _resolve_module(
     return CROSS_FILE, candidates[0]
 
 
-@dataclass(frozen=True, slots=True)
-class _ModuleFacts:
-    """What dependency resolution reads off one module's text."""
-
-    definitions: dict[str, SymbolRecord]  # module-scope name -> latest definition
-    span: Span  # the whole module
-    refs: References  # of the module root
-
-
 @functools.lru_cache(maxsize=256)
-def _facts_of(text: str) -> _ModuleFacts:
-    """The facts of one module text; modules with equal text share them."""
-    file = SourceFile.from_text("<module>", text)
-    tree = parse(file)
-    last = file.line_count - 1
-    return _ModuleFacts(
-        definitions={r.name: r for r in definitions_before(tree, tree.root.span.end_line + 1)},
-        span=Span(0, 0, last, len(text) - file.line_index[last]),
-        refs=reference_sets(tree.root),
-    )
-
-
-def _module_facts(root: str, rel: str) -> tuple[str, _ModuleFacts]:
-    """The text of ``rel`` and its facts."""
-    text = (Path(root) / rel).read_text(encoding="utf-8")
-    return text, _facts_of(text)
+def facts_of(path: str, text: str) -> FileFacts:
+    """The facts of ``text`` read as the file at the repository-relative
+    ``path``, which relative imports resolve against."""
+    return file_facts(parse(SourceFile.from_text(path, text)))
 
 
 class _ModuleReader:
@@ -195,13 +167,14 @@ class _ModuleReader:
     def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None):
         self._map = module_map
         self._diagnostics = diagnostics
-        self._loaded: dict[str, tuple[str, _ModuleFacts] | None] = {}
+        self._loaded: dict[str, FileFacts | None] = {}
 
-    def get(self, dotted: str) -> tuple[str, _ModuleFacts] | None:
+    def get(self, dotted: str) -> FileFacts | None:
         if dotted not in self._loaded:
             rel = self._map.path_of(dotted)
             try:
-                self._loaded[dotted] = _module_facts(self._map.root, rel)
+                text = (Path(self._map.root) / rel).read_text(encoding="utf-8")
+                self._loaded[dotted] = facts_of(rel, text)
             except (OSError, UnicodeDecodeError, ValueError) as err:
                 self._loaded[dotted] = None
                 if self._diagnostics is not None:
@@ -216,10 +189,10 @@ class _ModuleReader:
 
     def module_record(self, dotted: str) -> SymbolRecord | None:
         """The whole module as one record named ``dotted``."""
-        loaded = self.get(dotted)
-        if loaded is None:
+        facts = self.get(dotted)
+        if facts is None:
             return None
-        text, facts = loaded
+        text = facts.file.text
         return SymbolRecord(name=dotted, sym_kind="module", def_span=facts.span, code=text, refs=facts.refs)
 
 
@@ -230,9 +203,10 @@ def _resolve_symbol(
     reader: _ModuleReader,
     diagnostics: list[Diagnostic] | None,
 ) -> tuple[SymbolRecord | None, str | None]:
-    loaded = reader.get(key)
-    if loaded is not None:
-        found = loaded[1].definitions.get(symbol)
+    facts = reader.get(key)
+    if facts is not None:
+        # the latest definition of the name wins
+        found = next((r for r in reversed(facts.definitions) if r.name == symbol), None)
         if found is not None:
             return found, module_map.path_of(key)
     sub = f"{key}.{symbol}"
@@ -240,7 +214,7 @@ def _resolve_symbol(
         sub_record = reader.module_record(sub)
         if sub_record is not None:
             return sub_record, module_map.path_of(sub)
-    if loaded is not None and diagnostics is not None:
+    if facts is not None and diagnostics is not None:
         diagnostics.append(
             Diagnostic(
                 code="resolution_error",
@@ -252,7 +226,7 @@ def _resolve_symbol(
 
 
 def cross_module_deps(
-    imports: list[ImportRecord],
+    imports: Iterable[ImportRecord],
     uses: set[str],
     module_map: ModuleMap,
     diagnostics: list[Diagnostic] | None = None,

@@ -7,6 +7,10 @@ node's kind is parso's own type name (``file_input``, ``funcdef``,
 errors and surfaces the broken region as ``error_node`` -- exactly what an
 unfinished file with a cursor in the middle looks like.
 
+:func:`file_facts` reads what the analyses need off one tree and drops the
+tree; :func:`definitions_before` and ``funcflow.local_slice`` answer each
+cursor from those records, so one parse serves every cursor in a file.
+
 Conventions:
   * lines and columns are 0-based internally (the CLI converts at the edge)
   * node spans cover the first through last retained token; layout trivia
@@ -176,6 +180,21 @@ class ImportRecord:
     import_span: Span
 
 
+@dataclass(frozen=True, slots=True)
+class FileFacts:
+    """What the analyses read off one file's tree (see :func:`file_facts`):
+    every module-scope definition in source order, redefinitions included;
+    every named function, nested ones too, in walk order; the imports; and
+    the whole file's span and the module root's reference sets."""
+
+    file: SourceFile
+    definitions: tuple[SymbolRecord, ...]
+    functions: tuple[SymbolRecord, ...]
+    imports: tuple[ImportRecord, ...]
+    span: Span
+    refs: References
+
+
 _GRAMMAR = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
 
 
@@ -186,7 +205,7 @@ def parse(file: SourceFile) -> SyntaxTree:
     return SyntaxTree(root=root, file=file, parso_module=module)
 
 
-def _leaf_span(pnode) -> Span:
+def _parso_span(pnode) -> Span:
     (sl, sc) = pnode.start_pos
     (el, ec) = pnode.end_pos
     return Span(sl - 1, sc, el - 1, ec)
@@ -207,7 +226,7 @@ def _convert(pnode) -> list[SyntaxNode]:
         is_def = False
         if kind == "name":
             is_def = bool(pnode.is_definition())
-        return [SyntaxNode(kind=kind, span=_leaf_span(pnode), value=pnode.value, is_def=is_def)]
+        return [SyntaxNode(kind=kind, span=_parso_span(pnode), value=pnode.value, is_def=is_def)]
 
     if pnode.type == "simple_stmt":
         out: list[SyntaxNode] = []
@@ -236,47 +255,41 @@ def _convert(pnode) -> list[SyntaxNode]:
     return [SyntaxNode(kind=pnode.type, span=_union_span(kids), children=tuple(kids))]
 
 
-def declared_name(node: SyntaxNode) -> SyntaxNode | None:
-    """The name leaf a function/class definition binds, if any."""
-    for child in node.children:
-        if child.kind == "name":
-            return child
-    return None
-
-
-def symbol_from_definition(file: SourceFile, node: SyntaxNode, sym_kind: str) -> SymbolRecord | None:
+def symbol_from_definition(file: SourceFile, node: SyntaxNode) -> SymbolRecord | None:
     """Record of a function or class definition node; None if it has no name."""
-    name = declared_name(node)
+    name = next((child for child in node.children if child.kind == "name"), None)
     if name is None:
         return None
     return SymbolRecord(
         name=name.value or "",
-        sym_kind=sym_kind,
+        sym_kind="function" if node.kind == "funcdef" else "class",
         def_span=node.span,
         code=file.span_text(node.span),
         refs=reference_sets(node),
     )
 
 
-def enclosing_function_node(tree: SyntaxTree, line: int) -> SyntaxNode | None:
-    """Innermost ``funcdef`` whose span contains ``line``."""
-    best: SyntaxNode | None = None
-    for node in tree.root.walk():
-        if node.kind != "funcdef" or not node.span.contains_line(line):
-            continue
-        if best is None or node.span.start_line > best.span.start_line:
-            best = node
-    return best
+# The only nodes that can hold a statement: parso's grammar puts them in
+# these, and error recovery in ``error_node``. (``simple_stmt`` and the async
+# wrappers exist in parso's tree only.)
+_STATEMENT_CONTAINERS = frozenset({
+    "file_input", "suite", "simple_stmt", "if_stmt", "while_stmt", "for_stmt", "try_stmt", "with_stmt",
+    "funcdef", "classdef", "decorated", "async_stmt", "async_funcdef", "error_node",
+})
 
 
-def _module_statements(root: SyntaxNode) -> Iterator[SyntaxNode]:
-    for child in root.children:
-        if child.kind == "decorated":
-            for inner in child.children:
-                if inner.kind in ("funcdef", "classdef"):
-                    yield inner
-        else:
-            yield child
+def _statement_nodes(root, kind_attr: str, kinds: set[str]) -> Iterator:
+    """The nodes of ``kinds`` under ``root`` in walk order, visiting only
+    statement containers; ``kind_attr`` names the node's kind in its tree
+    (``kind`` here, ``type`` in parso's)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = getattr(node, kind_attr)
+        if kind in kinds:
+            yield node
+        if kind in _STATEMENT_CONTAINERS:
+            stack.extend(reversed(node.children))
 
 
 # Comprehension variables and lambda parameters bind in a scope of their own.
@@ -299,29 +312,51 @@ def _module_targets(stmt: SyntaxNode) -> Iterator[str]:
             stack.extend(reversed(node.children))
 
 
-def definitions_before(tree: SyntaxTree, line: int) -> list[SymbolRecord]:
+def _module_definitions(tree: SyntaxTree) -> Iterator[SymbolRecord]:
+    """Module-scope functions, classes and assigned variables, in source
+    order, redefinitions included."""
+    for child in tree.root.children:
+        for stmt in child.children if child.kind == "decorated" else (child,):
+            if stmt.kind in ("funcdef", "classdef"):
+                record = symbol_from_definition(tree.file, stmt)
+                if record:
+                    yield record
+            elif stmt.kind == "expr_stmt":
+                code = tree.file.span_text(stmt.span)
+                refs = reference_sets(stmt)
+                for name in _module_targets(stmt):
+                    yield SymbolRecord(name=name, sym_kind="variable", def_span=stmt.span, code=code, refs=refs)
+
+
+def file_facts(tree: SyntaxTree) -> FileFacts:
+    """Read the facts of ``tree``'s file; the tree itself is not kept."""
+    file = tree.file
+    last = file.line_count - 1
+    definitions = tuple(_module_definitions(tree))
+    # a module-level function is one record in both tuples
+    top = {record.def_span: record for record in definitions if record.sym_kind == "function"}
+    functions = (
+        top.get(node.span) or symbol_from_definition(file, node)
+        for node in _statement_nodes(tree.root, "kind", {"funcdef"})
+    )
+    return FileFacts(
+        file=file,
+        definitions=definitions,
+        functions=tuple(record for record in functions if record),
+        imports=tuple(imports_of(tree)),
+        span=Span(0, 0, last, len(file.text) - file.line_index[last]),
+        refs=reference_sets(tree.root),
+    )
+
+
+def definitions_before(facts: FileFacts, line: int) -> list[SymbolRecord]:
     """Module-scope functions, classes and assigned variables whose
     definition ends strictly before ``line``; redefinitions keep the latest
     occurrence, output in source order."""
     latest: dict[str, SymbolRecord] = {}
-    for stmt in _module_statements(tree.root):
-        if stmt.span.end_line >= line:
-            continue
-        if stmt.kind == "funcdef":
-            record = symbol_from_definition(tree.file, stmt, "function")
-            if record:
-                latest[record.name] = record
-        elif stmt.kind == "classdef":
-            record = symbol_from_definition(tree.file, stmt, "class")
-            if record:
-                latest[record.name] = record
-        elif stmt.kind == "expr_stmt":
-            code = tree.file.span_text(stmt.span)
-            refs = reference_sets(stmt)
-            for name in _module_targets(stmt):
-                latest[name] = SymbolRecord(
-                    name=name, sym_kind="variable", def_span=stmt.span, code=code, refs=refs
-                )
+    for record in facts.definitions:
+        if record.def_span.end_line < line:
+            latest[record.name] = record
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
@@ -399,28 +434,16 @@ def _resolve_relative(path: str, level: int, tail: str) -> str | None:
 
 
 def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
-    """All import statements in the file, one record per imported module.
+    """All import statements in the file, one record per imported module, in
+    source order.
 
     Relative imports are resolved against the file's package path (the
     ``SourceFile.path`` is assumed repository-relative); unresolvable levels
     keep their leading dots and will classify as external.
     """
-    module = tree.parso_module
     records: list[ImportRecord] = []
-    stack = [module]
-    nodes = []
-    while stack:
-        pnode = stack.pop()
-        if pnode.type in ("import_name", "import_from"):
-            nodes.append(pnode)
-            continue
-        for child in reversed(getattr(pnode, "children", ()) or ()):
-            stack.append(child)
-
-    for pnode in nodes:
-        span = Span(
-            pnode.start_pos[0] - 1, pnode.start_pos[1], pnode.end_pos[0] - 1, pnode.end_pos[1]
-        )
+    for pnode in _statement_nodes(tree.parso_module, "type", {"import_name", "import_from"}):
+        span = _parso_span(pnode)
         if pnode.type == "import_name":
             for path, defined in zip(pnode.get_paths(), pnode.get_defined_names()):
                 dotted = ".".join(p.value for p in path)
@@ -445,6 +468,4 @@ def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
                 pairs.append((path[-1].value, defined.value))
             bound = tuple(pairs)
         records.append(ImportRecord(module_path=module_path, bound_names=bound, import_span=span))
-
-    records.sort(key=lambda r: (r.import_span.start_line, r.import_span.start_col))
     return records

@@ -24,7 +24,7 @@ def test_defaults_match_documented_values():
     cfg = PipelineConfig()
     assert cfg.alpha == 0.85
     assert cfg.tol == 1e-8
-    assert cfg.max_iter == 100
+    assert cfg.max_iter == 200
     assert cfg.top_k == 5
     assert cfg.window == 20
     assert cfg.stride == 10
@@ -159,7 +159,6 @@ def test_direct_construction_validates():
         ("timeout", 0.0),
         ("retries", -1),
         ("backoff", -0.5),
-        ("max_concurrency", 0),
     ],
 )
 def test_backend_fields_rejected_by_both_entry_points(name, value):
@@ -167,6 +166,13 @@ def test_backend_fields_rejected_by_both_entry_points(name, value):
         PipelineConfig(**{name: value})
     with pytest.raises(ConfigError):
         replace(generation_config(PipelineConfig()), **{name: value})
+
+
+def test_max_concurrency_checked_by_pipeline_config():
+    # evaluation reads it off the pipeline config; the gateway never sees it
+    with pytest.raises(ConfigError, match="max_concurrency"):
+        PipelineConfig(max_concurrency=0)
+    assert not hasattr(generation_config(PipelineConfig()), "max_concurrency")
 
 
 def test_every_module_imports_first_in_a_fresh_interpreter():

@@ -16,7 +16,7 @@ from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
     definitions_before,
-    enclosing_function_node,
+    file_facts,
     reference_sets,
     parse,
 )
@@ -85,8 +85,9 @@ def _ast_module_defs(text: str, line: int) -> list[str]:
 
 
 def _inputs(tree, line):
-    owner = local_slice(tree, line).owner
-    defs = definitions_before(tree, line)
+    facts = file_facts(tree)
+    owner = local_slice(facts, line).owner
+    defs = definitions_before(facts, line)
     uses = set(owner.refs.used) if owner is not None else set()
     return owner, defs, uses
 
@@ -183,8 +184,8 @@ def test_local_bindings_cover_params_and_targets():
             "def f(a, b=1):\n    c = a\n    for d in b:\n        pass\n    def g():\n        pass\n",
         )
     )
-    owner = enclosing_function_node(tree, 1)
-    assert set(reference_sets(owner).bound) >= {"a", "b", "c", "d", "g"}
+    owner = local_slice(file_facts(tree), 1).owner
+    assert set(owner.refs.bound) >= {"a", "b", "c", "d", "g"}
 
 
 def test_bindings_match_ast_oracle_on_every_function():
@@ -216,7 +217,7 @@ def test_module_definitions_match_ast_oracle_on_every_file():
             text = path.read_text(encoding="utf-8")
             tree = parse(SourceFile.from_text(path.name, text))
             end = tree.file.line_count + 1
-            got = [d.name for d in definitions_before(tree, end)]
+            got = [d.name for d in definitions_before(file_facts(tree), end)]
             assert got == _ast_module_defs(text, end), path
             checked += len(got)
     assert checked > 500

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repolens.funcflow import build_cfg, local_slice, render_cfg
-from repolens.syntax import SourceFile, parse
+from repolens.syntax import SourceFile, file_facts, parse
 
 LOOP_FUNC = """\
 def f(xs):
@@ -73,9 +73,12 @@ def f(x):
 """
 
 
+def _facts(text):
+    return file_facts(parse(SourceFile.from_text("m.py", text)))
+
+
 def _cfg(text, line):
-    tree = parse(SourceFile.from_text("m.py", text))
-    return build_cfg(local_slice(tree, line))
+    return build_cfg(local_slice(_facts(text), line))
 
 
 def _out_edges(cfg, node_id):
@@ -93,40 +96,40 @@ ALL_CASES = [
 
 
 def test_local_slice_function_origin_covers_def_through_cursor():
-    tree = parse(SourceFile.from_text("m.py", LOOP_FUNC))
-    sl = local_slice(tree, 3)
+    facts = _facts(LOOP_FUNC)
+    sl = local_slice(facts, 3)
     assert sl.origin == "function"
     assert sl.code == "def f(xs):\n    total = 0\n    for x in xs:\n"
     assert (sl.span.start_line, sl.span.end_line) == (0, 3)
 
 
 def test_local_slice_on_first_body_line_is_def_line_only():
-    tree = parse(SourceFile.from_text("m.py", "def f():\n    pass\n"))
-    sl = local_slice(tree, 1)
+    facts = _facts("def f():\n    pass\n")
+    sl = local_slice(facts, 1)
     assert sl.code == "def f():\n"
 
 
 def test_local_slice_script_origin_from_file_start():
-    tree = parse(SourceFile.from_text("m.py", BRANCH_SCRIPT))
-    sl = local_slice(tree, 2)
+    facts = _facts(BRANCH_SCRIPT)
+    sl = local_slice(facts, 2)
     assert sl.origin == "script"
     assert sl.code == "if c:\n    a = 1\n"
 
 
 def test_local_slice_at_line_zero_is_empty():
-    tree = parse(SourceFile.from_text("m.py", BRANCH_SCRIPT))
-    assert local_slice(tree, 0).code == ""
+    facts = _facts(BRANCH_SCRIPT)
+    assert local_slice(facts, 0).code == ""
 
 
 def test_local_slice_rejects_out_of_bounds():
-    tree = parse(SourceFile.from_text("m.py", "x = 1\n"))
+    facts = _facts("x = 1\n")
     with pytest.raises(ValueError):
-        local_slice(tree, 99)
+        local_slice(facts, 99)
 
 
 def test_empty_slice_yields_trivial_graph():
-    tree = parse(SourceFile.from_text("m.py", BRANCH_SCRIPT))
-    cfg = build_cfg(local_slice(tree, 0))
+    facts = _facts(BRANCH_SCRIPT)
+    cfg = build_cfg(local_slice(facts, 0))
     assert len(cfg.nodes) == 2
     assert [(e.src, e.dst, e.label) for e in cfg.edges] == [(cfg.entry, cfg.exit, "seq")]
     assert render_cfg(cfg) == "entry -> exit"
@@ -231,8 +234,8 @@ def test_renders_distinguish_distinct_graphs():
 def test_straight_line_slice_property(n):
     body = "".join(f"    v{i} = {i}\n" for i in range(n))
     text = f"def f():\n{body}    tail = 0\n"
-    tree = parse(SourceFile.from_text("m.py", text))
-    cfg = build_cfg(local_slice(tree, n + 1))
+    facts = _facts(text)
+    cfg = build_cfg(local_slice(facts, n + 1))
     assert len(cfg.nodes) == n + 2
     assert len(cfg.edges) == n + 1
     assert all(e.label == "seq" for e in cfg.edges)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repolens import funcflow, pipeline, projdeps, retrieval, syntax
+from repolens import pipeline, projdeps, retrieval, syntax
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError
 from repolens.pipeline import (
@@ -30,7 +30,7 @@ from repolens.retrieval import (
     save_index,
     semantic_candidates,
 )
-from tests.conftest import http_stub, write_repo
+from tests.conftest import TESTS_DIR, http_stub, write_repo
 
 MAIN_PY = """\
 import os
@@ -130,14 +130,13 @@ def test_extract_context_assembles_all_levels(repo):
 
 def test_owner_function_found_once_per_extraction(repo, monkeypatch):
     calls = []
-    real = funcflow.enclosing_function_node
+    real = pipeline.local_slice
 
-    def counted(tree, line):
+    def counted(facts, line):
         calls.append(line)
-        return real(tree, line)
+        return real(facts, line)
 
-    for module in (funcflow, pipeline):
-        monkeypatch.setattr(module, "enclosing_function_node", counted, raising=False)
+    monkeypatch.setattr(pipeline, "local_slice", counted)
     bundle = extract_context(repo, "main.py", CURSOR)
     assert calls == [CURSOR]
     assert bundle.slice_.owner is not None
@@ -380,21 +379,55 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
         if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
             monkeypatch.setattr(module, "parse", wrap_parse(name.removeprefix("repolens.")))
     monkeypatch.setattr(pipeline, "build_graph", traced_build_graph)
-    projdeps._facts_of.cache_clear()
+    projdeps.facts_of.cache_clear()
     index = build_index(repo)
     module_map = projdeps.build_module_map(repo)
 
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
-    assert "projdeps" in {module for module, _ in parses}  # a cold cache parses imports
+    # a cold cache parses the target and its imports, all in one place
+    assert {("projdeps", "main.py"), ("projdeps", "data_processor.py")} <= set(parses)
 
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
-    assert sorted(parses) == [
-        ("funcflow", "<slice>"),
-        ("pipeline", "main.py"),
-        ("retrieval", "snippet.py"),
+    assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
+
+
+def test_in_place_edit_of_target_is_seen_by_the_next_task(repo):
+    target = repo / "main.py"
+    before = extract_context(repo, "main.py", CURSOR)
+    assert "value = combine(7)" in before.slice_.code
+
+    stat = target.stat()
+    edited = MAIN_PY.replace("value = combine(7)", "value = combine(8)")
+    target.write_text(edited)
+    os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (target.stat().st_size, target.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+    after = extract_context(repo, "main.py", CURSOR)
+    assert "value = combine(8)" in after.slice_.code
+    assert "value = combine(7)" not in after.slice_.code
+
+
+def _records(bundle):
+    return [bundle.slice_.owner] + [d.symbol for d in bundle.file_deps] + [
+        d.resolved for d in bundle.project_deps
     ]
+
+
+def test_reused_facts_equal_fresh_ones_on_every_dep_case(dep_case_table):
+    root = TESTS_DIR / "dep_cases"
+    module_map = projdeps.build_module_map(root)
+    for name, _text, _tree, cursor in dep_case_table:
+        projdeps.facts_of.cache_clear()
+        extract_context(root, name, 0, module_map=module_map)  # the facts are built here
+        reused = extract_context(root, name, cursor, module_map=module_map)
+        assert projdeps.facts_of.cache_info().hits > 0
+        projdeps.facts_of.cache_clear()
+        fresh = extract_context(root, name, cursor, module_map=module_map)
+        assert reused == fresh, name
+        # SymbolRecord.refs is left out of record equality, so compare it on its own
+        assert [r and r.refs for r in _records(reused)] == [r and r.refs for r in _records(fresh)], name
 
 
 def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path):
@@ -408,7 +441,7 @@ def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path):
     write_repo(tmp_path, files)
     (tmp_path / "broken.py").write_bytes(b"\xff not utf8")
     task = make_task(tmp_path, line=CURSOR + 1)
-    projdeps._facts_of.cache_clear()
+    projdeps.facts_of.cache_clear()
 
     cold = complete_task(task)
     warm = complete_task(task)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 from repolens import projdeps
+from repolens.funcflow import local_slice
 from repolens.projdeps import (
     CROSS_FILE,
     EXTERNAL,
@@ -15,8 +16,7 @@ from repolens.syntax import (
     ImportRecord,
     SourceFile,
     Span,
-    enclosing_function_node,
-    reference_sets,
+    file_facts,
     imports_of,
     load_source,
     parse,
@@ -117,7 +117,7 @@ def test_module_map_sees_module_added_without_directory_mtime_change(tmp_path):
 
 
 def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
-    projdeps._facts_of.cache_clear()
+    projdeps.facts_of.cache_clear()
     parsed = []
     real_parse = projdeps.parse
 
@@ -126,19 +126,36 @@ def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
         return real_parse(file)
 
     monkeypatch.setattr(projdeps, "parse", counted_parse)
-    limit = projdeps._facts_of.cache_info().maxsize
+    limit = projdeps.facts_of.cache_info().maxsize
+    assert limit == 256
     texts = [f"def f{i}():\n    return {i}\n" for i in range(limit + 1)]
-    write_repo(tmp_path, {"copy0.py": texts[0]} | {f"m{i}.py": text for i, text in enumerate(texts)})
-    first = projdeps._module_facts(str(tmp_path), "m0.py")[1]
-    # the same text under another path is the same entry
-    assert projdeps._module_facts(str(tmp_path), "copy0.py")[1] is first
+    for checkout in ("one", "two"):
+        write_repo(tmp_path / checkout, {"m0.py": texts[0]})
+    for checkout in ("one", "two"):  # the same path and text in another checkout is the same entry
+        (dep,) = cross_module_deps([_record("m0", ("f0", "f0"))], {"f0"}, build_module_map(tmp_path / checkout))
+        assert dep.resolved.name == "f0"
+    assert parsed == texts[:1]
+    first = projdeps.facts_of("m0.py", texts[0])
     for i in range(1, limit + 1):  # the last one drops m0, the oldest
-        projdeps._module_facts(str(tmp_path), f"m{i}.py")
+        projdeps.facts_of(f"m{i}.py", texts[i])
     assert parsed == texts
-    again = projdeps._module_facts(str(tmp_path), "m0.py")[1]
+    again = projdeps.facts_of("m0.py", texts[0])
     assert again is not first
-    assert again.definitions == first.definitions
+    assert again == first
     assert parsed == texts + texts[:1]
+
+
+def test_same_text_at_two_paths_resolves_relative_imports_per_path(tmp_path):
+    mod = "from . import x\n\n\ndef f():\n    return x\n"
+    write_repo(
+        tmp_path,
+        {"a/__init__.py": "x = 'from a'\n", "a/mod.py": mod, "b/__init__.py": "x = 'from b'\n", "b/mod.py": mod},
+    )
+    mmap = build_module_map(tmp_path)
+    for package in ("a", "b"):
+        facts = projdeps.facts_of(f"{package}/mod.py", mod)
+        (dep,) = cross_module_deps(facts.imports, {"x"}, mmap)
+        assert (dep.resolved_path, dep.resolved.code) == (f"{package}/__init__.py", f"x = 'from {package}'")
 
 
 def test_classify_full_name_suffix_and_external(tmp_path):
@@ -180,8 +197,7 @@ def test_pipeline_scenario_partition(tmp_path):
     write_pipeline_repo(tmp_path)
     file = load_source(tmp_path, "main.py")
     tree = parse(file)
-    owner = enclosing_function_node(tree, 9)
-    uses = set(reference_sets(owner).used)
+    uses = set(local_slice(file_facts(tree), 9).owner.refs.used)
     mmap = build_module_map(tmp_path)
     deps = cross_module_deps(imports_of(tree), uses, mmap)
 
@@ -227,8 +243,7 @@ def test_every_bound_alias_classified_exactly_once(tmp_path):
     write_pipeline_repo(tmp_path)
     file = load_source(tmp_path, "main.py")
     tree = parse(file)
-    owner = enclosing_function_node(tree, 9)
-    uses = set(reference_sets(owner).used)
+    uses = set(local_slice(file_facts(tree), 9).owner.refs.used)
     imports = imports_of(tree)
     deps = cross_module_deps(imports, uses, build_module_map(tmp_path))
 

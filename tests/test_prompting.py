@@ -28,12 +28,7 @@ from repolens.retrieval import (
     rerank,
     semantic_candidates,
 )
-from repolens.syntax import (
-    definitions_before,
-    imports_of,
-    load_source,
-    parse,
-)
+from repolens.syntax import definitions_before, file_facts, load_source, parse
 from tests.conftest import write_repo
 
 PROMPT_MAIN = """\
@@ -107,17 +102,17 @@ def prompt_inputs(tmp_path):
         },
     )
     file = load_source(tmp_path, "main.py")
-    tree = parse(file)
-    slice_ = local_slice(tree, CURSOR)
+    facts = file_facts(parse(file))
+    slice_ = local_slice(facts, CURSOR)
     owner = slice_.owner
-    defs = definitions_before(tree, CURSOR)
+    defs = definitions_before(facts, CURSOR)
     uses = set(owner.refs.used)
     bundle = Bundle(
         file=file,
         line=CURSOR,
         slice_=slice_,
         file_deps=explicit_deps(defs, uses, owner) + potential_deps(defs, uses),
-        project_deps=cross_module_deps(imports_of(tree), uses, build_module_map(tmp_path)),
+        project_deps=cross_module_deps(facts.imports, uses, build_module_map(tmp_path)),
     )
     graph = build_graph(bundle)
     ranked = select_topk(graph, personalized_pagerank(graph).scores)

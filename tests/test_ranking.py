@@ -36,7 +36,7 @@ from repolens.syntax import (
     SymbolRecord,
     SyntaxNode,
     definitions_before,
-    imports_of,
+    file_facts,
     load_source,
     parse,
     reference_sets,
@@ -151,14 +151,14 @@ def _dep_bundle(tmp_path, main_text: str, extra_files: dict[str, str] | None = N
     files.update(extra_files or {})
     write_repo(tmp_path, files)
     file = load_source(tmp_path, "main.py")
-    tree = parse(file)
+    facts = file_facts(parse(file))
     line = cursor if cursor is not None else file.line_count - 1
-    slice_ = local_slice(tree, line)
+    slice_ = local_slice(facts, line)
     owner = slice_.owner
-    defs = definitions_before(tree, line)
+    defs = definitions_before(facts, line)
     uses = set(owner.refs.used) if owner is not None else set()
     file_deps = explicit_deps(defs, uses, owner) + potential_deps(defs, uses)
-    project_deps = cross_module_deps(imports_of(tree), uses, build_module_map(tmp_path))
+    project_deps = cross_module_deps(facts.imports, uses, build_module_map(tmp_path))
     return SimpleNamespace(
         file=file, line=line, slice_=slice_, file_deps=file_deps, project_deps=project_deps
     )
@@ -220,9 +220,8 @@ def test_build_graph_counts_nodes_and_center_links(tmp_path):
 
 def test_build_graph_empty_bundle_is_single_node():
     file = SourceFile.from_text("m.py", "x = 1\n")
-    tree = parse(file)
     bundle = SimpleNamespace(
-        file=file, line=1, slice_=local_slice(tree, 1), file_deps=[], project_deps=[]
+        file=file, line=1, slice_=local_slice(file_facts(parse(file)), 1), file_deps=[], project_deps=[]
     )
     graph = build_graph(bundle)
     assert len(graph.nodes) == 1
@@ -415,9 +414,9 @@ def _as_sets(refs) -> tuple[set[str], set[str], set[str]]:
 
 def test_node_reference_sets_match_reparse_oracle():
     """Every module-level definition (shadowed ones too) and every module
-    root: the sets read off the parsed node, the records ``definitions_before``
-    hands to file-level nodes, and the facts project-level nodes read all
-    equal the sets from re-parsing the code alone."""
+    root: the sets read off the parsed node, and the file facts that both
+    file-level and project-level nodes read, equal the sets from re-parsing
+    the code alone."""
     checked = 0
     for directory in SOURCE_DIRS:
         paths = sorted(directory.glob("*.py"))
@@ -433,12 +432,19 @@ def test_node_reference_sets_match_reparse_oracle():
                         code = tree.file.span_text(node.span)
                         assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
                         checked += 1
-            for record in definitions_before(tree, tree.root.span.end_line + 1):
-                assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, record.name)
-
-            _, facts = projdeps._module_facts(str(path.parent), path.name)
+            facts = projdeps.facts_of(path.name, text)
             assert _as_sets(facts.refs) == _oracle_reference_sets(text), where
-            for name, record in facts.definitions.items():
-                assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, name)
+            for record in facts.definitions:
+                assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, record.name)
             checked += 1
     assert checked > 200
+
+
+def test_default_stopping_rule_converges_on_every_random_graph():
+    # The L1 step starts at most 2 and shrinks by about alpha per iteration,
+    # so tol=1e-8 needs up to 118 iterations at alpha 0.85 and 182 at 0.9.
+    cfg = PipelineConfig()
+    for alpha in (cfg.alpha, 0.9):
+        for n, edges in random_graphs(25, seed=710):
+            result = personalized_pagerank(plain_graph(n, edges), alpha, cfg.tol, cfg.max_iter)
+            assert result.converged, (alpha, n, len(edges), result.iterations)

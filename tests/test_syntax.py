@@ -8,6 +8,7 @@ hand-counted from fixture text, and reference sets come from the stdlib
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 from hypothesis import example, given
@@ -17,8 +18,10 @@ from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
     Span,
+    SyntaxNode,
+    SyntaxTree,
     definitions_before,
-    enclosing_function_node,
+    file_facts,
     reference_sets,
     imports_of,
     parse,
@@ -75,13 +78,17 @@ def _tree(text, path="mod.py"):
     return parse(SourceFile.from_text(path, text))
 
 
+def _facts(text, path="mod.py"):
+    return file_facts(_tree(text, path))
+
+
 def _shape(node):
     return (node.kind, node.span, node.value, node.is_def, tuple(_shape(c) for c in node.children))
 
 
 def _owner(tree, line):
     """The owner record ``local_slice`` reports for ``line``."""
-    return local_slice(tree, line).owner
+    return local_slice(file_facts(tree), line).owner
 
 
 def test_parse_empty_file_has_empty_module_root():
@@ -194,9 +201,110 @@ def test_enclosing_function_agrees_with_ast_oracle_on_every_line():
             assert (got.name if got else None) == expected, f"line {line}"
 
 
+def _parts(value):
+    """``value`` and everything its dataclass fields and containers hold."""
+    yield value
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _parts(getattr(value, field.name))
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            yield from _parts(item)
+
+
+def test_file_facts_hold_every_definition_and_function_but_no_tree():
+    text = NESTED + "\nclass K:\n    def m(self):\n        pass\n\nplain = 1\nplain = 2\n"
+    facts = _facts(text)
+    assert [r.name for r in facts.functions] == ["outer", "inner", "innermost", "plain", "m"]
+    assert [(r.name, r.sym_kind, r.def_span.start_line) for r in facts.definitions] == [
+        ("outer", "function", 0),
+        ("plain", "function", 7),
+        ("K", "class", 10),
+        ("plain", "variable", 14),
+        ("plain", "variable", 15),
+    ]
+    assert facts.span == Span(0, 0, 16, 0)
+    assert facts.refs == reference_sets(_tree(text).root)
+    assert not [part for part in _parts(facts) if isinstance(part, (SyntaxNode, SyntaxTree))]
+
+
+def _walked_functions(tree):
+    """Reference: the named functions a walk over every node finds."""
+    return [
+        node.span
+        for node in tree.root.walk()
+        if node.kind == "funcdef" and any(child.kind == "name" for child in node.children)
+    ]
+
+
+def _walked_import_spans(tree):
+    """Reference: the import statements a walk over every parso node finds,
+    in source order."""
+    spans, stack = [], [tree.parso_module]
+    while stack:
+        pnode = stack.pop()
+        if pnode.type in ("import_name", "import_from"):
+            (sl, sc), (el, ec) = pnode.start_pos, pnode.end_pos
+            spans.append(Span(sl - 1, sc, el - 1, ec))
+        stack.extend(getattr(pnode, "children", ()))
+    return sorted(spans, key=lambda span: (span.start_line, span.start_col))
+
+
+NESTING = """\
+import os
+try:
+    import json
+except ImportError:
+    json = None
+if os:
+    from a import b
+    def in_if(): pass
+with open(os.devnull) as f:
+    import sys
+    def in_with(): pass
+for x in (): import re
+while False:
+    def in_while(): pass
+async def coro():
+    import asyncio
+    async def inner(): pass
+@decor
+async def decorated_coro():
+    import heapq
+class K:
+    if True:
+        def method(self): import math
+"""
+
+# parso recovers from the misspelt ``except`` by wrapping the try statement,
+# suite and all, in an error node
+BROKEN_TAIL = "try:\n    import abc\n    def in_error(): pass\nexcep:\n    pass\n"
+
+
+def test_facts_find_every_function_and_import_in_unfinished_files():
+    """The facts visit statements only; on whole files and on files cut
+    short, with and without a broken last statement, they must find what a
+    walk over every node finds."""
+    root = Path(__file__).parent
+    paths = sorted(root.glob("corpus_cases/*.py")) + sorted(root.glob("dep_cases/*.py"))
+    paths += [root.parent / "src" / "repolens" / name for name in ("funcflow.py", "projdeps.py")]
+    texts = [("nesting", NESTING)] + [(path.name, path.read_text(encoding="utf-8")) for path in paths]
+    checked = 0
+    for name, text in texts:
+        lines = text.split("\n")
+        for cut in (len(lines) // 2, len(lines)):
+            for tail in ("", BROKEN_TAIL):
+                tree = _tree("\n".join(lines[:cut]) + "\n" + tail, name)
+                facts = file_facts(tree)
+                assert [r.def_span for r in facts.functions] == _walked_functions(tree), (name, cut, tail)
+                statements = list(dict.fromkeys(r.import_span for r in facts.imports))
+                assert statements == _walked_import_spans(tree), (name, cut, tail)
+                checked += len(facts.functions) + len(facts.imports)
+    assert checked > 200
+
+
 def test_definitions_before_orders_and_dedupes():
-    tree = _tree(DEMO)
-    records = definitions_before(tree, 13)
+    records = definitions_before(_facts(DEMO), 13)
     assert [(r.name, r.sym_kind) for r in records] == [
         ("MAX", "variable"),
         ("string_compare", "function"),
@@ -209,38 +317,35 @@ def test_definitions_before_orders_and_dedupes():
 
 
 def test_definitions_before_line_zero_is_empty():
-    assert definitions_before(_tree(DEMO), 0) == []
+    assert definitions_before(_facts(DEMO), 0) == []
 
 
 def test_definitions_before_is_monotone_in_line():
-    tree = _tree(DEMO)
+    facts = _facts(DEMO)
     seen = -1
     for line in range(len(DEMO.splitlines()) + 1):
-        count = len(definitions_before(tree, line))
+        count = len(definitions_before(facts, line))
         assert count >= seen or count >= 0
         # names only ever accumulate or get re-pointed, never vanish
-        names = {r.name for r in definitions_before(tree, line)}
+        names = {r.name for r in definitions_before(facts, line)}
         if line > 0:
-            prev = {r.name for r in definitions_before(tree, line - 1)}
+            prev = {r.name for r in definitions_before(facts, line - 1)}
             assert prev <= names
         seen = count
 
 
 def test_definitions_before_excludes_current_line():
-    tree = _tree("a = 1\nb = 2\n")
-    assert [r.name for r in definitions_before(tree, 1)] == ["a"]
+    assert [r.name for r in definitions_before(_facts("a = 1\nb = 2\n"), 1)] == ["a"]
 
 
 def test_identifiers_used_reads_off_references():
-    tree = _tree(DEMO)
-    node = enclosing_function_node(tree, 15)
-    used = set(reference_sets(node).used)
+    used = set(_owner(_tree(DEMO), 15).refs.used)
     assert used == {"os", "path", "pd", "local", "process_data", "frame", "MAX"}
 
 
 def test_identifiers_used_excludes_attribute_and_kwarg_names():
     tree = _tree("def f(frame):\n    out = pd.read_csv(frame, sep=',')\n")
-    used = set(reference_sets(enclosing_function_node(tree, 1)).used)
+    used = set(_owner(tree, 1).refs.used)
     assert "read_csv" not in used
     assert "sep" not in used
     assert used == {"pd", "frame"}
@@ -248,7 +353,7 @@ def test_identifiers_used_excludes_attribute_and_kwarg_names():
 
 def test_identifiers_used_empty_body():
     tree = _tree("def f():\n    pass\n")
-    assert set(reference_sets(enclosing_function_node(tree, 1)).used) == set()
+    assert set(_owner(tree, 1).refs.used) == set()
 
 
 def _ast_loads(text: str) -> set[str]:
