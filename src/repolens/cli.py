@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .config import PipelineConfig, generation_config, load_config
+from .config import PipelineConfig, load_config
 from .errors import BackendError, ConfigError, EmptyBenchmarkError, RepoLensError
 from .evaluation import format_csv, format_text, report_json, run_benchmark
 from .gateway import generate
@@ -135,7 +135,9 @@ def cmd_complete(
     if dry_run:
         return
     try:
-        outcome = generate(result.prompt, generation_config(cfg), task_id=task.task_id)
+        outcome = generate(result.prompt, cfg, task_id=task.task_id)
+    except ConfigError as exc:
+        _fail(str(exc))
     except BackendError as exc:
         click.echo(f"generation failed: {exc}", err=True)
         sys.exit(1)

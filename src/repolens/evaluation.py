@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
 
-from .config import PipelineConfig, generation_config
+from .config import PipelineConfig
 from .errors import BackendError, EmptyBenchmarkError, RepoLensError
 from .gateway import generate
 from .pipeline import CompletionTask, TaskResult, complete_task
@@ -216,12 +216,12 @@ def run_benchmark(
     the repository's cached ``.repolens/snippets.json``; one dense scorer
     serves every task); generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
-    the batch still completes. Rows come back sorted by task id.
+    the batch still completes. A faulty ``fixture_path`` file fails the
+    whole run with ``ConfigError``. Rows come back sorted by task id.
     """
 
     cfg = cfg or PipelineConfig()
     tasks = load_tasks(tasks_path)
-    gen_cfg = generation_config(cfg, fixture_table)
 
     module_maps: dict[Path, ModuleMap] = {}
     indexes: dict[Path, SnippetIndex] = {}
@@ -252,7 +252,8 @@ def run_benchmark(
     def run_one(task: CompletionTask) -> tuple[str, str, float, str]:
         tick = time.perf_counter()
         try:
-            outcome = generate(results[task.task_id].prompt, gen_cfg, task_id=task.task_id)
+            prompt = results[task.task_id].prompt
+            outcome = generate(prompt, cfg, task_id=task.task_id, fixture_table=fixture_table)
             return task.task_id, outcome.text, (time.perf_counter() - tick) * 1000, ""
         except BackendError as exc:
             elapsed = (time.perf_counter() - tick) * 1000

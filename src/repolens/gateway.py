@@ -29,44 +29,10 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .config import PipelineConfig
     from .prompting import PromptDocument
 
-_BACKENDS = ("http_chat", "mock_echo", "mock_fixture")
-
-
-@dataclass(slots=True)
-class GenerationConfig:
-    """The backend slice of a ``PipelineConfig``; build one with
-    ``config.generation_config``, which supplies every field."""
-
-    backend: str
-    endpoint: str
-    model: str
-    max_new_tokens: int
-    temperature: float
-    seed: int
-    stop: tuple[str, ...]
-    timeout: float
-    retries: int
-    backoff: float
-    fixture_table: dict[str, str] | None = None
-    fixture_path: str | None = None
-
-    def __post_init__(self) -> None:
-        checks = [
-            (
-                self.backend in _BACKENDS,
-                f"unknown backend {self.backend!r}, expected one of {_BACKENDS}",
-            ),
-            (self.max_new_tokens >= 1, "max_new_tokens must be at least 1"),
-            (self.temperature >= 0.0, "temperature must be non-negative"),
-            (self.timeout > 0, "timeout must be positive"),
-            (self.retries >= 0, "retries must be non-negative"),
-            (self.backoff >= 0, "backoff must be non-negative"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+BACKENDS = ("http_chat", "mock_echo", "mock_fixture")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +57,16 @@ def _target_text(prompt: PromptDocument) -> str:
     return prompt.text
 
 
-def _fixture_lookup(cfg: GenerationConfig, task_id: str | None) -> str:
-    table = cfg.fixture_table
-    if table is None and cfg.fixture_path:
-        table = json.loads(Path(cfg.fixture_path).read_text(encoding="utf-8"))
+def _fixture_lookup(path: str, task_id: str | None, table: dict[str, str] | None) -> str:
+    if table is None and path:
+        try:
+            table = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read fixture file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"fixture file {path} is not JSON: {exc}") from exc
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise ConfigError(f"fixture file {path} must hold a JSON object of strings")
     if table is None:
         raise BackendError("mock_fixture backend needs fixture_table or fixture_path")
     if task_id is None or task_id not in table:
@@ -135,7 +107,7 @@ def post_json(url: str, payload: object, timeout: float) -> object:
         raise MalformedResponseError(f"reply from {url} is not JSON: {err}") from err
 
 
-def _http_chat(prompt: PromptDocument, cfg: GenerationConfig) -> tuple[str, int]:
+def _http_chat(prompt: PromptDocument, cfg: PipelineConfig) -> tuple[str, int]:
     payload = {
         "model": cfg.model,
         "messages": [{"role": "user", "content": prompt.text}],
@@ -172,15 +144,20 @@ def _http_chat(prompt: PromptDocument, cfg: GenerationConfig) -> tuple[str, int]
 
 
 def generate(
-    prompt: PromptDocument, cfg: GenerationConfig, task_id: str | None = None
+    prompt: PromptDocument,
+    cfg: PipelineConfig,
+    task_id: str | None = None,
+    fixture_table: dict[str, str] | None = None,
 ) -> GenerationResult:
-    """Run one completion; the returned text is the first generated line."""
+    """Run one completion with the backend fields of ``cfg``; the returned text
+    is the first generated line. ``fixture_table`` stands in for the file at
+    ``fixture_path``, whose faults raise ``ConfigError``."""
 
     attempts = 1
     if cfg.backend == "mock_echo":
         raw = _target_text(prompt).splitlines()[-1] if _target_text(prompt) else ""
     elif cfg.backend == "mock_fixture":
-        raw = _fixture_lookup(cfg, task_id)
+        raw = _fixture_lookup(cfg.fixture_path, task_id, fixture_table)
     else:
         raw, attempts = _http_chat(prompt, cfg)
     return GenerationResult(

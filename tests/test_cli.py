@@ -239,6 +239,34 @@ def test_evaluate_with_fixture_backend_config(runner, tmp_path):
     assert payload["aggregates"] == {"em": 100.0, "es": 100.0, "id_em": 100.0, "f1": 100.0}
 
 
+@pytest.mark.parametrize(
+    "text,fault",
+    [
+        (None, "cannot read fixture file"),
+        ("{not json", "is not JSON"),
+        ('{"cli": 5, "a1": 5}', "must hold a JSON object of strings"),
+    ],
+)
+@pytest.mark.parametrize("command", ["complete", "evaluate"])
+def test_fixture_file_fault_exits_2(runner, repo, tmp_path, command, text, fault):
+    fixture_path = tmp_path / "answers.json"
+    if text is not None:
+        fixture_path.write_text(text, encoding="utf-8")
+    config_path = tmp_path / "cfg.yaml"
+    config_path.write_text(
+        f"backend: mock_fixture\nfixture_path: {json.dumps(str(fixture_path))}\n",
+        encoding="utf-8",
+    )
+    if command == "complete":
+        args = complete_args(repo, "--config", str(config_path))
+    else:
+        args = ["evaluate", "--tasks", str(write_bench(tmp_path)), "--config", str(config_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and fault in errors[0] and str(fixture_path) in errors[0]
+
+
 def test_module_entry_point_prints_usage():
     src = Path(__file__).resolve().parent.parent / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]

@@ -10,13 +10,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repolens import config
-from repolens.config import PipelineConfig, generation_config, load_config
+from repolens.config import PipelineConfig, load_config
 from repolens.errors import ConfigError
 
 
@@ -143,6 +143,28 @@ def test_wrong_yaml_type_rejected(tmp_path):
         load_config(path, env={})
 
 
+FLOAT_FIELDS = ("alpha", "tol", "w_semantic", "w_structure", "temperature", "timeout", "backoff")
+
+
+def test_every_default_has_a_kind_the_loaders_read():
+    # the loaders take each field's kind from the type of its default
+    for field in fields(PipelineConfig):
+        assert type(field.default) in (bool, int, float, str, tuple), field.name
+    floats = {f.name for f in fields(PipelineConfig) if type(f.default) is float}
+    assert floats == set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("env_word,yaml_word", [("inf", ".inf"), ("nan", ".nan")])
+def test_non_finite_floats_rejected_by_env_and_yaml(tmp_path, name, env_word, yaml_word):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        load_config(None, env={f"REPOLENS_{name.upper()}": env_word})
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{name}: {yaml_word}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        load_config(path, env={})
+
+
 def test_direct_construction_validates():
     with pytest.raises(ConfigError):
         PipelineConfig(alpha=0.0)
@@ -165,14 +187,13 @@ def test_backend_fields_rejected_by_both_entry_points(name, value):
     with pytest.raises(ConfigError):
         PipelineConfig(**{name: value})
     with pytest.raises(ConfigError):
-        replace(generation_config(PipelineConfig()), **{name: value})
+        replace(PipelineConfig(), **{name: value})
 
 
 def test_max_concurrency_checked_by_pipeline_config():
     # evaluation reads it off the pipeline config; the gateway never sees it
     with pytest.raises(ConfigError, match="max_concurrency"):
         PipelineConfig(max_concurrency=0)
-    assert not hasattr(generation_config(PipelineConfig()), "max_concurrency")
 
 
 def test_every_module_imports_first_in_a_fresh_interpreter():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repolens import gateway
-from repolens.config import PipelineConfig, generation_config
+from repolens.config import PipelineConfig
 from repolens.errors import (
     BackendError,
     BackendHttpError,
@@ -17,7 +17,7 @@ from repolens.errors import (
     ConfigError,
     MalformedResponseError,
 )
-from repolens.gateway import GenerationConfig, generate
+from repolens.gateway import generate
 from repolens.prompting import PromptDocument, estimate_tokens
 from tests.conftest import http_stub
 
@@ -36,8 +36,8 @@ def chat_reply(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
-def gen_cfg(fixture_table: dict[str, str] | None = None, **fields) -> GenerationConfig:
-    return generation_config(PipelineConfig(**fields), fixture_table)
+def gen_cfg(**fields) -> PipelineConfig:
+    return PipelineConfig(**fields)
 
 
 def test_mock_echo_returns_last_target_line():
@@ -49,16 +49,17 @@ def test_mock_echo_returns_last_target_line():
 
 
 def test_mock_fixture_returns_table_entry():
-    cfg = gen_cfg({"t1": "x = 1", "t2": "y = 2"}, backend="mock_fixture")
+    cfg = gen_cfg(backend="mock_fixture")
+    table = {"t1": "x = 1", "t2": "y = 2"}
     doc = make_doc("x = ")
-    assert generate(doc, cfg, task_id="t1").text == "x = 1"
-    assert generate(doc, cfg, task_id="t2").text == "y = 2"
+    assert generate(doc, cfg, task_id="t1", fixture_table=table).text == "x = 1"
+    assert generate(doc, cfg, task_id="t2", fixture_table=table).text == "y = 2"
 
 
 def test_mock_fixture_missing_task_raises():
-    cfg = gen_cfg({"t1": "x = 1"}, backend="mock_fixture")
+    cfg = gen_cfg(backend="mock_fixture")
     with pytest.raises(BackendError):
-        generate(make_doc("x"), cfg, task_id="unknown")
+        generate(make_doc("x"), cfg, task_id="unknown", fixture_table={"t1": "x = 1"})
 
 
 @pytest.mark.filterwarnings("error")
@@ -183,13 +184,13 @@ def test_http_chat_malformed_reply_raises():
 
 def test_stop_sequences_trim_client_side():
     doc = make_doc("x = ")
-    cfg = gen_cfg({"t": "head;tail"}, backend="mock_fixture", stop=(";",))
-    assert generate(doc, cfg, task_id="t").text == "head"
+    cfg = gen_cfg(backend="mock_fixture", stop=(";",))
+    assert generate(doc, cfg, task_id="t", fixture_table={"t": "head;tail"}).text == "head"
 
 
 def test_leading_newlines_skipped_in_line_extraction():
-    cfg = gen_cfg({"t": "\n\nreal = line\nmore"}, backend="mock_fixture")
-    result = generate(make_doc("x"), cfg, task_id="t")
+    cfg = gen_cfg(backend="mock_fixture")
+    result = generate(make_doc("x"), cfg, task_id="t", fixture_table={"t": "\n\nreal = line\nmore"})
     assert result.text == "real = line"
     assert result.raw == "\n\nreal = line\nmore"
 
