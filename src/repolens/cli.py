@@ -19,7 +19,7 @@ from .evaluation import format_csv, format_text, report_json, run_benchmark
 from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
 from .ranking import explain_graph
-from .retrieval import build_index, index_path, load_index, save_index
+from .retrieval import build_index, index_path, load_index, save_index, window_cache
 
 
 def _fail(message: str) -> None:
@@ -51,8 +51,8 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     """Build and persist the snippet index in ``<repo>/.repolens``, where
     ``complete`` and ``evaluate`` read it.
 
-    Files whose content digest matches the cached index keep their cached
-    snippets; only new or edited files are windowed again.
+    The cache is keyed on window text, so only windows whose text is not
+    in it are parsed again.
     """
 
     cfg = _load_cfg(config_path)
@@ -62,11 +62,7 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
 
     cached = None if force else load_index(snippets_path)
     index = build_index(root, cfg.window, cfg.stride, reuse=cached)
-    if (
-        cached is not None
-        and (cached.window, cached.stride) == (cfg.window, cfg.stride)
-        and cached.digests == index.digests
-    ):
+    if cached is not None and cached == window_cache(index):
         click.echo(f"index up to date at {out_dir}")
         return
 

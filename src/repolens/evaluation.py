@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import BackendError, EmptyBenchmarkError, RepoLensError
-from .gateway import generate
+from .gateway import generate, read_fixture_table
 from .pipeline import CompletionTask, TaskResult, complete_task
 from .projdeps import ModuleMap, build_module_map
 from .retrieval import DenseScorer, SnippetIndex, build_index, index_path, load_index
@@ -212,16 +212,18 @@ def run_benchmark(
     """Full pipeline plus generation and scoring for every task.
 
     Context extraction runs sequentially (module maps and snippet indexes
-    are shared per repository, and each index reuses the unchanged files of
-    the repository's cached ``.repolens/snippets.json``; one dense scorer
-    serves every task); generation fans out over a worker pool.
+    are shared per repository, and each index reuses the windows cached in
+    the repository's ``.repolens/snippets.json``; one dense scorer serves
+    every task); generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
-    the batch still completes. A faulty ``fixture_path`` file fails the
-    whole run with ``ConfigError``. Rows come back sorted by task id.
+    the batch still completes. A faulty ``fixture_path`` file fails the run
+    with ``ConfigError`` before any task; rows come back sorted by task id.
     """
 
     cfg = cfg or PipelineConfig()
     tasks = load_tasks(tasks_path)
+    if fixture_table is None and cfg.backend == "mock_fixture" and cfg.fixture_path:
+        fixture_table = read_fixture_table(cfg.fixture_path)
 
     module_maps: dict[Path, ModuleMap] = {}
     indexes: dict[Path, SnippetIndex] = {}

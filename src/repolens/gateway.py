@@ -57,16 +57,22 @@ def _target_text(prompt: PromptDocument) -> str:
     return prompt.text
 
 
+def read_fixture_table(path: str) -> dict[str, str]:
+    """A ``fixture_path`` file's completions by task id; its faults raise ``ConfigError``."""
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read fixture file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"fixture file {path} is not JSON: {exc}") from exc
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise ConfigError(f"fixture file {path} must hold a JSON object of strings")
+    return table
+
+
 def _fixture_lookup(path: str, task_id: str | None, table: dict[str, str] | None) -> str:
     if table is None and path:
-        try:
-            table = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read fixture file {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"fixture file {path} is not JSON: {exc}") from exc
-        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-            raise ConfigError(f"fixture file {path} must hold a JSON object of strings")
+        table = read_fixture_table(path)
     if table is None:
         raise BackendError("mock_fixture backend needs fixture_table or fixture_path")
     if task_id is None or task_id not in table:

@@ -157,8 +157,8 @@ def complete_task(
     A shared ``index`` may cover the whole repository; the target file's
     snippets are filtered out here so results match a fresh build that
     excluded the file. Without one, the index is built with the target
-    excluded, reusing the unchanged files of the repository's cached index
-    (``<repo>/.repolens/snippets.json``) when there is one.
+    excluded, taking the tokens and AST paths of every unchanged window from
+    the repository's cached index (``<repo>/.repolens/snippets.json``).
     """
 
     cfg = cfg or PipelineConfig()

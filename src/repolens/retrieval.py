@@ -14,7 +14,7 @@ import json
 import keyword
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .config import PipelineConfig
@@ -27,7 +27,7 @@ from .syntax import SourceFile, SyntaxNode, parse
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -46,16 +46,15 @@ class Snippet:
 
 @dataclass(frozen=True, slots=True)
 class SnippetIndex:
-    """Windows over a repository, in file order then start order.
-
-    ``digests`` maps each windowed file's relative path to the sha256 of
-    its text, so a later build can tell which files it may reuse.
-    """
+    """Windows over a repository, in file order then start order."""
 
     window: int
     stride: int
     snippets: list[Snippet]
-    digests: dict[str, str] = field(default_factory=dict)
+
+
+# Each window key's identifier tokens and AST paths.
+WindowCache = dict[str, tuple[frozenset[str], frozenset[str]]]
 
 
 def index_path(repo_root: Path | str) -> Path:
@@ -107,30 +106,28 @@ def ast_paths_of(text: str) -> frozenset[str]:
     return frozenset(paths)
 
 
+def _window_key(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def build_index(
     repo_root: Path | str,
     window: int = PipelineConfig.window,
     stride: int = PipelineConfig.stride,
     exclude: str | None = None,
     diagnostics: list[Diagnostic] | None = None,
-    reuse: SnippetIndex | None = None,
+    reuse: WindowCache | None = None,
 ) -> SnippetIndex:
     """Slide a fixed window over every source file except ``exclude``.
 
-    A file's windows depend only on its relative path, its text, the window
-    and the stride. So when ``reuse`` was built with the same window and
-    stride, the windows of every file whose content digest it records
-    unchanged are taken from it; only new or edited files are windowed, and
-    files gone from the tree drop out. The result equals a fresh build.
+    A window's tokens and AST paths depend on its text alone, so they are
+    taken from ``reuse`` when it holds the window's key and computed
+    otherwise; ids, lines and text always come from the file. The result
+    equals a fresh build.
     """
 
     root = Path(repo_root).resolve()
-    cached: dict[str, list[Snippet]] = {}
-    if reuse is not None and (reuse.window, reuse.stride) == (window, stride):
-        for snippet in reuse.snippets:
-            cached.setdefault(snippet.path, []).append(snippet)
     snippets: list[Snippet] = []
-    digests: dict[str, str] = {}
     for path in _iter_source_files(root, diagnostics):
         rel = path.relative_to(root).as_posix()
         if exclude is not None and rel == exclude:
@@ -147,14 +144,11 @@ def build_index(
                     )
                 )
             continue
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        digests[rel] = digest
-        if rel in cached and reuse.digests.get(rel) == digest:
-            snippets.extend(cached[rel])
-            continue
-        lines = text.splitlines()
+        lines = text.removesuffix("\n").split("\n") if text else []
         for start in range(0, max(len(lines) - window, 0) + 1, stride):
             chunk = "\n".join(lines[start : start + window])
+            cached = reuse.get(_window_key(chunk)) if reuse else None
+            tokens, ast_paths = cached or (frozenset(identifier_tokens(chunk)), ast_paths_of(chunk))
             snippets.append(
                 Snippet(
                     snippet_id=f"{rel}:{start}",
@@ -162,42 +156,33 @@ def build_index(
                     start_line=start,
                     end_line=min(start + window, len(lines)),
                     text=chunk,
-                    tokens=frozenset(identifier_tokens(chunk)),
-                    ast_paths=ast_paths_of(chunk),
+                    tokens=tokens,
+                    ast_paths=ast_paths,
                 )
             )
-    return SnippetIndex(window=window, stride=stride, snippets=snippets, digests=digests)
+    return SnippetIndex(window=window, stride=stride, snippets=snippets)
+
+
+def window_cache(index: SnippetIndex) -> WindowCache:
+    """The cache entries of ``index``'s windows, keyed on the sha256 of their text."""
+    return {_window_key(s.text): (s.tokens, s.ast_paths) for s in index.snippets}
 
 
 def save_index(index: SnippetIndex, path: Path | str) -> None:
-    """Write ``index`` as JSON; each distinct AST path is stored once, in a
-    table that the snippets' ``ast_paths`` index into."""
+    """Write ``window_cache(index)`` as JSON; each entry's AST paths are
+    slots in a table that holds each distinct path once."""
     table = sorted({p for s in index.snippets for p in s.ast_paths})
     slot = {p: i for i, p in enumerate(table)}
-    doc = {
-        "version": _INDEX_VERSION,
-        "window": index.window,
-        "stride": index.stride,
-        "digests": index.digests,
-        "ast_paths": table,
-        "snippets": [
-            {
-                "id": s.snippet_id,
-                "path": s.path,
-                "start": s.start_line,
-                "end": s.end_line,
-                "text": s.text,
-                "tokens": sorted(s.tokens),
-                "ast_paths": sorted(slot[p] for p in s.ast_paths),
-            }
-            for s in index.snippets
-        ],
+    windows = {
+        key: [sorted(tokens), sorted(slot[p] for p in paths)]
+        for key, (tokens, paths) in window_cache(index).items()
     }
+    doc = {"version": _INDEX_VERSION, "ast_paths": table, "windows": windows}
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
-def load_index(path: Path | str) -> SnippetIndex | None:
-    """Read a cached index back; None when absent, of another version or
+def load_index(path: Path | str) -> WindowCache | None:
+    """Read a window cache back; None when absent, of another version or
     malformed, so the caller builds afresh."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -207,32 +192,12 @@ def load_index(path: Path | str) -> SnippetIndex | None:
         return None
     try:
         table = doc["ast_paths"]
-        snippets = [
-            Snippet(
-                snippet_id=row["id"],
-                path=row["path"],
-                start_line=row["start"],
-                end_line=row["end"],
-                text=row["text"],
-                tokens=frozenset(row["tokens"]),
-                ast_paths=frozenset(table[i] for i in row["ast_paths"]),
-            )
-            for row in doc["snippets"]
-        ]
-        digests = dict(doc["digests"])
-        index = SnippetIndex(
-            window=doc["window"],
-            stride=doc["stride"],
-            snippets=snippets,
-            digests=digests,
-        )
-    except (KeyError, TypeError, IndexError, ValueError):
+        return {
+            key: (frozenset(tokens), frozenset(table[i] for i in slots))
+            for key, (tokens, slots) in doc["windows"].items()
+        }
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError):
         return None
-    # Every windowed file yields at least one snippet; a cache whose
-    # snippets and digests name different files was not written by us.
-    if {s.path for s in snippets} != digests.keys():
-        return None
-    return index
 
 
 def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repolens import evaluation
 from repolens.config import PipelineConfig
-from repolens.errors import EmptyBenchmarkError
+from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
 from repolens.retrieval import build_index
 from tests.conftest import http_stub, write_repo
@@ -113,6 +115,35 @@ def test_fixture_backend_scores_perfect(tmp_path):
     assert (report.em, report.es, report.id_em, report.f1) == (100.0, 100.0, 100.0, 100.0)
     assert [row.task_id for row in report.per_task] == ["a1", "b2", "c3"]
     assert all(row.error == "" for row in report.per_task)
+
+
+def test_fixture_file_is_read_once_before_any_task(tmp_path, monkeypatch):
+    tasks = write_bench(tmp_path)
+    fixture = tmp_path / "answers.json"
+    cfg = PipelineConfig(backend="mock_fixture", fixture_path=str(fixture))
+    extracted, reads = [], []
+    real_complete, real_read = evaluation.complete_task, Path.read_text
+
+    def counted_complete(task, *args, **kwargs):
+        extracted.append(task.task_id)
+        return real_complete(task, *args, **kwargs)
+
+    def counted_read(path, *args, **kwargs):
+        if path == fixture:
+            reads.append(path)
+        return real_read(path, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "complete_task", counted_complete)
+    monkeypatch.setattr(Path, "read_text", counted_read)
+    fixture.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ConfigError, match="is not JSON"):
+        run_benchmark(tasks, cfg)
+    assert extracted == [] and len(reads) == 1
+
+    fixture.write_text(json.dumps(TRUTHS), encoding="utf-8")
+    reads.clear()
+    report = run_benchmark(tasks, cfg)
+    assert report.em == 100.0 and len(extracted) == 3 and len(reads) == 1
 
 
 def test_echo_backend_matches_hand_scores(tmp_path):

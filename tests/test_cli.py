@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from repolens import cli, retrieval
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
-from repolens.retrieval import load_index
+from repolens.retrieval import build_index, load_index, window_cache
 from tests.conftest import write_repo
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
 from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY
@@ -64,8 +65,21 @@ def test_index_rebuilds_after_in_place_edit(runner, repo):
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
     cached = load_index(repo / ".repolens" / "snippets.json")
-    assert any("row.strip().lower()" in s.text for s in cached.snippets)
+    assert cached == window_cache(build_index(repo))
+    assert any("lower" in tokens for tokens, _ in cached.values())
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+
+
+def test_index_after_rename_parses_and_writes_nothing(runner, repo, monkeypatch):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    (repo / "lib" / "text_utils.py").rename(repo / "lib" / "path_utils.py")
+    parsed, saved = [], []
+    monkeypatch.setattr(retrieval, "ast_paths_of", parsed.append)
+    monkeypatch.setattr(cli, "save_index", lambda *args: saved.append(args))
+    again = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert again.exit_code == 0, again.output
+    assert "index up to date" in again.output
+    assert parsed == [] and saved == []
 
 
 def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
@@ -74,7 +88,9 @@ def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
     config_path.write_text("window: 5\nstride: 5\n", encoding="utf-8")
     again = runner.invoke(main, ["index", "--repo", str(repo), "--config", str(config_path)])
     assert "indexed" in again.output
-    assert load_index(repo / ".repolens" / "snippets.json").window == 5
+    cached = load_index(repo / ".repolens" / "snippets.json")
+    assert cached == window_cache(build_index(repo, window=5, stride=5))
+    assert cached.keys() != window_cache(build_index(repo)).keys()
 
 
 def test_index_missing_repo_exits_2(runner, tmp_path):

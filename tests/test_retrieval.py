@@ -26,6 +26,7 @@ from repolens.retrieval import (
     save_index,
     semantic_candidates,
     structure_score,
+    window_cache,
 )
 from tests.conftest import http_stub, write_repo
 
@@ -74,6 +75,18 @@ def test_target_file_excluded(tmp_path):
     assert {s.path for s in index.snippets} == {"other.py"}
 
 
+def test_windows_split_lines_on_newline_only(tmp_path):
+    lines = [f"v{i} = {i}" for i in range(30)]
+    lines[6] = "\f"
+    lines[14] = "s = '\v\x1c\x1d\x1e\x85\u2028\u2029'"
+    text = "".join(line + "\n" for line in lines)
+    write_repo(tmp_path, {"m.py": text})
+    index = build_index(tmp_path)
+    assert [s.snippet_id for s in index.snippets] == ["m.py:0", "m.py:10"]
+    for snippet in index.snippets:
+        assert snippet.text == "\n".join(text.split("\n")[snippet.start_line : snippet.end_line])
+
+
 def test_index_tokens_skip_keywords(tmp_path):
     write_repo(tmp_path, {"m.py": "if flag:\n    total = compute()\n"})
     index = build_index(tmp_path)
@@ -95,16 +108,12 @@ def test_index_cache_roundtrip(tmp_path):
     cache = tmp_path / "index.json"
     save_index(index, cache)
     loaded = load_index(cache)
-    assert loaded is not None
-    assert loaded.window == index.window
-    assert [s.snippet_id for s in loaded.snippets] == [s.snippet_id for s in index.snippets]
-    assert [s.tokens for s in loaded.snippets] == [s.tokens for s in index.snippets]
-    assert [s.ast_paths for s in loaded.snippets] == [s.ast_paths for s in index.snippets]
-    assert loaded == index
-    # caches written while the index still recorded its root keep loading
+    assert loaded == window_cache(index)
+    assert build_index(tmp_path, reuse=loaded) == index
+    # keys the cache does not write are ignored
     doc = json.loads(cache.read_text())
     cache.write_text(json.dumps({**doc, "root": str(tmp_path)}))
-    assert load_index(cache) == index
+    assert load_index(cache) == loaded
 
 
 def test_index_cache_stores_each_ast_path_once(tmp_path):
@@ -115,9 +124,9 @@ def test_index_cache_stores_each_ast_path_once(tmp_path):
     doc = json.loads(cache.read_text())
     table = doc["ast_paths"]
     assert table == sorted(set().union(*(s.ast_paths for s in index.snippets)))
-    assert all(isinstance(i, int) for row in doc["snippets"] for i in row["ast_paths"])
-    assert doc["digests"] == index.digests
-    assert set(index.digests) == {"a.py", "b.py"}
+    assert all(isinstance(i, int) for _, slots in doc["windows"].values() for i in slots)
+    assert set(doc) == {"version", "ast_paths", "windows"}
+    assert doc["windows"].keys() == window_cache(index).keys()
 
 
 def test_index_cache_version_mismatch_returns_none(tmp_path):
@@ -148,6 +157,17 @@ def _v1_doc(index):
     }
 
 
+def _v3_doc(index):
+    """The version-3 layout: positioned snippets with AST-path slots, and one
+    content digest per file."""
+    table = sorted(set().union(*(s.ast_paths for s in index.snippets)))
+    doc = _v1_doc(index)
+    for row, snippet in zip(doc["snippets"], index.snippets):
+        row["ast_paths"] = sorted(table.index(p) for p in snippet.ast_paths)
+    digests = {s.path: "0" * 64 for s in index.snippets}
+    return {**doc, "version": 3, "ast_paths": table, "digests": digests}
+
+
 def test_v1_and_malformed_caches_are_ignored(tmp_path):
     repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25), "b.py": "x = 1\n"})
     index = build_index(repo)
@@ -160,15 +180,19 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         mutate(doc)
         return doc
 
+    def first_entry(doc):
+        return next(iter(doc["windows"].values()))
+
     broken = [
         _v1_doc(index),
         bad(lambda d: d.update(version=2)),  # v2 paths spelled the renamed kinds
-        bad(lambda d: d.pop("digests")),
+        _v3_doc(index),
         bad(lambda d: d.pop("ast_paths")),
-        bad(lambda d: d["snippets"][0]["ast_paths"].append(len(d["ast_paths"]))),
-        bad(lambda d: d["digests"].pop("b.py")),
-        bad(lambda d: d["digests"].update({"ghost.py": "0" * 64})),
-        bad(lambda d: d.update(snippets="not a list")),
+        bad(lambda d: d.pop("windows")),
+        bad(lambda d: first_entry(d).append([])),
+        bad(lambda d: d["windows"].update(dict.fromkeys(d["windows"], 7))),
+        bad(lambda d: first_entry(d)[1].append(len(d["ast_paths"]))),
+        bad(lambda d: d.update(windows="not a map")),
     ]
     for doc in broken:
         cache.write_text(json.dumps(doc))
@@ -181,6 +205,8 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
     other = numbered_lines(30).replace("value", "other")
     write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": other})
     old = build_index(tmp_path)
+    cache = tmp_path / "index.json"
+    save_index(old, cache)
     parsed = []
     real_parse = retrieval.parse
 
@@ -189,20 +215,41 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
         return real_parse(file)
 
     monkeypatch.setattr(retrieval, "parse", counted_parse)
-    assert build_index(tmp_path, reuse=old) == old
+    assert build_index(tmp_path, reuse=load_index(cache)) == old
     assert parsed == []
 
-    (tmp_path / "b.py").write_text(other + "edited = True\n")
+    (tmp_path / "b.py").write_text(other.replace("other_25 = 25", "edited = True"))
     (tmp_path / "c.py").write_text("fresh = 1\n")
-    rebuilt = build_index(tmp_path, reuse=old)
+    rebuilt = build_index(tmp_path, reuse=load_index(cache))
+    old_texts = {s.text for s in old.snippets}
+    assert sorted(parsed) == sorted(s.text for s in rebuilt.snippets if s.text not in old_texts)
     assert {s.path for s in rebuilt.snippets if s.text in parsed} == {"b.py", "c.py"}
-    assert len(parsed) == sum(s.path in ("b.py", "c.py") for s in rebuilt.snippets)
 
     parsed.clear()
-    assert build_index(tmp_path, window=15, stride=5, reuse=rebuilt) == build_index(
+    save_index(rebuilt, cache)
+    assert build_index(tmp_path, window=15, stride=5, reuse=load_index(cache)) == build_index(
         tmp_path, window=15, stride=5
     )
     assert len(parsed) > 0
+
+
+def test_in_place_edit_parses_only_the_changed_windows(tmp_path, monkeypatch):
+    write_repo(tmp_path, {"a.py": numbered_lines(50)})
+    cache = tmp_path / "index.json"
+    save_index(build_index(tmp_path), cache)
+    (tmp_path / "a.py").write_text(numbered_lines(50).replace("value_25 = 25", "value_25 = 52"))
+    parsed = []
+    real_paths = retrieval.ast_paths_of
+
+    def counted_paths(text):
+        parsed.append(text)
+        return real_paths(text)
+
+    monkeypatch.setattr(retrieval, "ast_paths_of", counted_paths)
+    rebuilt = build_index(tmp_path, reuse=load_index(cache))
+    edited = [s.text for s in rebuilt.snippets if "value_25 = 52" in s.text]
+    assert len(edited) == 2 and len(rebuilt.snippets) == 4
+    assert parsed == edited
 
 
 _LINES = [
@@ -480,6 +527,8 @@ def _recording_embedder(posted):
 def test_dense_scorer_embeds_each_text_once_and_edits_afresh(tmp_path):
     write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(30)})
     old = build_index(tmp_path)
+    cache = tmp_path / "index.json"
+    save_index(old, cache)
     posted = []
     with http_stub(_recording_embedder(posted)) as url:
         scorer = DenseScorer(endpoint=url)
@@ -490,7 +539,7 @@ def test_dense_scorer_embeds_each_text_once_and_edits_afresh(tmp_path):
         assert sorted(embedded) == sorted({s.text for s in old.snippets})
 
         (tmp_path / "b.py").write_text(numbered_lines(29) + "edited = True\n")
-        rebuilt = build_index(tmp_path, reuse=old)
+        rebuilt = build_index(tmp_path, reuse=load_index(cache))
         posted.clear()
         scorer.scores("value_5", rebuilt.snippets)
     old_texts = {s.text for s in old.snippets}
