@@ -46,13 +46,18 @@ def main() -> None:
 @main.command("index")
 @click.option("--repo", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--force", is_flag=True, help="Rebuild every file, ignoring the cached index.")
+@click.option(
+    "--force",
+    is_flag=True,
+    help="Start from an empty store: parse every window again and drop the stored file facts.",
+)
 def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     """Build and persist the snippet index in ``<repo>/.repolens``, where
     ``complete`` and ``evaluate`` read it.
 
     The cache is keyed on window text, so only windows whose text is not
-    in it are parsed again.
+    in it are parsed again. The file facts ``complete`` and ``evaluate``
+    stored are kept; the index computes none.
     """
 
     cfg = _load_cfg(config_path)
@@ -62,13 +67,13 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
 
     cached = None if force else load_index(snippets_path)
     index = build_index(root, cfg.window, cfg.stride, reuse=cached)
-    if cached is not None and cached == window_cache(index):
+    if cached is not None and cached.windows == window_cache(index):
         click.echo(f"index up to date at {out_dir}")
         return
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_index(index, snippets_path)
+        save_index(index, snippets_path, cached.files if cached is not None else None)
     except OSError as exc:
         _fail(f"cannot write index to {out_dir}: {exc}")
     click.echo(f"indexed {len(index.snippets)} snippets into {out_dir}")

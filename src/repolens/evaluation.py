@@ -25,7 +25,7 @@ from .errors import BackendError, EmptyBenchmarkError, RepoLensError
 from .gateway import generate, read_fixture_table
 from .pipeline import CompletionTask, TaskResult, complete_task
 from .projdeps import ModuleMap, build_module_map
-from .retrieval import DenseScorer, SnippetIndex, build_index, index_path, load_index
+from .retrieval import DenseScorer, SnippetIndex, Store, build_index, index_path, load_index
 
 _WS_RUN = re.compile(r"[ \t]+")
 _IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -212,9 +212,10 @@ def run_benchmark(
     """Full pipeline plus generation and scoring for every task.
 
     Context extraction runs sequentially (module maps and snippet indexes
-    are shared per repository, and each index reuses the windows cached in
-    the repository's ``.repolens/snippets.json``; one dense scorer serves
-    every task); generation fans out over a worker pool.
+    are shared per repository; the repository's ``.repolens/snippets.json``
+    store is read once, for the windows and file facts it holds, and the
+    facts that had to be parsed are written back to it once; one dense
+    scorer serves every task); generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
     the batch still completes. A faulty ``fixture_path`` file fails the run
     with ``ConfigError`` before any task; rows come back sorted by task id.
@@ -226,6 +227,7 @@ def run_benchmark(
         fixture_table = read_fixture_table(cfg.fixture_path)
 
     module_maps: dict[Path, ModuleMap] = {}
+    stores: dict[Path, Store | None] = {}
     indexes: dict[Path, SnippetIndex] = {}
     results: dict[str, TaskResult] = {}
     failures: dict[str, str] = {}
@@ -237,9 +239,8 @@ def run_benchmark(
         try:
             if root not in indexes:
                 module_maps[root] = build_module_map(root)
-                indexes[root] = build_index(
-                    root, cfg.window, cfg.stride, reuse=load_index(index_path(root))
-                )
+                stores[root] = load_index(index_path(root))
+                indexes[root] = build_index(root, cfg.window, cfg.stride, reuse=stores[root])
             results[task.task_id] = complete_task(
                 task,
                 cfg,
@@ -247,9 +248,13 @@ def run_benchmark(
                 index=indexes[root],
                 module_map=module_maps[root],
                 scorer=scorer,
+                store=stores[root],
             )
         except (RepoLensError, OSError, ValueError) as exc:
             failures[task.task_id] = f"{type(exc).__name__}: {exc}"
+    for store in stores.values():
+        if store is not None:
+            store.flush()
 
     def run_one(task: CompletionTask) -> tuple[str, str, float, str]:
         tick = time.perf_counter()

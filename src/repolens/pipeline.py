@@ -34,6 +34,7 @@ from .retrieval import (
     DenseScorer,
     ExemplarSet,
     SnippetIndex,
+    Store,
     ast_paths_of,
     build_index,
     index_path,
@@ -97,13 +98,15 @@ def extract_context(
     cfg: PipelineConfig | None = None,
     *,
     module_map: ModuleMap | None = None,
+    store: Store | None = None,
 ) -> ContextBundle:
-    """Run the three static-analysis levels for one cursor position."""
+    """Run the three static-analysis levels for one cursor position; every
+    file is read through ``facts_of`` over ``store``."""
 
     cfg = cfg or PipelineConfig()
     diagnostics: list[Diagnostic] = []
     file = load_source(repo_root, rel_file)
-    facts = facts_of(file.path, file.text)
+    facts = facts_of(file.path, file.text, store)
     slice_ = local_slice(facts, line)
     uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
     defs = definitions_before(facts, line)
@@ -111,7 +114,7 @@ def extract_context(
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
     if module_map is None:
         module_map = build_module_map(repo_root, diagnostics)
-    project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics)
+    project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics, store)
     return ContextBundle(
         file=file,
         line=line,
@@ -151,14 +154,19 @@ def complete_task(
     index: SnippetIndex | None = None,
     module_map: ModuleMap | None = None,
     scorer=None,
+    store: Store | None = None,
 ) -> TaskResult:
     """Build the prompt for one task; generation is the caller's business.
 
     A shared ``index`` may cover the whole repository; the target file's
     snippets are filtered out here so results match a fresh build that
-    excluded the file. Without one, the index is built with the target
-    excluded, taking the tokens and AST paths of every unchanged window from
-    the repository's cached index (``<repo>/.repolens/snippets.json``).
+    excluded the file, and file facts are looked up only in the caller's
+    ``store``, which the caller writes back. Without an index, the
+    repository's store (``<repo>/.repolens/snippets.json``) is read once: the
+    index is built with the target excluded, taking the tokens and AST paths
+    of every unchanged window from it, every file read is looked up in it
+    before it is parsed, and the facts that had to be parsed are written
+    back to it.
     """
 
     cfg = cfg or PipelineConfig()
@@ -166,7 +174,9 @@ def complete_task(
         raise ConfigError(f"unknown ablation variant {ablate!r}; pick one of {ABLATION_VARIANTS}")
 
     started = time.perf_counter()
-    bundle = extract_context(task.repo, task.file, task.line, cfg, module_map=module_map)
+    if index is None:
+        store = load_index(index_path(task.repo))
+    bundle = extract_context(task.repo, task.file, task.line, cfg, module_map=module_map, store=store)
     context_ms = (time.perf_counter() - started) * 1000
 
     if task.prefix_override is not None:
@@ -193,8 +203,10 @@ def complete_task(
             cfg.stride,
             exclude=task.file,
             diagnostics=bundle.diagnostics,
-            reuse=load_index(index_path(task.repo)),
+            reuse=store,
         )
+        if store is not None:
+            store.flush()
     else:
         pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])
     if scorer is None and cfg.embedding_endpoint:

@@ -12,20 +12,27 @@ cache over file text: the ``syntax.FileFacts`` of every file a task reads,
 the target file and each imported module alike, keyed by repository-relative
 path and text (relative imports resolve against the path) and holding the
 256 most recently used entries. Every lookup reads the file, so an in-place
-edit is never served stale; no syntax tree is kept. Files that cannot be
-read or parsed are never cached and report on every call.
+edit is never served stale; no syntax tree is kept. A caller that loaded the
+repository's ``.repolens`` store passes it along: a cache miss then decodes
+the stored facts of that path and text before it parses, and keeps what it
+parsed in the store. Files that cannot be read or parsed are never cached
+and report on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import os
+from collections import OrderedDict, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
+from typing import TYPE_CHECKING
 
 from .errors import Diagnostic
 from .syntax import FileFacts, ImportRecord, SourceFile, SymbolRecord, file_facts, parse
+
+if TYPE_CHECKING:
+    from .retrieval import Store
 
 CROSS_FILE = "cross_file"
 EXTERNAL = "external"
@@ -153,20 +160,58 @@ def _resolve_module(
     return CROSS_FILE, candidates[0]
 
 
-@functools.lru_cache(maxsize=256)
-def facts_of(path: str, text: str) -> FileFacts:
-    """The facts of ``text`` read as the file at the repository-relative
-    ``path``, which relative imports resolve against."""
-    return file_facts(parse(SourceFile.from_text(path, text)))
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _FactsCache:
+    """A least-recently-used cache of ``FileFacts`` by (path, text), with the
+    ``.repolens`` store underneath: a miss is looked up in the caller's store
+    before the text is parsed, and what had to be parsed is kept there."""
+
+    def __init__(self, maxsize: int) -> None:
+        self._entries: OrderedDict[tuple[str, str], FileFacts] = OrderedDict()
+        self._maxsize = maxsize
+        self._hits = self._misses = 0
+
+    def __call__(self, path: str, text: str, store: Store | None = None) -> FileFacts:
+        """The facts of ``text`` read as the file at the repository-relative
+        ``path``, which relative imports resolve against."""
+        key = (path, text)
+        facts = self._entries.get(key)
+        if facts is not None:
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return facts
+        self._misses += 1
+        facts = store.facts(path, text) if store is not None else None
+        if facts is None:
+            facts = file_facts(parse(SourceFile.from_text(path, text)))
+            if store is not None:
+                store.keep(facts)
+        self._entries[key] = facts
+        if len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
+        return facts
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+facts_of = _FactsCache(maxsize=256)
 
 
 class _ModuleReader:
     """Reads each mapped module at most once per dependency pass and
     reports each one that cannot be read or parsed once per pass."""
 
-    def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None):
+    def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None, store: Store | None):
         self._map = module_map
         self._diagnostics = diagnostics
+        self._store = store
         self._loaded: dict[str, FileFacts | None] = {}
 
     def get(self, dotted: str) -> FileFacts | None:
@@ -174,7 +219,7 @@ class _ModuleReader:
             rel = self._map.path_of(dotted)
             try:
                 text = (Path(self._map.root) / rel).read_text(encoding="utf-8")
-                self._loaded[dotted] = facts_of(rel, text)
+                self._loaded[dotted] = facts_of(rel, text, self._store)
             except (OSError, UnicodeDecodeError, ValueError) as err:
                 self._loaded[dotted] = None
                 if self._diagnostics is not None:
@@ -230,6 +275,7 @@ def cross_module_deps(
     uses: set[str],
     module_map: ModuleMap,
     diagnostics: list[Diagnostic] | None = None,
+    store: Store | None = None,
 ) -> list[CrossModuleDependency]:
     """Partition imported entities into explicit and potential dependencies.
 
@@ -238,10 +284,11 @@ def cross_module_deps(
     scope, where only definitions are extracted). Everything else imported
     is potential. Cross-file entities resolve their definition from the
     mapped source file; wildcard imports register the module itself as a
-    single potential dependency.
+    single potential dependency. Modules are read through :func:`facts_of`
+    over ``store``.
     """
 
-    reader = _ModuleReader(module_map, diagnostics)
+    reader = _ModuleReader(module_map, diagnostics, store)
     deps: list[CrossModuleDependency] = []
     for rec in imports:
         origin, key = _resolve_module(rec.module_path, module_map, diagnostics)

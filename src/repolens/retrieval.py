@@ -9,10 +9,12 @@ differ.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import keyword
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,13 +23,13 @@ from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import SourceFile, SyntaxNode, parse
+from .syntax import FileFacts, SourceFile, SyntaxNode, facts_from_json, facts_to_json, parse
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 4
+_INDEX_VERSION = 5
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -58,7 +60,8 @@ WindowCache = dict[str, tuple[frozenset[str], frozenset[str]]]
 
 
 def index_path(repo_root: Path | str) -> Path:
-    """Where ``repolens index`` keeps a repository's snippet cache."""
+    """Where a repository's store is kept: the window cache ``repolens index``
+    writes, and the file facts ``complete`` and ``evaluate`` add to it."""
     return Path(repo_root) / ".repolens" / "snippets.json"
 
 
@@ -116,14 +119,14 @@ def build_index(
     stride: int = PipelineConfig.stride,
     exclude: str | None = None,
     diagnostics: list[Diagnostic] | None = None,
-    reuse: WindowCache | None = None,
+    reuse: Store | None = None,
 ) -> SnippetIndex:
     """Slide a fixed window over every source file except ``exclude``.
 
     A window's tokens and AST paths depend on its text alone, so they are
-    taken from ``reuse`` when it holds the window's key and computed
-    otherwise; ids, lines and text always come from the file. The result
-    equals a fresh build.
+    taken from the windows of the ``reuse`` store when it holds the window's
+    key and computed otherwise; ids, lines and text always come from the
+    file. The result equals a fresh build.
     """
 
     root = Path(repo_root).resolve()
@@ -147,7 +150,7 @@ def build_index(
         lines = text.removesuffix("\n").split("\n") if text else []
         for start in range(0, max(len(lines) - window, 0) + 1, stride):
             chunk = "\n".join(lines[start : start + window])
-            cached = reuse.get(_window_key(chunk)) if reuse else None
+            cached = reuse.windows.get(_window_key(chunk)) if reuse else None
             tokens, ast_paths = cached or (frozenset(identifier_tokens(chunk)), ast_paths_of(chunk))
             snippets.append(
                 Snippet(
@@ -168,36 +171,94 @@ def window_cache(index: SnippetIndex) -> WindowCache:
     return {_window_key(s.text): (s.tokens, s.ast_paths) for s in index.snippets}
 
 
-def save_index(index: SnippetIndex, path: Path | str) -> None:
-    """Write ``window_cache(index)`` as JSON; each entry's AST paths are
-    slots in a table that holds each distinct path once."""
-    table = sorted({p for s in index.snippets for p in s.ast_paths})
+def _file_key(path: str, text: str) -> str:
+    return hashlib.sha256(f"{path}\0{text}".encode("utf-8")).hexdigest()
+
+
+@dataclass(eq=False, slots=True)
+class Store:
+    """A loaded ``.repolens/snippets.json``: the window cache, decoded on
+    load, and the file facts, each decoded when it is looked up.
+
+    A file entry is keyed on the sha256 of the file's repository-relative
+    path, a NUL and its text, so only the text can make it stale, and the
+    text is part of the key.
+    """
+
+    path: Path
+    windows: WindowCache
+    files: dict
+    changed: bool = False
+
+    def facts(self, path: str, text: str) -> FileFacts | None:
+        """The stored facts of ``text`` at ``path``; None when absent or malformed."""
+        entry = self.files.get(_file_key(path, text))
+        return facts_from_json(entry, SourceFile.from_text(path, text)) if entry is not None else None
+
+    def keep(self, facts: FileFacts) -> None:
+        """Store ``facts`` in place of any older entry for the same path."""
+        path = facts.file.path
+        older = [key for key, entry in self.files.items() if isinstance(entry, dict) and entry.get("path") == path]
+        for key in older:
+            del self.files[key]
+        self.files[_file_key(path, facts.file.text)] = facts_to_json(facts)
+        self.changed = True
+
+    def flush(self) -> None:
+        """Write the store back if it kept new facts. A failed write is
+        ignored: the store is a cache, and the next run parses again."""
+        if self.changed:
+            self.changed = False
+            with contextlib.suppress(OSError):
+                _write_store(self.path, self.windows, self.files)
+
+
+def _write_store(path: Path, windows: WindowCache, files: dict) -> None:
+    """Write a store as JSON, each window's AST paths as slots in a table
+    that holds each distinct path once. The JSON goes to a temporary file
+    beside ``path`` first and then replaces it in one step, so an interrupted
+    write leaves the old store."""
+    table = sorted({p for _, paths in windows.values() for p in paths})
     slot = {p: i for i, p in enumerate(table)}
-    windows = {
-        key: [sorted(tokens), sorted(slot[p] for p in paths)]
-        for key, (tokens, paths) in window_cache(index).items()
-    }
-    doc = {"version": _INDEX_VERSION, "ast_paths": table, "windows": windows}
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-
-
-def load_index(path: Path | str) -> WindowCache | None:
-    """Read a window cache back; None when absent, of another version or
-    malformed, so the caller builds afresh."""
+    encoded = {key: [sorted(tokens), sorted(slot[p] for p in paths)] for key, (tokens, paths) in windows.items()}
+    doc = {"version": _INDEX_VERSION, "ast_paths": table, "windows": encoded, "files": files}
+    scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        scratch.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        os.replace(scratch, path)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+
+
+def save_index(index: SnippetIndex, path: Path | str, files: dict | None = None) -> None:
+    """Write ``window_cache(index)`` and the file entries ``files`` as the
+    store at ``path``."""
+    _write_store(Path(path), window_cache(index), files or {})
+
+
+def load_index(path: Path | str) -> Store | None:
+    """Read the store back; None when absent, of another version or
+    malformed, so the caller builds afresh."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
     if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION:
         return None
+    if not isinstance(doc.get("files"), dict):
+        return None
     try:
-        table = doc["ast_paths"]
-        return {
-            key: (frozenset(tokens), frozenset(table[i] for i in slots))
+        # a dict, not the list, so a negative slot is missing rather than counted from the end
+        table = dict(enumerate(doc["ast_paths"]))
+        windows = {
+            key: (frozenset(tokens), frozenset(map(table.__getitem__, slots)))
             for key, (tokens, slots) in doc["windows"].items()
         }
-    except (AttributeError, KeyError, TypeError, IndexError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
+    return Store(path, windows, doc["files"])
 
 
 def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:

@@ -10,6 +10,9 @@ unfinished file with a cursor in the middle looks like.
 :func:`file_facts` reads what the analyses need off one tree and drops the
 tree; :func:`definitions_before` and ``funcflow.local_slice`` answer each
 cursor from those records, so one parse serves every cursor in a file.
+:func:`facts_to_json` and :func:`facts_from_json` carry the facts across
+processes without the text: each record's code is cut from the file by its
+span when it is read back.
 
 Conventions:
   * lines and columns are 0-based internally (the CLI converts at the edge)
@@ -331,7 +334,6 @@ def _module_definitions(tree: SyntaxTree) -> Iterator[SymbolRecord]:
 def file_facts(tree: SyntaxTree) -> FileFacts:
     """Read the facts of ``tree``'s file; the tree itself is not kept."""
     file = tree.file
-    last = file.line_count - 1
     definitions = tuple(_module_definitions(tree))
     # a module-level function is one record in both tuples
     top = {record.def_span: record for record in definitions if record.sym_kind == "function"}
@@ -344,9 +346,99 @@ def file_facts(tree: SyntaxTree) -> FileFacts:
         definitions=definitions,
         functions=tuple(record for record in functions if record),
         imports=tuple(imports_of(tree)),
-        span=Span(0, 0, last, len(file.text) - file.line_index[last]),
+        span=_file_span(file),
         refs=reference_sets(tree.root),
     )
+
+
+def _file_span(file: SourceFile) -> Span:
+    last = file.line_count - 1
+    return Span(0, 0, last, len(file.text) - file.line_index[last])
+
+
+def _span_to_json(span: Span) -> list[int]:
+    return [span.start_line, span.start_col, span.end_line, span.end_col]
+
+
+def _refs_to_json(refs: References) -> list[list[str]]:
+    return [sorted(refs.used), sorted(refs.called), sorted(refs.bases), list(refs.bound)]
+
+
+def facts_to_json(facts: FileFacts) -> dict:
+    """``facts`` as JSON values, without the text: each record is its name,
+    kind, span and four reference lists, and the records shared by
+    ``definitions`` and ``functions`` (module-level functions) are stored once."""
+    slots: dict[int, int] = {}
+    records: list[list] = []
+
+    def slot(record: SymbolRecord) -> int:
+        if id(record) not in slots:
+            slots[id(record)] = len(records)
+            span = _span_to_json(record.def_span)
+            records.append([record.name, record.sym_kind, span, *_refs_to_json(record.refs)])
+        return slots[id(record)]
+
+    return {
+        "path": facts.file.path,
+        "definitions": [slot(record) for record in facts.definitions],
+        "functions": [slot(record) for record in facts.functions],
+        "records": records,
+        "imports": [
+            [rec.module_path, [list(pair) for pair in rec.bound_names], _span_to_json(rec.import_span)]
+            for rec in facts.imports
+        ],
+        "refs": _refs_to_json(facts.refs),
+    }
+
+
+def _strings(value) -> list[str]:
+    if type(value) is not list or not {str}.issuperset(map(type, value)):
+        raise ValueError("not a list of strings")
+    return value
+
+
+def _span_from_json(value) -> Span:
+    if type(value) is not list or len(value) != 4 or not {int}.issuperset(map(type, value)):
+        raise ValueError("not a span")
+    return Span(*value)
+
+
+def _refs_from_json(value) -> References:
+    used, called, bases, bound = map(_strings, value)
+    return References(frozenset(used), frozenset(called), frozenset(bases), tuple(bound))
+
+
+def _record_from_json(row, file: SourceFile) -> SymbolRecord:
+    name, kind, span, *refs = row
+    _strings([name, kind])
+    span = _span_from_json(span)
+    return SymbolRecord(name, kind, span, file.span_text(span), _refs_from_json(refs))
+
+
+def _import_from_json(row) -> ImportRecord:
+    module_path, names, span = row
+    _strings([module_path])
+    bound_names = tuple((symbol, alias) for symbol, alias in map(_strings, names))
+    return ImportRecord(module_path, bound_names, _span_from_json(span))
+
+
+def facts_from_json(entry, file: SourceFile) -> FileFacts | None:
+    """The facts ``facts_to_json`` wrote for ``file``, each record's code cut
+    from ``file``'s text by its span; None when ``entry`` is malformed."""
+    try:
+        if entry["path"] != file.path:
+            return None
+        records = dict(enumerate(_record_from_json(row, file) for row in entry["records"]))
+        return FileFacts(
+            file=file,
+            definitions=tuple(records[i] for i in entry["definitions"]),
+            functions=tuple(records[i] for i in entry["functions"]),
+            imports=tuple(map(_import_from_json, entry["imports"])),
+            span=_file_span(file),
+            refs=_refs_from_json(entry["refs"]),
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def definitions_before(facts: FileFacts, line: int) -> list[SymbolRecord]:

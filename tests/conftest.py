@@ -4,6 +4,7 @@ a local HTTP stub for backend tests."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repolens import syntax
 from repolens.syntax import SourceFile, parse
 
 TESTS_DIR = Path(__file__).parent
@@ -29,6 +31,25 @@ def load_cursor_case(path: Path):
 def dep_case_table():
     assert len(DEP_CASES) == 10
     return [(p.name, *load_cursor_case(p)) for p in DEP_CASES]
+
+
+def count_parses(monkeypatch) -> list[tuple[str, str]]:
+    """Wrap ``syntax.parse`` in every ``repolens`` module that imported it;
+    each call appends (module, file path) to the list returned."""
+    parses: list[tuple[str, str]] = []
+    real_parse = syntax.parse
+
+    def wrap(module_name: str):
+        def counted_parse(file):
+            parses.append((module_name, file.path))
+            return real_parse(file)
+
+        return counted_parse
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
+            monkeypatch.setattr(module, "parse", wrap(name.removeprefix("repolens.")))
+    return parses
 
 
 def write_repo(root: Path, files: dict[str, str]) -> Path:

@@ -11,7 +11,9 @@ payload and the diagnostics; a budget too small for the target hashes the
 error instead. The ``cache`` lines come last: each corpus is copied into a
 temporary directory, its ``.repolens/snippets.json`` is written there, and
 each cursor's prefix variant is completed at budget 4,000 through that
-cache, as ``repolens complete`` reads it. A refactor that claims unchanged
+store, as a fresh ``repolens complete`` reads it: the process cache of file
+facts is cleared before each cursor, so the first cursor on a file stores
+the facts it parses and later cursors decode them. A refactor that claims unchanged
 behaviour diffs this output between two checkouts:
 
     python tests/prompt_digests.py > new.txt  # in each checkout
@@ -82,6 +84,7 @@ def outputs():
                 for cursor in cursors.file_cursors(source, rel, modules):
                     task = CompletionTask(cursor.task_id, root, cursor.file, cursor.line, cursor.prefix)
                     key = f"{corpus} {cursor.task_id} cache 4000"
+                    projdeps.facts_of.cache_clear()  # so the file facts come from the store
                     yield key, rendered(task, PipelineConfig(token_budget=4000))
 
 

@@ -25,12 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from repolens import evaluation
+from repolens import evaluation, projdeps
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
-from repolens.retrieval import build_index
-from tests.conftest import http_stub, write_repo
+from repolens.retrieval import build_index, index_path, save_index
+from tests.conftest import count_parses, http_stub, write_repo
 
 MAIN_PY = """\
 import os
@@ -165,6 +165,21 @@ def test_echo_backend_matches_hand_scores(tmp_path):
     assert report.em == pytest.approx(200 / 3)
     assert report.es == pytest.approx((87.5 + 44.0 + 100 * 5 / 6) / 3)
     assert report.f1 == pytest.approx((100 + 40 + 100) / 3)
+
+
+def test_second_run_parses_only_slices_and_queries(tmp_path, monkeypatch):
+    tasks = write_bench(tmp_path)
+    repo = tmp_path / "bench"
+    index_path(repo).parent.mkdir()
+    save_index(build_index(repo), index_path(repo))
+    projdeps.facts_of.cache_clear()
+    first = run_benchmark(tasks, no_timing=True)
+
+    parses = count_parses(monkeypatch)
+    projdeps.facts_of.cache_clear()
+    second = run_benchmark(tasks, no_timing=True)
+    assert sorted(parses) == sorted([("funcflow", "<slice>"), ("retrieval", "snippet.py")] * len(TASK_ROWS))
+    assert report_json(second) == report_json(first)
 
 
 def test_empty_tasks_file_rejected(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from repolens import cli, retrieval
+from repolens import cli, projdeps, retrieval
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
 from repolens.retrieval import build_index, load_index, window_cache
@@ -64,7 +64,7 @@ def test_index_rebuilds_after_in_place_edit(runner, repo):
     again = runner.invoke(main, ["index", "--repo", str(repo)])
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
-    cached = load_index(repo / ".repolens" / "snippets.json")
+    cached = load_index(repo / ".repolens" / "snippets.json").windows
     assert cached == window_cache(build_index(repo))
     assert any("lower" in tokens for tokens, _ in cached.values())
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
@@ -88,9 +88,27 @@ def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
     config_path.write_text("window: 5\nstride: 5\n", encoding="utf-8")
     again = runner.invoke(main, ["index", "--repo", str(repo), "--config", str(config_path)])
     assert "indexed" in again.output
-    cached = load_index(repo / ".repolens" / "snippets.json")
+    cached = load_index(repo / ".repolens" / "snippets.json").windows
     assert cached == window_cache(build_index(repo, window=5, stride=5))
     assert cached.keys() != window_cache(build_index(repo)).keys()
+
+
+def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
+    def stored():
+        return load_index(repo / ".repolens" / "snippets.json").files
+
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    assert stored() == {}
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    facts = stored()
+    assert sorted(entry["path"] for entry in facts.values()) == ["data_processor.py", "main.py"]
+
+    (repo / "lib" / "text_utils.py").write_text(UTILS_PY + "\nextra = 1\n")
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    assert stored() == facts
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo), "--force"]).output
+    assert stored() == {}
 
 
 def test_index_missing_repo_exits_2(runner, tmp_path):

@@ -9,12 +9,12 @@ entities.
 
 from __future__ import annotations
 
+import json
 import os
-import sys
 
 import pytest
 
-from repolens import pipeline, projdeps, retrieval, syntax
+from repolens import pipeline, projdeps, retrieval
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError
 from repolens.pipeline import (
@@ -27,10 +27,11 @@ from repolens.retrieval import (
     ast_paths_of,
     build_index,
     index_path,
+    load_index,
     save_index,
     semantic_candidates,
 )
-from tests.conftest import TESTS_DIR, http_stub, write_repo
+from tests.conftest import TESTS_DIR, count_parses, http_stub, write_repo
 
 MAIN_PY = """\
 import os
@@ -355,29 +356,15 @@ def test_unreadable_imported_module_reports_on_every_call(repo):
 
 
 def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
-    parses: list[tuple[str, str]] = []
-    in_graph: list[bool] = []
-    real_parse, real_build_graph = syntax.parse, pipeline.build_graph
-
-    def wrap_parse(module_name):
-        def counted_parse(file):
-            parses.append((module_name, file.path))
-            if in_graph:
-                raise AssertionError(f"build_graph parsed {file.path}")
-            return real_parse(file)
-
-        return counted_parse
+    real_build_graph = pipeline.build_graph
+    parses = count_parses(monkeypatch)
 
     def traced_build_graph(*args, **kwargs):
-        in_graph.append(True)
-        try:
-            return real_build_graph(*args, **kwargs)
-        finally:
-            in_graph.pop()
+        before = len(parses)
+        graph = real_build_graph(*args, **kwargs)
+        assert parses[before:] == [], "build_graph parsed"
+        return graph
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
-            monkeypatch.setattr(module, "parse", wrap_parse(name.removeprefix("repolens.")))
     monkeypatch.setattr(pipeline, "build_graph", traced_build_graph)
     projdeps.facts_of.cache_clear()
     index = build_index(repo)
@@ -391,6 +378,130 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
     assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
+
+
+def stored_paths(repo) -> list[str]:
+    return sorted(entry["path"] for entry in load_index(index_path(repo)).files.values())
+
+
+def same_output(one, other) -> bool:
+    return (one.prompt, one.bundle.diagnostics) == (other.prompt, other.bundle.diagnostics)
+
+
+def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
+    write_cache(repo)
+    projdeps.facts_of.cache_clear()
+    first = complete_task(make_task(repo))
+    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+
+    parses = count_parses(monkeypatch)
+    projdeps.facts_of.cache_clear()
+    second = complete_task(make_task(repo))
+    assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
+    assert same_output(second, first)
+
+
+def test_stored_module_edited_in_place_is_never_served_stale(repo):
+    write_cache(repo)
+    projdeps.facts_of.cache_clear()
+    complete_task(make_task(repo))
+    assert "data_processor.py" in stored_paths(repo)
+    module = repo / "data_processor.py"
+    stat = module.stat()
+    edited = PROCESSOR_PY.replace("process_data(row):\n    return row.", "process_data(rec):\n    return rec.")
+    assert len(edited) == len(PROCESSOR_PY)
+    module.write_text(edited)
+    os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (module.stat().st_size, module.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+    projdeps.facts_of.cache_clear()
+    stored = complete_task(make_task(repo))
+    assert "def process_data(rec):" in project_section(stored)
+    index_path(repo).unlink()
+    projdeps.facts_of.cache_clear()
+    assert same_output(stored, complete_task(make_task(repo)))
+
+
+@pytest.mark.parametrize("fault", ["not_utf8", "dangling_link"])
+def test_unreadable_module_is_never_stored(repo, fault):
+    write_cache(repo)
+    module = repo / "data_processor.py"
+    if fault == "not_utf8":
+        module.write_bytes(b"\xff\xfe not utf8")
+    else:
+        module.unlink()
+        module.symlink_to(repo / "missing.py")
+    for _ in range(2):
+        projdeps.facts_of.cache_clear()
+        result = complete_task(make_task(repo))
+        errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
+        assert [d.context["path"] for d in errors] == ["data_processor.py"]
+        assert stored_paths(repo) == ["main.py"]
+
+
+def test_malformed_stored_facts_are_parsed_again(repo):
+    write_cache(repo)
+    projdeps.facts_of.cache_clear()
+    expected = complete_task(make_task(repo))
+    good = index_path(repo).read_text()
+    broken = [
+        lambda entry: entry.clear(),
+        lambda entry: entry.update(path="elsewhere.py"),
+        lambda entry: entry.update(records=7),
+        lambda entry: entry["definitions"].append(-1),  # a list index would count it from the end
+        lambda entry: entry["records"][0][2].pop(),  # a span of three numbers
+        lambda entry: entry["records"][0][3].append(["unhashable"]),
+        lambda entry: entry["refs"][3].append(5),
+        lambda entry: entry["imports"].append(["m", [["only one name"]], [0, 0, 0, 0]]),
+    ]
+    for path in ("main.py", "data_processor.py"):
+        for mutate in broken + [lambda entry: None]:
+            doc = json.loads(good)
+            (key,) = [key for key, entry in doc["files"].items() if entry["path"] == path]
+            mutate(doc["files"][key])
+            index_path(repo).write_text(json.dumps(doc))
+            projdeps.facts_of.cache_clear()
+            assert same_output(complete_task(make_task(repo)), expected)
+            assert json.loads(index_path(repo).read_text())["files"][key] == json.loads(good)["files"][key]
+    doc = json.loads(good)
+    doc["files"] = dict.fromkeys(doc["files"], 7)
+    index_path(repo).write_text(json.dumps(doc))
+    projdeps.facts_of.cache_clear()
+    assert same_output(complete_task(make_task(repo)), expected)
+    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+
+
+def test_failed_store_write_changes_nothing(repo, monkeypatch):
+    write_cache(repo)
+    before = index_path(repo).read_bytes()
+
+    def refuse(*args):
+        raise PermissionError(13, "Read-only file system")
+
+    monkeypatch.setattr(retrieval.os, "replace", refuse)
+    projdeps.facts_of.cache_clear()
+    refused = complete_task(make_task(repo))
+    assert index_path(repo).read_bytes() == before
+    assert [p.name for p in index_path(repo).parent.iterdir()] == ["snippets.json"]
+    monkeypatch.undo()
+    projdeps.facts_of.cache_clear()
+    assert same_output(refused, complete_task(make_task(repo)))
+    assert index_path(repo).read_bytes() != before
+
+
+def test_store_keeps_one_entry_per_path(repo):
+    write_cache(repo)
+    projdeps.facts_of.cache_clear()
+    module = repo / "data_processor.py"
+    for i in range(3):
+        module.write_text(PROCESSOR_PY.replace("row.strip()", f"row.strip()[{i}]"))
+        complete_task(make_task(repo))
+        assert stored_paths(repo) == ["data_processor.py", "main.py"]
+
+
+def test_complete_without_store_writes_nothing(repo):
+    complete_task(make_task(repo))
+    assert not (repo / ".repolens").exists()
 
 
 def test_in_place_edit_of_target_is_seen_by_the_next_task(repo):

@@ -21,6 +21,7 @@ from repolens.retrieval import (
     ast_paths_of,
     build_index,
     identifier_tokens,
+    index_path,
     load_index,
     rerank,
     save_index,
@@ -28,7 +29,8 @@ from repolens.retrieval import (
     structure_score,
     window_cache,
 )
-from tests.conftest import http_stub, write_repo
+from repolens.syntax import SourceFile, file_facts, parse
+from tests.conftest import TESTS_DIR, http_stub, write_repo
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -108,12 +110,13 @@ def test_index_cache_roundtrip(tmp_path):
     cache = tmp_path / "index.json"
     save_index(index, cache)
     loaded = load_index(cache)
-    assert loaded == window_cache(index)
+    assert loaded.windows == window_cache(index)
     assert build_index(tmp_path, reuse=loaded) == index
     # keys the cache does not write are ignored
     doc = json.loads(cache.read_text())
     cache.write_text(json.dumps({**doc, "root": str(tmp_path)}))
-    assert load_index(cache) == loaded
+    reloaded = load_index(cache)
+    assert (reloaded.windows, reloaded.files) == (loaded.windows, loaded.files)
 
 
 def test_index_cache_stores_each_ast_path_once(tmp_path):
@@ -125,7 +128,8 @@ def test_index_cache_stores_each_ast_path_once(tmp_path):
     table = doc["ast_paths"]
     assert table == sorted(set().union(*(s.ast_paths for s in index.snippets)))
     assert all(isinstance(i, int) for _, slots in doc["windows"].values() for i in slots)
-    assert set(doc) == {"version", "ast_paths", "windows"}
+    assert set(doc) == {"version", "ast_paths", "windows", "files"}
+    assert doc["files"] == {}
     assert doc["windows"].keys() == window_cache(index).keys()
 
 
@@ -168,6 +172,11 @@ def _v3_doc(index):
     return {**doc, "version": 3, "ast_paths": table, "digests": digests}
 
 
+def _v4_doc(good):
+    """The version-4 layout: window entries and the path table, no file facts."""
+    return {"version": 4, "ast_paths": good["ast_paths"], "windows": good["windows"]}
+
+
 def test_v1_and_malformed_caches_are_ignored(tmp_path):
     repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25), "b.py": "x = 1\n"})
     index = build_index(repo)
@@ -187,18 +196,81 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         _v1_doc(index),
         bad(lambda d: d.update(version=2)),  # v2 paths spelled the renamed kinds
         _v3_doc(index),
+        _v4_doc(good),
         bad(lambda d: d.pop("ast_paths")),
         bad(lambda d: d.pop("windows")),
+        bad(lambda d: d.pop("files")),
         bad(lambda d: first_entry(d).append([])),
         bad(lambda d: d["windows"].update(dict.fromkeys(d["windows"], 7))),
         bad(lambda d: first_entry(d)[1].append(len(d["ast_paths"]))),
+        bad(lambda d: first_entry(d)[1].append(-1)),  # a list index would count it from the end
         bad(lambda d: d.update(windows="not a map")),
+        bad(lambda d: d.update(files=["not", "a", "map"])),
     ]
     for doc in broken:
         cache.write_text(json.dumps(doc))
         assert load_index(cache) is None, doc
     cache.write_text(json.dumps(good)[:-40])
     assert load_index(cache) is None
+
+
+def test_interrupted_write_keeps_the_previous_store(tmp_path, monkeypatch):
+    repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25)})
+    cache = index_path(repo)
+    cache.parent.mkdir()
+    save_index(build_index(repo), cache)
+    before = load_index(cache).windows
+    write_repo(repo, {"b.py": "y = 2\n"})
+    real_write = Path.write_text
+
+    def write_half_then_fail(path, text, *args, **kwargs):
+        real_write(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        save_index(build_index(repo), cache)
+    monkeypatch.undo()
+    assert load_index(cache).windows == before
+    assert [p.name for p in cache.parent.iterdir()] == ["snippets.json"]
+
+
+def _file_text_pairs():
+    """(path, text) for every file of the test and benchmark corpora and of
+    ``src/repolens``, each also cut a line and a half short of two thirds,
+    which parses with error recovery."""
+    roots = [TESTS_DIR / "corpus_cases", TESTS_DIR / "dep_cases", TESTS_DIR.parent / "src"]
+    roots += sorted((TESTS_DIR.parent / "perfbench" / "corpora").iterdir())
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            rel = f"{root.name}/{path.relative_to(root).as_posix()}"  # src/ and a corpus both hold repolens/
+            text = path.read_text(encoding="utf-8")
+            lines = text.split("\n")
+            cut = len(lines) * 2 // 3
+            yield rel, text
+            yield f"cut/{rel}", "\n".join(lines[:cut] + [lines[cut][: len(lines[cut]) // 2]])
+
+
+def test_stored_facts_equal_fresh_ones():
+    with tempfile.TemporaryDirectory() as scratch:
+        cache = Path(scratch) / "snippets.json"
+        save_index(build_index(scratch), cache)
+        store = load_index(cache)
+        fresh = {}
+        for rel, text in _file_text_pairs():
+            fresh[rel] = file_facts(parse(SourceFile.from_text(rel, text)))
+            store.keep(fresh[rel])
+        store.flush()
+        stored = load_index(cache)
+    assert len(stored.files) == len(fresh) > 130
+    for rel, facts in fresh.items():
+        back = stored.facts(rel, facts.file.text)
+        assert back == facts, rel
+        # SymbolRecord.refs is left out of record equality, so compare it on its own
+        records = [(r.code, r.refs) for r in facts.definitions + facts.functions]
+        assert [(r.code, r.refs) for r in back.definitions + back.functions] == records, rel
+        assert back.refs == facts.refs, rel
+        assert stored.facts(rel, facts.file.text + "\n") is None  # the text is part of the key
 
 
 def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
