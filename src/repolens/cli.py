@@ -15,7 +15,6 @@ import click
 
 from .config import PipelineConfig, load_config
 from .errors import BackendError, ConfigError, EmptyBenchmarkError, RepoLensError
-from .evaluation import format_csv, format_text, report_json, run_benchmark
 from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
 from .ranking import explain_graph
@@ -57,7 +56,8 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
 
     The cache is keyed on window text, so only windows whose text is not
     in it are parsed again. The file facts ``complete`` and ``evaluate``
-    stored are kept; the index computes none.
+    stored are kept for the files it windows and dropped for any other path;
+    the index computes none.
     """
 
     cfg = _load_cfg(config_path)
@@ -67,9 +67,11 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
 
     cached = None if force else load_index(snippets_path)
     index = build_index(root, cfg.window, cfg.stride, reuse=cached)
-    if cached is not None and cached.windows == window_cache(index):
-        click.echo(f"index up to date at {out_dir}")
-        return
+    if cached is not None:
+        dropped = cached.retain({s.path for s in index.snippets})
+        if not dropped and cached.windows == window_cache(index):
+            click.echo(f"index up to date at {out_dir}")
+            return
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -162,6 +164,8 @@ def cmd_evaluate(
     no_timing: bool,
 ) -> None:
     """Score every task in a JSONL file and print a report."""
+
+    from .evaluation import format_csv, format_text, report_json, run_benchmark
 
     cfg = _load_cfg(config_path)
     try:

@@ -6,16 +6,14 @@ deterministic stand-ins for tests and offline runs: echo returns the last
 line of the prompt's target section, fixture looks completions up by task
 id. Server errors and timeouts are retried with exponential backoff;
 client errors fail immediately. ``post_json`` is the one HTTP client of the
-package; the dense retriever uses it too.
+package; the dense retriever uses it too. It imports the standard library's
+HTTP stack on first use, so a run that never posts never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -89,6 +87,10 @@ def post_json(url: str, payload: object, timeout: float) -> object:
     failure to connect or read a ``BackendError``, and a body that is not
     JSON a ``MalformedResponseError``.
     """
+
+    import http.client
+    import urllib.error
+    import urllib.request
 
     if not url.lower().startswith(("http://", "https://")):
         raise BackendError(f"request to {url} failed: not an http(s) URL")

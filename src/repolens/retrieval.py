@@ -29,7 +29,7 @@ from .syntax import FileFacts, SourceFile, SyntaxNode, facts_from_json, facts_to
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 5
+_INDEX_VERSION = 6
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -175,10 +175,17 @@ def _file_key(path: str, text: str) -> str:
     return hashlib.sha256(f"{path}\0{text}".encode("utf-8")).hexdigest()
 
 
+def _entry_path(entry: object) -> str | None:
+    path = entry.get("path") if isinstance(entry, dict) else None
+    return path if isinstance(path, str) else None
+
+
 @dataclass(eq=False, slots=True)
 class Store:
-    """A loaded ``.repolens/snippets.json``: the window cache, decoded on
-    load, and the file facts, each decoded when it is looked up.
+    """A loaded ``.repolens/snippets.json``, which holds two JSON lines: the
+    window cache, decoded on load and kept as read in ``window_line``, and
+    the file facts, each decoded when it is looked up. A write-back writes
+    ``window_line`` back unchanged and encodes only the file facts.
 
     A file entry is keyed on the sha256 of the file's repository-relative
     path, a NUL and its text, so only the text can make it stale, and the
@@ -188,6 +195,7 @@ class Store:
     path: Path
     windows: WindowCache
     files: dict
+    window_line: str
     changed: bool = False
 
     def facts(self, path: str, text: str) -> FileFacts | None:
@@ -198,11 +206,19 @@ class Store:
     def keep(self, facts: FileFacts) -> None:
         """Store ``facts`` in place of any older entry for the same path."""
         path = facts.file.path
-        older = [key for key, entry in self.files.items() if isinstance(entry, dict) and entry.get("path") == path]
+        older = [key for key, entry in self.files.items() if _entry_path(entry) == path]
         for key in older:
             del self.files[key]
         self.files[_file_key(path, facts.file.text)] = facts_to_json(facts)
         self.changed = True
+
+    def retain(self, paths: set[str]) -> bool:
+        """Drop every file entry that names no path in ``paths``; True when
+        one was dropped."""
+        kept = {key: entry for key, entry in self.files.items() if _entry_path(entry) in paths}
+        dropped = len(kept) < len(self.files)
+        self.files = kept
+        return dropped
 
     def flush(self) -> None:
         """Write the store back if it kept new facts. A failed write is
@@ -210,21 +226,26 @@ class Store:
         if self.changed:
             self.changed = False
             with contextlib.suppress(OSError):
-                _write_store(self.path, self.windows, self.files)
+                _write_store(self.path, self.window_line, self.files)
 
 
-def _write_store(path: Path, windows: WindowCache, files: dict) -> None:
-    """Write a store as JSON, each window's AST paths as slots in a table
-    that holds each distinct path once. The JSON goes to a temporary file
-    beside ``path`` first and then replaces it in one step, so an interrupted
-    write leaves the old store."""
+def _encode_windows(windows: WindowCache) -> str:
+    """The store's first line: the window cache as JSON, each window's AST
+    paths as slots in a table that holds each distinct path once."""
     table = sorted({p for _, paths in windows.values() for p in paths})
     slot = {p: i for i, p in enumerate(table)}
     encoded = {key: [sorted(tokens), sorted(slot[p] for p in paths)] for key, (tokens, paths) in windows.items()}
-    doc = {"version": _INDEX_VERSION, "ast_paths": table, "windows": encoded, "files": files}
+    return json.dumps({"version": _INDEX_VERSION, "ast_paths": table, "windows": encoded}, sort_keys=True) + "\n"
+
+
+def _write_store(path: Path, window_line: str, files: dict) -> None:
+    """Write a store: ``window_line``, then the file entries as the second
+    JSON line. The text goes to a temporary file beside ``path`` first
+    and then replaces it in one step, so an interrupted write leaves the old
+    store."""
     scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        scratch.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        scratch.write_text(window_line + json.dumps(files, sort_keys=True) + "\n", encoding="utf-8")
         os.replace(scratch, path)
     except BaseException:
         scratch.unlink(missing_ok=True)
@@ -234,20 +255,21 @@ def _write_store(path: Path, windows: WindowCache, files: dict) -> None:
 def save_index(index: SnippetIndex, path: Path | str, files: dict | None = None) -> None:
     """Write ``window_cache(index)`` and the file entries ``files`` as the
     store at ``path``."""
-    _write_store(Path(path), window_cache(index), files or {})
+    _write_store(Path(path), _encode_windows(window_cache(index)), files or {})
 
 
 def load_index(path: Path | str) -> Store | None:
     """Read the store back; None when absent, of another version or
-    malformed, so the caller builds afresh."""
+    malformed in either line, so the caller builds afresh."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with path.open(encoding="utf-8", newline="\n") as lines:
+            window_line = lines.readline()
+            doc = json.loads(window_line)
+            files = json.loads(lines.read())
     except (OSError, ValueError):
         return None
-    if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION:
-        return None
-    if not isinstance(doc.get("files"), dict):
+    if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION or not isinstance(files, dict):
         return None
     try:
         # a dict, not the list, so a negative slot is missing rather than counted from the end
@@ -258,7 +280,7 @@ def load_index(path: Path | str) -> Store | None:
         }
     except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    return Store(path, windows, doc["files"])
+    return Store(path, windows, files, window_line)
 
 
 def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:

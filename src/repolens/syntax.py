@@ -5,7 +5,9 @@
 node's kind is parso's own type name (``file_input``, ``funcdef``,
 ``suite``, ``expr_stmt``, ``name``, ...). parso keeps parsing through syntax
 errors and surfaces the broken region as ``error_node`` -- exactly what an
-unfinished file with a cursor in the middle looks like.
+unfinished file with a cursor in the middle looks like. The grammar is
+generated on the first parse, not at import, so a run that parses nothing
+(an up-to-date ``repolens index``, ``--help``) never pays for it.
 
 :func:`file_facts` reads what the analyses need off one tree and drops the
 tree; :func:`definitions_before` and ``funcflow.local_slice`` answer each
@@ -28,6 +30,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 from pathlib import Path, PurePosixPath
 from typing import Iterator
@@ -198,12 +201,14 @@ class FileFacts:
     refs: References
 
 
-_GRAMMAR = parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
+@cache
+def _grammar():
+    return parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
 
 
 def parse(file: SourceFile) -> SyntaxTree:
     """Parse ``file`` into a normalized tree, recovering from syntax errors."""
-    module = _GRAMMAR.parse(file.text, error_recovery=True)
+    module = _grammar().parse(file.text, error_recovery=True)
     (root,) = _convert(module)
     return SyntaxTree(root=root, file=file, parso_module=module)
 

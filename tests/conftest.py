@@ -60,6 +60,17 @@ def write_repo(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
+def read_store(path: Path) -> tuple[dict, dict]:
+    """A ``.repolens/snippets.json`` as its two JSON lines: the window cache
+    and the file entries."""
+    head, files = path.read_text(encoding="utf-8").split("\n")[:2]
+    return json.loads(head), json.loads(files)
+
+
+def write_store(path: Path, head: object, files: object) -> None:
+    path.write_text(json.dumps(head) + "\n" + json.dumps(files) + "\n", encoding="utf-8")
+
+
 @contextmanager
 def http_stub(handler):
     """Serve JSON POSTs on an ephemeral local port.

@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from repolens import cli, projdeps, retrieval
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
-from repolens.retrieval import build_index, load_index, window_cache
+from repolens.retrieval import build_index, index_path, load_index, window_cache
 from tests.conftest import write_repo
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
-from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY
+from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_paths
 
 
 @pytest.fixture
@@ -109,6 +109,88 @@ def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
     assert stored() == facts
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo), "--force"]).output
     assert stored() == {}
+
+
+@pytest.mark.parametrize("edit", [False, True], ids=["same-text", "edited"])
+def test_index_drops_the_facts_of_a_renamed_file(runner, repo, edit):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+
+    (repo / "data_processor.py").rename(repo / "processor.py")
+    if edit:
+        (repo / "processor.py").write_text(PROCESSOR_PY + "\nextra = 1\n")
+    again = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert again.exit_code == 0, again.output
+    assert "indexed" in again.output
+    assert stored_paths(repo) == ["main.py"]
+    assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+
+
+def test_complete_write_back_keeps_the_window_line_as_indexed(runner, repo):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    windows_line = index_path(repo).read_bytes().split(b"\n")[0]
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+    assert index_path(repo).read_bytes().split(b"\n")[0] == windows_line
+
+
+@pytest.mark.parametrize("fault", ["missing", "cut-short", "not-json", "not-object"])
+def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    first, files = index_path(repo).read_text().split("\n")[:2]
+    second = {"missing": "", "cut-short": files[: len(files) // 2], "not-json": "{not json", "not-object": "[]"}[fault]
+    broken = first + ("\n" + second if second else "")
+    index_path(repo).write_text(broken)
+    assert load_index(index_path(repo)) is None
+
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    assert index_path(repo).read_text() == broken
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    assert stored_paths(repo) == []
+
+
+def run_fresh(*runs: list[str]) -> tuple[list[int], set[str]]:
+    """Run ``main`` on each argument list in one fresh interpreter; return how
+    often parso generated a grammar after each run, and the modules loaded at
+    the end."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import json, sys\n"
+        "import parso\n"
+        "real, loads = parso.load_grammar, []\n"
+        "parso.load_grammar = lambda *a, **k: loads.append(1) or real(*a, **k)\n"
+        "from repolens.cli import main\n"
+        "counts = []\n"
+        f"for args in {[list(args) for args in runs]!r}:\n"
+        "    main(args, standalone_mode=False)\n"
+        "    counts.append(len(loads))\n"
+        "print(json.dumps([counts, sorted(sys.modules)]))\n"
+    )
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts, modules = json.loads(done.stdout.splitlines()[-1])
+    return counts, set(modules)
+
+
+def test_index_and_dry_run_load_neither_http_nor_evaluation(repo):
+    _, modules = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
+    unused = {"http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "csv", "repolens.evaluation"}
+    assert "repolens.pipeline" in modules
+    assert not unused & modules
+
+
+def test_grammar_is_generated_on_the_first_parse(runner, repo):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    counts, _ = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
+    assert counts == [0, 1]
 
 
 def test_index_missing_repo_exits_2(runner, tmp_path):

@@ -31,7 +31,7 @@ from repolens.retrieval import (
     save_index,
     semantic_candidates,
 )
-from tests.conftest import TESTS_DIR, count_parses, http_stub, write_repo
+from tests.conftest import TESTS_DIR, count_parses, http_stub, read_store, write_repo, write_store
 
 MAIN_PY = """\
 import os
@@ -443,7 +443,7 @@ def test_malformed_stored_facts_are_parsed_again(repo):
     write_cache(repo)
     projdeps.facts_of.cache_clear()
     expected = complete_task(make_task(repo))
-    good = index_path(repo).read_text()
+    head, good = read_store(index_path(repo))
     broken = [
         lambda entry: entry.clear(),
         lambda entry: entry.update(path="elsewhere.py"),
@@ -456,16 +456,14 @@ def test_malformed_stored_facts_are_parsed_again(repo):
     ]
     for path in ("main.py", "data_processor.py"):
         for mutate in broken + [lambda entry: None]:
-            doc = json.loads(good)
-            (key,) = [key for key, entry in doc["files"].items() if entry["path"] == path]
-            mutate(doc["files"][key])
-            index_path(repo).write_text(json.dumps(doc))
+            files = json.loads(json.dumps(good))
+            (key,) = [key for key, entry in files.items() if entry["path"] == path]
+            mutate(files[key])
+            write_store(index_path(repo), head, files)
             projdeps.facts_of.cache_clear()
             assert same_output(complete_task(make_task(repo)), expected)
-            assert json.loads(index_path(repo).read_text())["files"][key] == json.loads(good)["files"][key]
-    doc = json.loads(good)
-    doc["files"] = dict.fromkeys(doc["files"], 7)
-    index_path(repo).write_text(json.dumps(doc))
+            assert read_store(index_path(repo))[1][key] == good[key]
+    write_store(index_path(repo), head, dict.fromkeys(good, 7))
     projdeps.facts_of.cache_clear()
     assert same_output(complete_task(make_task(repo)), expected)
     assert stored_paths(repo) == ["data_processor.py", "main.py"]

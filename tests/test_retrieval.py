@@ -30,7 +30,7 @@ from repolens.retrieval import (
     window_cache,
 )
 from repolens.syntax import SourceFile, file_facts, parse
-from tests.conftest import TESTS_DIR, http_stub, write_repo
+from tests.conftest import TESTS_DIR, http_stub, read_store, write_repo, write_store
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -113,8 +113,8 @@ def test_index_cache_roundtrip(tmp_path):
     assert loaded.windows == window_cache(index)
     assert build_index(tmp_path, reuse=loaded) == index
     # keys the cache does not write are ignored
-    doc = json.loads(cache.read_text())
-    cache.write_text(json.dumps({**doc, "root": str(tmp_path)}))
+    doc, files = read_store(cache)
+    write_store(cache, {**doc, "root": str(tmp_path)}, files)
     reloaded = load_index(cache)
     assert (reloaded.windows, reloaded.files) == (loaded.windows, loaded.files)
 
@@ -124,12 +124,12 @@ def test_index_cache_stores_each_ast_path_once(tmp_path):
     index = build_index(tmp_path)
     cache = tmp_path / "index.json"
     save_index(index, cache)
-    doc = json.loads(cache.read_text())
+    doc, files = read_store(cache)
     table = doc["ast_paths"]
     assert table == sorted(set().union(*(s.ast_paths for s in index.snippets)))
     assert all(isinstance(i, int) for _, slots in doc["windows"].values() for i in slots)
-    assert set(doc) == {"version", "ast_paths", "windows", "files"}
-    assert doc["files"] == {}
+    assert set(doc) == {"version", "ast_paths", "windows"}
+    assert files == {}
     assert doc["windows"].keys() == window_cache(index).keys()
 
 
@@ -177,12 +177,18 @@ def _v4_doc(good):
     return {"version": 4, "ast_paths": good["ast_paths"], "windows": good["windows"]}
 
 
+def _v5_doc(good):
+    """The version-5 layout: one JSON document holding the windows and the file facts."""
+    return {**good, "version": 5}
+
+
 def test_v1_and_malformed_caches_are_ignored(tmp_path):
     repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25), "b.py": "x = 1\n"})
     index = build_index(repo)
     cache = tmp_path / "index.json"
-    save_index(index, cache)
-    good = json.loads(cache.read_text())
+    save_index(index, cache, {"0" * 64: {"path": "b.py"}})
+    head, files = read_store(cache)
+    good = {**head, "files": files}
 
     def bad(mutate):
         doc = json.loads(json.dumps(good))
@@ -197,6 +203,7 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         bad(lambda d: d.update(version=2)),  # v2 paths spelled the renamed kinds
         _v3_doc(index),
         _v4_doc(good),
+        _v5_doc(good),
         bad(lambda d: d.pop("ast_paths")),
         bad(lambda d: d.pop("windows")),
         bad(lambda d: d.pop("files")),
@@ -208,9 +215,16 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         bad(lambda d: d.update(files=["not", "a", "map"])),
     ]
     for doc in broken:
-        cache.write_text(json.dumps(doc))
+        if doc["version"] == retrieval._INDEX_VERSION:
+            # the v6 layout: the file entries on a second line, if any
+            first = {key: value for key, value in doc.items() if key != "files"}
+            cache.write_text(json.dumps(first) + ("\n" + json.dumps(doc["files"]) if "files" in doc else ""))
+        else:
+            cache.write_text(json.dumps(doc))
         assert load_index(cache) is None, doc
-    cache.write_text(json.dumps(good)[:-40])
+    write_store(cache, head, files)
+    assert load_index(cache) is not None
+    cache.write_text(cache.read_text()[:-40])
     assert load_index(cache) is None
 
 
@@ -230,8 +244,12 @@ def test_interrupted_write_keeps_the_previous_store(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
     with pytest.raises(OSError):
         save_index(build_index(repo), cache)
+    store = load_index(cache)
+    store.keep(file_facts(parse(SourceFile.from_text("b.py", "y = 2\n"))))
+    store.flush()  # a write-back that fails is ignored
     monkeypatch.undo()
     assert load_index(cache).windows == before
+    assert load_index(cache).files == {}
     assert [p.name for p in cache.parent.iterdir()] == ["snippets.json"]
 
 
