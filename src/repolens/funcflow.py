@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import FileFacts, SourceFile, Span, SymbolRecord, SyntaxNode, parse
+from parso.tree import NodeOrLeaf
+
+from .syntax import FileFacts, SourceFile, Span, SymbolRecord, children, kind_of, parse, span
 
 _EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
 
@@ -99,18 +101,18 @@ class _Builder:
     def connect(self, src: int, dst: int, label: str) -> None:
         self.edges.append(CfgEdge(src=src, dst=dst, label=label))
 
-    def header_text(self, node: SyntaxNode, collapsed: bool = False) -> str:
-        first = self.file.line_text(node.span.start_line).strip()
-        if collapsed or node.span.end_line > node.span.start_line:
-            return f"{first} ..."
-        return first
-
-    def stmt_node(self, node: SyntaxNode, kind: str = "statement", collapsed: bool = False) -> int:
-        return self.add(kind, self.header_text(node, collapsed), node.span.start_line + self.line_offset)
+    def stmt_node(self, node: NodeOrLeaf, kind: str = "statement", collapsed: bool = False) -> int:
+        """A node for ``node`` labelled with its first line, plus `` ...``
+        when it is collapsed or spans more lines."""
+        where = span(node)
+        text = self.file.line_text(where.start_line).strip()
+        if collapsed or where.end_line > where.start_line:
+            text = f"{text} ..."
+        return self.add(kind, text, where.start_line + self.line_offset)
 
     # --- statement dispatch -------------------------------------------------
 
-    def build_block(self, stmts: list[SyntaxNode], depth: int) -> tuple[int | None, list[_Tail]]:
+    def build_block(self, stmts: list[NodeOrLeaf], depth: int) -> tuple[int | None, list[_Tail]]:
         head: int | None = None
         tails: list[_Tail] = []
         started = False
@@ -130,8 +132,8 @@ class _Builder:
                 break
         return head, tails
 
-    def build_stmt(self, stmt: SyntaxNode, depth: int) -> tuple[int | None, list[_Tail]]:
-        kind = stmt.kind
+    def build_stmt(self, stmt: NodeOrLeaf, depth: int) -> tuple[int | None, list[_Tail]]:
+        kind = kind_of(stmt)
         if kind in ("operator", "keyword", "error_leaf"):
             return None, []
         if kind == "return_stmt":
@@ -140,7 +142,7 @@ class _Builder:
             return node, []
         if kind == "if_stmt":
             if depth < _MAX_DEPTH:
-                return self.build_if(_split_clauses(stmt.children, ("if", "elif", "else")), depth)
+                return self.build_if(_split_clauses(children(stmt), ("if", "elif", "else")), depth)
             node = self.stmt_node(stmt, collapsed=True)
             return node, [(node, "seq")]
         if kind in ("for_stmt", "while_stmt"):
@@ -156,11 +158,11 @@ class _Builder:
         return node, [(node, "seq")]
 
     def build_if(
-        self, clauses: list[tuple[SyntaxNode, list[SyntaxNode]]], depth: int
+        self, clauses: list[tuple[NodeOrLeaf, list[NodeOrLeaf]]], depth: int
     ) -> tuple[int, list[_Tail]]:
         # clauses[0] is the 'if' clause: parso opens every if_stmt with its keyword
         kw, body = clauses[0]
-        line = kw.span.start_line
+        line = span(kw).start_line
         node = self.add("if", self.file.line_text(line).strip(), line + self.line_offset)
         tails: list[_Tail] = []
 
@@ -188,10 +190,10 @@ class _Builder:
             tails.extend(nested_tails)
         return node, tails
 
-    def build_loop(self, stmt: SyntaxNode, depth: int) -> tuple[int, list[_Tail]]:
-        keyword = "while" if stmt.kind == "while_stmt" else "for"
-        clauses = _split_clauses(stmt.children, (keyword, "else"))
-        node = self.add(keyword, self.header_text(stmt, collapsed=False), stmt.span.start_line + self.line_offset)
+    def build_loop(self, stmt: NodeOrLeaf, depth: int) -> tuple[int, list[_Tail]]:
+        keyword = "while" if kind_of(stmt) == "while_stmt" else "for"
+        clauses = _split_clauses(children(stmt), (keyword, "else"))
+        node = self.stmt_node(stmt, keyword)
         head, body_tails = self.build_block(clauses[0][1], depth + 1)
         if head is not None:
             self.connect(node, head, "true")
@@ -208,21 +210,19 @@ class _Builder:
                 tails = else_tails
         return node, tails
 
-    def build_try(self, stmt: SyntaxNode, depth: int) -> tuple[int | None, list[_Tail]]:
-        stmts: list[SyntaxNode] = []
+    def build_try(self, stmt: NodeOrLeaf, depth: int) -> tuple[int | None, list[_Tail]]:
+        stmts: list[NodeOrLeaf] = []
         take = False
-        for child in stmt.children:
-            if child.kind == "keyword" and child.value in ("try", "finally"):
+        for child in children(stmt):
+            kind = kind_of(child)
+            if kind == "keyword" and child.value in ("try", "finally", "else"):
                 take = True
                 continue
-            if child.kind == "keyword" and child.value == "else":
-                take = True
-                continue
-            if child.kind == "except_clause" or (child.kind == "keyword" and child.value == "except"):
+            if kind == "except_clause" or (kind == "keyword" and child.value == "except"):
                 take = False
                 continue
-            if child.kind == "suite" and take:
-                stmts.extend(child.children)
+            if kind == "suite" and take:
+                stmts.extend(children(child))
                 take = False
         head, tails = self.build_block(stmts, depth)
         if head is None:
@@ -230,21 +230,22 @@ class _Builder:
             return node, [(node, "seq")]
         return head, tails
 
-    def build_with(self, stmt: SyntaxNode, depth: int) -> tuple[int, list[_Tail]]:
-        header = self.file.line_text(stmt.span.start_line).strip()
-        node = self.add("statement", header, stmt.span.start_line + self.line_offset)
-        body: list[SyntaxNode] = []
-        for child in stmt.children:
-            if child.kind == "suite":
-                body.extend(child.children)
+    def build_with(self, stmt: NodeOrLeaf, depth: int) -> tuple[int, list[_Tail]]:
+        line = span(stmt).start_line
+        node = self.add("statement", self.file.line_text(line).strip(), line + self.line_offset)
+        kids = children(stmt)
+        body: list[NodeOrLeaf] = []
+        for child in kids:
+            if kind_of(child) == "suite":
+                body.extend(children(child))
         seen_colon = False
         if not body:
             # single-line with: statements follow the ':' operator directly
-            for child in stmt.children:
-                if child.kind == "operator" and child.value == ":":
+            for child in kids:
+                if kind_of(child) == "operator" and child.value == ":":
                     seen_colon = True
                     continue
-                if seen_colon and not child.is_leaf:
+                if seen_colon and hasattr(child, "children"):
                     body.append(child)
         head, tails = self.build_block(body, depth)
         if head is None:
@@ -254,44 +255,42 @@ class _Builder:
 
 
 def _split_clauses(
-    children: tuple[SyntaxNode, ...], keywords: tuple[str, ...]
-) -> list[tuple[SyntaxNode, list[SyntaxNode]]]:
-    """Group a compound statement's children into (clause keyword, body
-    statements) pairs; bodies come from an indented block or, for one-line
-    suites, from the statements after the ':'."""
-    clauses: list[tuple[SyntaxNode, list[SyntaxNode]]] = []
+    kids: list[NodeOrLeaf], keywords: tuple[str, ...]
+) -> list[tuple[NodeOrLeaf, list[NodeOrLeaf]]]:
+    """Group a compound statement's retained children into (clause keyword,
+    body statements) pairs; bodies come from an indented block or, for
+    one-line suites, from the statements after the ':'."""
+    kinds = [kind_of(child) for child in kids]
+    clauses: list[tuple[NodeOrLeaf, list[NodeOrLeaf]]] = []
     i = 0
-    n = len(children)
+    n = len(kids)
     while i < n:
-        child = children[i]
-        if not (child.kind == "keyword" and child.value in keywords):
+        if not (kinds[i] == "keyword" and kids[i].value in keywords):
             i += 1
             continue
-        kw = child
+        kw = kids[i]
         i += 1
-        while i < n and not (children[i].kind == "operator" and children[i].value == ":"):
+        while i < n and not (kinds[i] == "operator" and kids[i].value == ":"):
             i += 1
         i += 1  # past ':'
-        body: list[SyntaxNode] = []
-        if i < n and children[i].kind == "suite":
-            body = list(children[i].children)
+        body: list[NodeOrLeaf] = []
+        if i < n and kinds[i] == "suite":
+            body = children(kids[i])
             i += 1
         else:
-            while i < n and not (children[i].kind == "keyword" and children[i].value in keywords):
-                if not children[i].is_leaf or children[i].kind not in ("operator", "keyword"):
-                    body.append(children[i])
+            while i < n and not (kinds[i] == "keyword" and kids[i].value in keywords):
+                if kinds[i] not in ("operator", "keyword"):
+                    body.append(kids[i])
                 i += 1
         clauses.append((kw, body))
     return clauses
 
 
-def _slice_statements(root: SyntaxNode, origin: str) -> list[SyntaxNode]:
-    if origin == "function" and root.children and root.children[0].kind == "funcdef":
-        for child in root.children[0].children:
-            if child.kind == "suite":
-                return list(child.children)
-        return []
-    return list(root.children)
+def _slice_statements(root: NodeOrLeaf, origin: str) -> list[NodeOrLeaf]:
+    stmts = children(root)
+    if origin == "function" and stmts and kind_of(stmts[0]) == "funcdef":
+        return next((children(child) for child in children(stmts[0]) if kind_of(child) == "suite"), [])
+    return stmts
 
 
 def build_cfg(slice_: LocalSlice) -> ControlFlowGraph:

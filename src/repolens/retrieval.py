@@ -23,7 +23,7 @@ from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, SyntaxNode, facts_from_json, facts_to_json, parse
+from .syntax import FileFacts, SourceFile, children, facts_from_json, facts_to_json, kind_of, parse
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
@@ -94,18 +94,18 @@ def ast_paths_of(text: str) -> frozenset[str]:
 
     if not text.strip():
         return frozenset()
-    tree = parse(SourceFile.from_text("snippet.py", text))
     paths: set[str] = set()
-
-    def descend(node: SyntaxNode, prefix: tuple[str, ...]) -> None:
-        chain = prefix + (node.kind,)
-        if not node.children:
-            paths.add("/".join(chain[:_PATH_DEPTH]))
-            return
-        for child in node.children:
-            descend(child, chain)
-
-    descend(tree.root, ())
+    # every node holds a retained leaf, so a chain that is already full is
+    # the path of every leaf below it
+    stack = [(parse(SourceFile.from_text("snippet.py", text)).root, ())]
+    while stack:
+        node, prefix = stack.pop()
+        chain = prefix + (kind_of(node),)
+        kids = children(node) if len(chain) < _PATH_DEPTH else None
+        if kids:
+            stack.extend((child, chain) for child in kids)
+        else:
+            paths.add("/".join(chain))
     return frozenset(paths)
 
 

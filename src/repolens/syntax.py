@@ -1,13 +1,28 @@
 """Error-tolerant Python parsing and symbol-level queries.
 
-:func:`parse` runs parso and converts its tree into a concrete syntax tree
-(:class:`SyntaxNode`), so analyzers never touch parso objects directly. A
-node's kind is parso's own type name (``file_input``, ``funcdef``,
-``suite``, ``expr_stmt``, ``name``, ...). parso keeps parsing through syntax
-errors and surfaces the broken region as ``error_node`` -- exactly what an
-unfinished file with a cursor in the middle looks like. The grammar is
-generated on the first parse, not at import, so a run that parses nothing
-(an up-to-date ``repolens index``, ``--help``) never pays for it.
+:func:`parse` runs parso and keeps its tree as it is: ``SyntaxTree.root`` is
+parso's module node. parso keeps parsing through syntax errors and surfaces
+the broken region as ``error_node`` -- exactly what an unfinished file with
+a cursor in the middle looks like. The grammar is generated on the first
+parse, not at import, so a run that parses nothing (an up-to-date ``repolens
+index``, ``--help``) never pays for it.
+
+Analyzers read parso's nodes through three helpers, which hide its layout:
+  * :func:`children` is a node's retained children: ``newline`` and
+    ``endmarker`` leaves and a ``simple_stmt``'s ``;`` are dropped,
+    ``simple_stmt`` is spliced into its parent, and an
+    ``async_funcdef``/``async_stmt`` stands for its inner statement, whose
+    children it takes after the ``async`` keyword; a leaf has none
+  * :func:`kind_of` is parso's type name (``file_input``, ``funcdef``,
+    ``suite``, ``expr_stmt``, ``name``, ...), the inner statement's for an
+    async wrapper
+  * :func:`span` runs from the first retained leaf's start to the last
+    retained leaf's end; lines and columns are 0-based internally (the CLI
+    converts at the edge)
+
+The walks over a tree keep their own stacks, so a deeply nested expression
+(thousands of levels, which CPython compiles) cannot exhaust Python's
+recursion limit.
 
 :func:`file_facts` reads what the analyses need off one tree and drops the
 tree; :func:`definitions_before` and ``funcflow.local_slice`` answer each
@@ -15,16 +30,6 @@ cursor from those records, so one parse serves every cursor in a file.
 :func:`facts_to_json` and :func:`facts_from_json` carry the facts across
 processes without the text: each record's code is cut from the file by its
 span when it is read back.
-
-Conventions:
-  * lines and columns are 0-based internally (the CLI converts at the edge)
-  * node spans cover the first through last retained token; layout trivia
-    (newlines, the end marker, ``;`` separators) is dropped during
-    conversion, ``simple_stmt`` wrappers are spliced into their parent, and
-    ``async_funcdef``/``async_stmt`` are flattened into the inner
-    statement, which keeps its kind and gains the ``async`` keyword
-  * nodes carry no parent pointer, so trees are acyclic; :func:`reference_sets`
-    judges each name's position from its parent on the way down
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from pathlib import Path, PurePosixPath
 from typing import Iterator
 
 import parso
+from parso.tree import NodeOrLeaf
 
 _PYTHON_GRAMMAR_VERSION = "3.10"
 
 _DROPPED_LEAVES = frozenset({"newline", "endmarker"})
+_ASYNC_WRAPPERS = frozenset({"async_funcdef", "async_stmt"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,45 +105,9 @@ def load_source(root: Path | str, rel_path: str) -> SourceFile:
 
 
 @dataclass(slots=True, eq=False)
-class SyntaxNode:
-    """One node of the normalized concrete syntax tree.
-
-    ``kind`` is parso's type name for the node or token (see the module
-    docstring for what conversion normalises). ``value`` is set for leaves
-    (the token text); ``is_def`` marks name leaves that bind a definition
-    (function/class names, parameters, assignment targets) rather than
-    reference one.
-    """
-
-    kind: str
-    span: Span
-    children: tuple["SyntaxNode", ...] = ()
-    value: str | None = None
-    is_def: bool = False
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def walk(self) -> Iterator["SyntaxNode"]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def leaves(self) -> Iterator["SyntaxNode"]:
-        for node in self.walk():
-            if node.is_leaf:
-                yield node
-
-
-@dataclass(slots=True, eq=False)
 class SyntaxTree:
-    root: SyntaxNode
+    root: NodeOrLeaf  # parso's module node
     file: SourceFile
-    # parso's own tree, read by imports_of
-    parso_module: object = field(repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,133 +178,142 @@ def _grammar():
 
 
 def parse(file: SourceFile) -> SyntaxTree:
-    """Parse ``file`` into a normalized tree, recovering from syntax errors."""
-    module = _grammar().parse(file.text, error_recovery=True)
-    (root,) = _convert(module)
-    return SyntaxTree(root=root, file=file, parso_module=module)
+    """Parse ``file`` with parso, recovering from syntax errors."""
+    try:
+        module = _grammar().parse(file.text, error_recovery=True)
+    except RecursionError:
+        # parso accepts a last line without its newline through error
+        # recovery, which finds the last leaf one frame per nesting level;
+        # a last line nested too deeply for that is parsed with its newline
+        if file.text.endswith("\n"):
+            raise
+        module = _grammar().parse(file.text + "\n", error_recovery=True)
+    return SyntaxTree(root=module, file=file)
 
 
-def _parso_span(pnode) -> Span:
-    (sl, sc) = pnode.start_pos
-    (el, ec) = pnode.end_pos
+def children(node: NodeOrLeaf) -> list[NodeOrLeaf]:
+    """``node``'s retained children, in source order (see the module docstring)."""
+    kids = getattr(node, "children", None)
+    if kids is None:
+        return []
+    out = []
+    for child in kids:
+        kind = child.type
+        if kind == "simple_stmt":
+            # its statements, without the ';' separators and the newline
+            out.extend(c for c in child.children if c.type not in _DROPPED_LEAVES and not _is_semicolon(c))
+        elif kind not in _DROPPED_LEAVES:
+            out.append(child)
+    if node.type in _ASYNC_WRAPPERS:
+        inner = _async_inner(node)
+        if inner is not None:
+            return [child for child in out if child is not inner] + children(inner)
+    return out
+
+
+def kind_of(node: NodeOrLeaf) -> str:
+    """parso's type name of ``node``; an async wrapper takes its inner statement's."""
+    if node.type in _ASYNC_WRAPPERS:
+        inner = _async_inner(node)
+        if inner is not None:
+            return inner.type
+    return node.type
+
+
+def span(node: NodeOrLeaf) -> Span:
+    """From the first retained leaf's start to the last one's end;
+    ``Span(0, 0, 0, 0)`` for a node with no retained leaf (an empty file's root)."""
+    first = last = node
+    while kids := children(first):
+        first = kids[0]
+    while kids := children(last):
+        last = kids[-1]
+    if hasattr(first, "children"):
+        return Span(0, 0, 0, 0)
+    (sl, sc), (el, ec) = first.start_pos, last.end_pos
     return Span(sl - 1, sc, el - 1, ec)
 
 
-def _union_span(children: list[SyntaxNode]) -> Span:
-    first = children[0].span
-    last = children[-1].span
-    return Span(first.start_line, first.start_col, last.end_line, last.end_col)
+def _is_semicolon(leaf: NodeOrLeaf) -> bool:
+    return leaf.type == "operator" and leaf.value == ";"
 
 
-def _convert(pnode) -> list[SyntaxNode]:
-    children = getattr(pnode, "children", None)
-    if children is None:
-        kind = pnode.type
-        if kind in _DROPPED_LEAVES:
-            return []
-        is_def = False
-        if kind == "name":
-            is_def = bool(pnode.is_definition())
-        return [SyntaxNode(kind=kind, span=_parso_span(pnode), value=pnode.value, is_def=is_def)]
-
-    if pnode.type == "simple_stmt":
-        out: list[SyntaxNode] = []
-        for child in children:
-            if child.type == "operator" and child.value == ";":
-                continue
-            out.extend(_convert(child))
-        return out
-
-    kids: list[SyntaxNode] = []
-    for child in children:
-        kids.extend(_convert(child))
-
-    if pnode.type in ("async_funcdef", "async_stmt"):
-        # flatten the async wrapper into the inner statement so analyzers
-        # see a plain funcdef / for_stmt / with_stmt
-        inner = next((k for k in kids if not k.is_leaf), None)
-        if inner is not None:
-            merged = tuple(k for k in kids if k is not inner) + inner.children
-            return [SyntaxNode(kind=inner.kind, span=_union_span(kids), children=merged)]
-
-    if not kids:
-        if pnode.type == "file_input":
-            return [SyntaxNode(kind="file_input", span=Span(0, 0, 0, 0))]
-        return []
-    return [SyntaxNode(kind=pnode.type, span=_union_span(kids), children=tuple(kids))]
+def _async_inner(node: NodeOrLeaf) -> NodeOrLeaf | None:
+    return next((child for child in node.children if hasattr(child, "children")), None)
 
 
-def symbol_from_definition(file: SourceFile, node: SyntaxNode) -> SymbolRecord | None:
+def _symbol_from_definition(file: SourceFile, node: NodeOrLeaf) -> SymbolRecord | None:
     """Record of a function or class definition node; None if it has no name."""
-    name = next((child for child in node.children if child.kind == "name"), None)
+    name = next((child for child in children(node) if child.type == "name"), None)
     if name is None:
         return None
+    def_span = span(node)
     return SymbolRecord(
-        name=name.value or "",
-        sym_kind="function" if node.kind == "funcdef" else "class",
-        def_span=node.span,
-        code=file.span_text(node.span),
+        name=name.value,
+        sym_kind="function" if kind_of(node) == "funcdef" else "class",
+        def_span=def_span,
+        code=file.span_text(def_span),
         refs=reference_sets(node),
     )
 
 
-# The only nodes that can hold a statement: parso's grammar puts them in
-# these, and error recovery in ``error_node``. (``simple_stmt`` and the async
-# wrappers exist in parso's tree only.)
+# The only nodes that can hold a retained statement: parso's grammar puts
+# them in these, and error recovery in ``error_node``.
 _STATEMENT_CONTAINERS = frozenset({
-    "file_input", "suite", "simple_stmt", "if_stmt", "while_stmt", "for_stmt", "try_stmt", "with_stmt",
-    "funcdef", "classdef", "decorated", "async_stmt", "async_funcdef", "error_node",
+    "file_input", "suite", "if_stmt", "while_stmt", "for_stmt", "try_stmt", "with_stmt",
+    "funcdef", "classdef", "decorated", "error_node",
 })
 
 
-def _statement_nodes(root, kind_attr: str, kinds: set[str]) -> Iterator:
+def _statement_nodes(root: NodeOrLeaf, kinds: set[str]) -> Iterator[NodeOrLeaf]:
     """The nodes of ``kinds`` under ``root`` in walk order, visiting only
-    statement containers; ``kind_attr`` names the node's kind in its tree
-    (``kind`` here, ``type`` in parso's)."""
+    statement containers."""
     stack = [root]
     while stack:
         node = stack.pop()
-        kind = getattr(node, kind_attr)
+        kind = kind_of(node)
         if kind in kinds:
             yield node
         if kind in _STATEMENT_CONTAINERS:
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(children(node)))
 
 
 # Comprehension variables and lambda parameters bind in a scope of their own.
 _NESTED_SCOPES = frozenset({"sync_comp_for", "comp_for", "lambdef"})
 
 
-def _module_targets(stmt: SyntaxNode) -> Iterator[str]:
+def _module_targets(stmt: NodeOrLeaf) -> Iterator[str]:
     """Names a module-level assignment binds in the module's scope, in
     source order: ``reference_sets(stmt).bound`` without the variables of
     comprehensions and lambdas."""
     stack = [stmt]
     while stack:
         node = stack.pop()
-        if node.kind == "name":
-            if node.is_def and node.value:
+        if node.type == "name":
+            if node.value and node.is_definition():
                 yield node.value
-        elif node.kind in _NESTED_SCOPES or (node.kind == "trailer" and node.children[0].value == "."):
+        elif node.type in _NESTED_SCOPES or (node.type == "trailer" and node.children[0].value == "."):
             continue  # a nested scope, or ``.name`` (an attribute target binds nothing)
         else:
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(getattr(node, "children", ())))
 
 
 def _module_definitions(tree: SyntaxTree) -> Iterator[SymbolRecord]:
     """Module-scope functions, classes and assigned variables, in source
     order, redefinitions included."""
-    for child in tree.root.children:
-        for stmt in child.children if child.kind == "decorated" else (child,):
-            if stmt.kind in ("funcdef", "classdef"):
-                record = symbol_from_definition(tree.file, stmt)
+    for child in children(tree.root):
+        for stmt in children(child) if kind_of(child) == "decorated" else (child,):
+            kind = kind_of(stmt)
+            if kind in ("funcdef", "classdef"):
+                record = _symbol_from_definition(tree.file, stmt)
                 if record:
                     yield record
-            elif stmt.kind == "expr_stmt":
-                code = tree.file.span_text(stmt.span)
+            elif kind == "expr_stmt":
+                stmt_span = span(stmt)
+                code = tree.file.span_text(stmt_span)
                 refs = reference_sets(stmt)
                 for name in _module_targets(stmt):
-                    yield SymbolRecord(name=name, sym_kind="variable", def_span=stmt.span, code=code, refs=refs)
+                    yield SymbolRecord(name=name, sym_kind="variable", def_span=stmt_span, code=code, refs=refs)
 
 
 def file_facts(tree: SyntaxTree) -> FileFacts:
@@ -343,8 +323,8 @@ def file_facts(tree: SyntaxTree) -> FileFacts:
     # a module-level function is one record in both tuples
     top = {record.def_span: record for record in definitions if record.sym_kind == "function"}
     functions = (
-        top.get(node.span) or symbol_from_definition(file, node)
-        for node in _statement_nodes(tree.root, "kind", {"funcdef"})
+        top.get(span(node)) or _symbol_from_definition(file, node)
+        for node in _statement_nodes(tree.root, {"funcdef"})
     )
     return FileFacts(
         file=file,
@@ -361,8 +341,8 @@ def _file_span(file: SourceFile) -> Span:
     return Span(0, 0, last, len(file.text) - file.line_index[last])
 
 
-def _span_to_json(span: Span) -> list[int]:
-    return [span.start_line, span.start_col, span.end_line, span.end_col]
+def _span_to_json(value: Span) -> list[int]:
+    return [value.start_line, value.start_col, value.end_line, value.end_col]
 
 
 def _refs_to_json(refs: References) -> list[list[str]]:
@@ -379,8 +359,7 @@ def facts_to_json(facts: FileFacts) -> dict:
     def slot(record: SymbolRecord) -> int:
         if id(record) not in slots:
             slots[id(record)] = len(records)
-            span = _span_to_json(record.def_span)
-            records.append([record.name, record.sym_kind, span, *_refs_to_json(record.refs)])
+            records.append([record.name, record.sym_kind, _span_to_json(record.def_span), *_refs_to_json(record.refs)])
         return slots[id(record)]
 
     return {
@@ -414,17 +393,17 @@ def _refs_from_json(value) -> References:
 
 
 def _record_from_json(row, file: SourceFile) -> SymbolRecord:
-    name, kind, span, *refs = row
+    name, kind, value, *refs = row
     _strings([name, kind])
-    span = _span_from_json(span)
-    return SymbolRecord(name, kind, span, file.span_text(span), _refs_from_json(refs))
+    def_span = _span_from_json(value)
+    return SymbolRecord(name, kind, def_span, file.span_text(def_span), _refs_from_json(refs))
 
 
 def _import_from_json(row) -> ImportRecord:
-    module_path, names, span = row
+    module_path, names, where = row
     _strings([module_path])
     bound_names = tuple((symbol, alias) for symbol, alias in map(_strings, names))
-    return ImportRecord(module_path, bound_names, _span_from_json(span))
+    return ImportRecord(module_path, bound_names, _span_from_json(where))
 
 
 def facts_from_json(entry, file: SourceFile) -> FileFacts | None:
@@ -457,30 +436,32 @@ def definitions_before(facts: FileFacts, line: int) -> list[SymbolRecord]:
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
-def reference_sets(node: SyntaxNode) -> References:
+def reference_sets(node: NodeOrLeaf) -> References:
     """What ``node``'s code references and binds, in one pass over the subtree.
 
     Each name's position is judged from its parent while walking down: the
     walk does not enter attribute trailers (``.name``) or f-string
     conversions, skips the name of a keyword argument, and marks the
-    parenthesised children of a class definition as its base list.
+    parenthesised children of a class definition as its base list. Layout
+    leaves hold no names and the async wrappers play no part here, so the
+    walk reads parso's children as they are.
     """
     used: set[str] = set()
     called: set[str] = set()
     bases: set[str] = set()
     bound: dict[str, None] = {}
     in_bases = False
-    stack: list[SyntaxNode | None] = [node]
+    stack: list[NodeOrLeaf | None] = [node]
     while stack:
         current = stack.pop()
         if current is None:  # a class base list starts or ends here
             in_bases = not in_bases
             continue
-        kind = current.kind
-        children = current.children
-        if not children:
+        kind = current.type
+        kids = getattr(current, "children", None)
+        if kids is None:
             if kind == "name" and current.value:
-                if current.is_def:
+                if current.is_definition():
                     bound.setdefault(current.value)
                 else:
                     used.add(current.value)
@@ -488,34 +469,34 @@ def reference_sets(node: SyntaxNode) -> References:
                         bases.add(current.value)
             continue
         if kind in ("import_name", "import_from"):
-            for leaf in current.leaves():
-                if leaf.kind == "name" and leaf.is_def and leaf.value:
-                    bound.setdefault(leaf.value)
+            for name in current.get_defined_names():
+                bound.setdefault(name.value)
             continue
-        if kind == "fstring_conversion" or (kind == "trailer" and children[0].value == "."):
+        if kind == "fstring_conversion" or (kind == "trailer" and kids[0].value == "."):
             continue
         if kind == "classdef":
-            values = [child.value for child in children]
+            values = [getattr(child, "value", None) for child in kids]
             if "(" in values and ")" in values:
                 # 'class' NAME '(' bases ')' ':' block, pushed in reverse
                 lo, hi = values.index("(") + 1, values.index(")")
-                stack.extend(reversed(children[hi:]))
+                stack.extend(reversed(kids[hi:]))
                 stack.append(None)
-                stack.extend(reversed(children[lo:hi]))
+                stack.extend(reversed(kids[lo:hi]))
                 stack.append(None)
-                children = children[:lo]
-        elif kind == "argument" and len(children) >= 2 and children[1].value == "=" and children[0].is_leaf:
-            children = children[1:]
-        elif kind in ("atom_expr", "power") and len(children) >= 2:
-            head, trailer = children[0], children[1]
+                kids = kids[:lo]
+        elif kind == "argument" and len(kids) >= 2 and getattr(kids[1], "value", None) == "=":
+            if kids[0].type == "name":
+                kids = kids[1:]
+        elif kind in ("atom_expr", "power") and len(kids) >= 2:
+            head, trailer = kids[0], kids[1]
             if (
-                head.kind == "name"
-                and not head.is_def
-                and trailer.kind == "trailer"
+                head.type == "name"
+                and trailer.type == "trailer"
                 and trailer.children[0].value == "("
+                and not head.is_definition()
             ):
-                called.add(head.value or "")
-        stack.extend(reversed(children))
+                called.add(head.value)
+        stack.extend(reversed(kids))
     return References(frozenset(used), frozenset(called), frozenset(bases), tuple(bound))
 
 
@@ -539,13 +520,13 @@ def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
     keep their leading dots and will classify as external.
     """
     records: list[ImportRecord] = []
-    for pnode in _statement_nodes(tree.parso_module, "type", {"import_name", "import_from"}):
-        span = _parso_span(pnode)
+    for pnode in _statement_nodes(tree.root, {"import_name", "import_from"}):
+        import_span = span(pnode)
         if pnode.type == "import_name":
             for path, defined in zip(pnode.get_paths(), pnode.get_defined_names()):
                 dotted = ".".join(p.value for p in path)
                 records.append(
-                    ImportRecord(module_path=dotted, bound_names=((dotted, defined.value),), import_span=span)
+                    ImportRecord(module_path=dotted, bound_names=((dotted, defined.value),), import_span=import_span)
                 )
             continue
 
@@ -564,5 +545,5 @@ def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
             for path, defined in zip(pnode.get_paths(), pnode.get_defined_names()):
                 pairs.append((path[-1].value, defined.value))
             bound = tuple(pairs)
-        records.append(ImportRecord(module_path=module_path, bound_names=bound, import_span=span))
+        records.append(ImportRecord(module_path=module_path, bound_names=bound, import_span=import_span))
     return records

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repolens import syntax
-from repolens.syntax import SourceFile, parse
+from repolens.syntax import SourceFile, children, parse
 
 TESTS_DIR = Path(__file__).parent
 DEP_CASES = sorted((TESTS_DIR / "dep_cases").glob("case*.py"))
@@ -50,6 +50,15 @@ def count_parses(monkeypatch) -> list[tuple[str, str]]:
         if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
             monkeypatch.setattr(module, "parse", wrap(name.removeprefix("repolens.")))
     return parses
+
+
+def walk(node):
+    """``node`` and every retained node under it, in source order."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(children(current)))
 
 
 def write_repo(root: Path, files: dict[str, str]) -> Path:

@@ -8,13 +8,20 @@ line read from the file) at two token budgets. Each output line is
 
 where the digest covers the prompt, the ``complete --explain --no-timing``
 payload and the diagnostics; a budget too small for the target hashes the
-error instead. The ``cache`` lines come last: each corpus is copied into a
+error instead. The ``cache`` lines follow: each corpus is copied into a
 temporary directory, its ``.repolens/snippets.json`` is written there, and
 each cursor's prefix variant is completed at budget 4,000 through that
 store, as a fresh ``repolens complete`` reads it: the process cache of file
 facts is cleared before each cursor, so the first cursor on a file stores
-the facts it parses and later cursors decode them. A refactor that claims unchanged
-behaviour diffs this output between two checkouts:
+the facts it parses and later cursors decode them. Last come the syntax
+layer's own outputs, one line per index window and one per file:
+
+    <corpus> <file>:<start> paths <sha256>
+    <corpus> <file> facts <sha256>
+
+the first over the window's sorted AST paths (``start`` is 0-based), the
+second over ``syntax.facts_to_json`` of the file's facts. A refactor that
+claims unchanged behaviour diffs this output between two checkouts:
 
     python tests/prompt_digests.py > new.txt  # in each checkout
     diff old.txt new.txt
@@ -26,6 +33,7 @@ copy it into an older checkout to run it there. Pytest does not collect it.
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 import sys
 import tempfile
@@ -35,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cursors  # noqa: E402
-from repolens import cli, projdeps, retrieval  # noqa: E402
+from repolens import cli, projdeps, retrieval, syntax  # noqa: E402
 from repolens.config import PipelineConfig  # noqa: E402
 from repolens.errors import BudgetTooSmallError  # noqa: E402
 from repolens.pipeline import CompletionTask, complete_task  # noqa: E402
@@ -86,6 +94,14 @@ def outputs():
                     key = f"{corpus} {cursor.task_id} cache 4000"
                     projdeps.facts_of.cache_clear()  # so the file facts come from the store
                     yield key, rendered(task, PipelineConfig(token_budget=4000))
+    for corpus in CORPORA:
+        root = ROOT / "perfbench" / "corpora" / corpus
+        index = retrieval.build_index(root, PipelineConfig.window, PipelineConfig.stride)
+        for snippet in index.snippets:
+            yield f"{corpus} {snippet.snippet_id} paths", "\n".join(sorted(snippet.ast_paths))
+        for rel in sorted(cursors.corpus_modules(root).values()):
+            facts = syntax.file_facts(syntax.parse(syntax.load_source(root, rel)))
+            yield f"{corpus} {rel} facts", json.dumps(syntax.facts_to_json(facts))
 
 
 def main() -> None:

@@ -193,6 +193,19 @@ def test_grammar_is_generated_on_the_first_parse(runner, repo):
     assert counts == [0, 1]
 
 
+def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):
+    # CPython compiles 2,000 nested ``not``s and parso parses them, so every
+    # walk over the tree must keep its own stack
+    deep = "def f(c):\n    return " + "not " * 2000 + "c\n"
+    repo = write_repo(tmp_path / "deep", {"deep.py": deep, "main.py": "from deep import f\n\nflag = f(1)\nvalue = f(\n"})
+    compile(deep, "deep.py", "exec")
+    indexed = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert indexed.exit_code == 0, indexed.output
+    completed = runner.invoke(main, ["complete", "--repo", str(repo), "--file", "main.py", "--line", "4", "--dry-run"])
+    assert completed.exit_code == 0, completed.output
+    assert "return not not" in completed.output
+
+
 def test_index_missing_repo_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["index", "--repo", str(tmp_path / "nowhere")])
     assert result.exit_code == 2

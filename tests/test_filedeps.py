@@ -17,9 +17,12 @@ from repolens.syntax import (
     SourceFile,
     definitions_before,
     file_facts,
-    reference_sets,
+    kind_of,
     parse,
+    reference_sets,
+    span,
 )
+from tests.conftest import walk
 
 ROOT = Path(__file__).parent.parent
 BINDING_DIRS = (
@@ -201,10 +204,10 @@ def test_bindings_match_ast_oracle_on_every_function():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
             tree = parse(SourceFile.from_text(path.name, text))
-            for node in tree.root.walk():
-                if node.kind != "funcdef":
+            for node in walk(tree.root):
+                if kind_of(node) != "funcdef":
                     continue
-                fn = ast_fns[node.span.start_line]
+                fn = ast_fns[span(node).start_line]
                 assert set(reference_sets(node).bound) == _ast_bindings(fn) | {fn.name}, (path.name, fn.name)
                 checked += 1
     assert checked > 800

@@ -16,12 +16,14 @@ from repolens.syntax import (
     ImportRecord,
     SourceFile,
     Span,
+    children,
     file_facts,
     imports_of,
+    kind_of,
     load_source,
     parse,
 )
-from tests.conftest import write_repo
+from tests.conftest import walk, write_repo
 
 MAIN_PY = """\
 import os
@@ -225,9 +227,9 @@ def test_cross_file_resolved_code_reparses_to_named_def(tmp_path):
     deps = cross_module_deps(imports_of(tree), {"process_data"}, mmap)
     dep = next(d for d in deps if d.symbol == "process_data")
     retree = parse(SourceFile.from_text("x.py", dep.resolved.code))
-    func = retree.root.children[0]
-    assert func.kind == "funcdef"
-    name_leaf = next(l for l in func.leaves() if l.kind == "name")
+    func = children(retree.root)[0]
+    assert kind_of(func) == "funcdef"
+    name_leaf = next(l for l in walk(func) if kind_of(l) == "name")
     assert name_leaf.value == "process_data"
 
 

@@ -34,14 +34,16 @@ from repolens.syntax import (
     SourceFile,
     Span,
     SymbolRecord,
-    SyntaxNode,
+    children,
     definitions_before,
     file_facts,
+    kind_of,
     load_source,
     parse,
     reference_sets,
+    span,
 )
-from tests.conftest import write_repo
+from tests.conftest import walk, write_repo
 
 TESTS_DIR = Path(__file__).parent
 SOURCE_DIRS = (
@@ -365,18 +367,19 @@ def test_explain_graph_is_json_ready(tmp_path):
     assert parsed["selections"]["file"] == [n.node_id for n in ranked.file_topk]
 
 
-def _oracle_base_names(class_node: SyntaxNode) -> set[str]:
+def _oracle_base_names(class_node) -> set[str]:
+    kids = children(class_node)
     open_idx = close_idx = None
-    for i, child in enumerate(class_node.children):
-        if child.kind == "operator" and child.value == "(":
+    for i, child in enumerate(kids):
+        if kind_of(child) == "operator" and child.value == "(":
             open_idx = i
-        elif child.kind == "operator" and child.value == ")":
+        elif kind_of(child) == "operator" and child.value == ")":
             close_idx = i
             break
     if open_idx is None or close_idx is None:
         return set()
     names: set[str] = set()
-    for child in class_node.children[open_idx + 1 : close_idx]:
+    for child in kids[open_idx + 1 : close_idx]:
         names |= set(reference_sets(child).used)
     return names
 
@@ -390,19 +393,20 @@ def _oracle_reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
     used = set(reference_sets(tree.root).used)
     called: set[str] = set()
     bases: set[str] = set()
-    for node in tree.root.walk():
-        if node.kind == "classdef":
+    for node in walk(tree.root):
+        if kind_of(node) == "classdef":
             bases |= _oracle_base_names(node)
             continue
-        if node.kind not in ("atom_expr", "power") or len(node.children) < 2:
+        kids = children(node)
+        if kind_of(node) not in ("atom_expr", "power") or len(kids) < 2:
             continue
-        head, trailer = node.children[0], node.children[1]
+        head, trailer = kids[0], kids[1]
         if (
-            head.kind == "name"
-            and not head.is_def
-            and trailer.kind == "trailer"
-            and trailer.children
-            and trailer.children[0].value == "("
+            kind_of(head) == "name"
+            and not head.is_definition()
+            and kind_of(trailer) == "trailer"
+            and children(trailer)
+            and children(trailer)[0].value == "("
         ):
             called.add(head.value or "")
     return used, called, bases
@@ -425,11 +429,11 @@ def test_node_reference_sets_match_reparse_oracle():
             text = path.read_text(encoding="utf-8")
             tree = parse(SourceFile.from_text(path.name, text))
             where = path.name
-            for stmt in tree.root.children:
-                inner = stmt.children if stmt.kind == "decorated" else (stmt,)
+            for stmt in children(tree.root):
+                inner = children(stmt) if kind_of(stmt) == "decorated" else (stmt,)
                 for node in inner:
-                    if node.kind in ("funcdef", "classdef", "expr_stmt"):
-                        code = tree.file.span_text(node.span)
+                    if kind_of(node) in ("funcdef", "classdef", "expr_stmt"):
+                        code = tree.file.span_text(span(node))
                         assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
                         checked += 1
             facts = projdeps.facts_of(path.name, text)

@@ -13,19 +13,23 @@ from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
+from parso.tree import NodeOrLeaf
 
 from repolens.funcflow import local_slice
 from repolens.syntax import (
     SourceFile,
     Span,
-    SyntaxNode,
     SyntaxTree,
+    children,
     definitions_before,
     file_facts,
-    reference_sets,
     imports_of,
+    kind_of,
     parse,
+    reference_sets,
+    span,
 )
+from tests.conftest import walk
 
 THREE_FUNCS = """\
 def alpha():
@@ -83,7 +87,9 @@ def _facts(text, path="mod.py"):
 
 
 def _shape(node):
-    return (node.kind, node.span, node.value, node.is_def, tuple(_shape(c) for c in node.children))
+    is_def = node.type == "name" and node.is_definition()
+    value = getattr(node, "value", None)
+    return (kind_of(node), span(node), value, is_def, tuple(_shape(c) for c in children(node)))
 
 
 def _owner(tree, line):
@@ -93,21 +99,22 @@ def _owner(tree, line):
 
 def test_parse_empty_file_has_empty_module_root():
     tree = _tree("")
-    assert tree.root.kind == "file_input"
-    assert tree.root.children == ()
+    assert kind_of(tree.root) == "file_input"
+    assert children(tree.root) == []
+    assert span(tree.root) == Span(0, 0, 0, 0)
 
 
 def test_parse_single_assignment_spans_line_zero():
     tree = _tree("x = 1\n")
-    kinds = [c.kind for c in tree.root.children]
+    kinds = [kind_of(c) for c in children(tree.root)]
     assert kinds == ["expr_stmt"]
-    assert tree.root.children[0].span == Span(0, 0, 0, 5)
+    assert span(children(tree.root)[0]) == Span(0, 0, 0, 5)
 
 
 def test_parse_three_functions_hand_counted_spans():
     tree = _tree(THREE_FUNCS)
-    defs = [c for c in tree.root.children if c.kind == "funcdef"]
-    got = [(d.span.start_line, d.span.end_line) for d in defs]
+    spans = [span(c) for c in children(tree.root) if kind_of(c) == "funcdef"]
+    got = [(s.start_line, s.end_line) for s in spans]
     assert got == [(0, 1), (4, 6), (9, 10)]
 
 
@@ -119,10 +126,10 @@ def test_parse_is_deterministic():
 
 def test_parse_survives_unfinished_assignment():
     tree = _tree("def f():\n    x = 1\n    result =\n")
-    names = [c for c in tree.root.walk() if c.kind == "funcdef"]
+    names = [c for c in walk(tree.root) if kind_of(c) == "funcdef"]
     assert len(names) == 1
     # identifier queries still work on the recovered tree
-    assert "result" in {leaf.value for leaf in tree.root.leaves() if leaf.kind == "name"}
+    assert "result" in {leaf.value for leaf in walk(tree.root) if kind_of(leaf) == "name"}
 
 
 def test_line_index_is_strictly_increasing():
@@ -152,9 +159,10 @@ def test_line_index_matches_character_scan(text):
 def test_every_span_within_text_bounds():
     src = SourceFile.from_text("m.py", DEMO)
     tree = parse(src)
-    for node in tree.root.walk():
-        start = src.offset(node.span.start_line, node.span.start_col)
-        end = src.offset(node.span.end_line, node.span.end_col)
+    for node in walk(tree.root):
+        where = span(node)
+        start = src.offset(where.start_line, where.start_col)
+        end = src.offset(where.end_line, where.end_col)
         assert 0 <= start <= end <= len(src.text)
 
 
@@ -225,22 +233,22 @@ def test_file_facts_hold_every_definition_and_function_but_no_tree():
     ]
     assert facts.span == Span(0, 0, 16, 0)
     assert facts.refs == reference_sets(_tree(text).root)
-    assert not [part for part in _parts(facts) if isinstance(part, (SyntaxNode, SyntaxTree))]
+    assert not [part for part in _parts(facts) if isinstance(part, (NodeOrLeaf, SyntaxTree))]
 
 
 def _walked_functions(tree):
     """Reference: the named functions a walk over every node finds."""
     return [
-        node.span
-        for node in tree.root.walk()
-        if node.kind == "funcdef" and any(child.kind == "name" for child in node.children)
+        span(node)
+        for node in walk(tree.root)
+        if kind_of(node) == "funcdef" and any(kind_of(child) == "name" for child in children(node))
     ]
 
 
 def _walked_import_spans(tree):
     """Reference: the import statements a walk over every parso node finds,
     in source order."""
-    spans, stack = [], [tree.parso_module]
+    spans, stack = [], [tree.root]
     while stack:
         pnode = stack.pop()
         if pnode.type in ("import_name", "import_from"):
