@@ -18,7 +18,7 @@ from .errors import BackendError, ConfigError, EmptyBenchmarkError, RepoLensErro
 from .gateway import generate
 from .pipeline import ABLATION_VARIANTS, CompletionTask, TaskResult, complete_task
 from .ranking import explain_graph
-from .retrieval import build_index, index_path, load_index, save_index, window_cache
+from .retrieval import Store, build_index, index_path, load_index
 
 
 def _fail(message: str) -> None:
@@ -54,10 +54,10 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     """Build and persist the snippet index in ``<repo>/.repolens``, where
     ``complete`` and ``evaluate`` read it.
 
-    The cache is keyed on window text, so only windows whose text is not
-    in it are parsed again. The file facts ``complete`` and ``evaluate``
-    stored are kept for the files it windows and dropped for any other path;
-    the index computes none.
+    The store holds one entry per file, keyed on the file's text, so only the
+    windows of a new or edited file are parsed again. The file facts
+    ``complete`` and ``evaluate`` stored are kept for the files it windows,
+    and the entry of any other path is dropped; the index computes no facts.
     """
 
     cfg = _load_cfg(config_path)
@@ -65,17 +65,17 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     snippets_path = index_path(root)
     out_dir = snippets_path.parent
 
-    cached = None if force else load_index(snippets_path)
-    index = build_index(root, cfg.window, cfg.stride, reuse=cached)
-    if cached is not None:
-        dropped = cached.retain({s.path for s in index.snippets})
-        if not dropped and cached.windows == window_cache(index):
-            click.echo(f"index up to date at {out_dir}")
-            return
+    store = None if force else load_index(snippets_path)
+    if store is None:
+        store = Store(snippets_path, {}, changed=True)
+    index = build_index(root, cfg.window, cfg.stride, reuse=store)
+    store.retain({s.path for s in index.snippets})
+    if not store.changed:
+        click.echo(f"index up to date at {out_dir}")
+        return
 
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_index(index, snippets_path, cached.files if cached is not None else None)
+        store.write()
     except OSError as exc:
         _fail(f"cannot write index to {out_dir}: {exc}")
     click.echo(f"indexed {len(index.snippets)} snippets into {out_dir}")

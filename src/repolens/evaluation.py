@@ -214,8 +214,9 @@ def run_benchmark(
     Context extraction runs sequentially (module maps and snippet indexes
     are shared per repository; the repository's ``.repolens/snippets.json``
     store is read once, for the windows and file facts it holds, and the
-    facts that had to be parsed are written back to it once; one dense
-    scorer serves every task); generation fans out over a worker pool.
+    windows and facts that had to be computed are written back to it once,
+    a failed write being ignored; one dense scorer serves every task);
+    generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
     the batch still completes. A faulty ``fixture_path`` file fails the run
     with ``ConfigError`` before any task; rows come back sorted by task id.

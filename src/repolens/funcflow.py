@@ -160,35 +160,33 @@ class _Builder:
     def build_if(
         self, clauses: list[tuple[NodeOrLeaf, list[NodeOrLeaf]]], depth: int
     ) -> tuple[int, list[_Tail]]:
-        # clauses[0] is the 'if' clause: parso opens every if_stmt with its keyword
-        kw, body = clauses[0]
-        line = span(kw).start_line
-        node = self.add("if", self.file.line_text(line).strip(), line + self.line_offset)
+        # clauses[0] is the 'if' clause: parso opens every if_stmt with its
+        # keyword. Each elif is a nested if hanging off the false edge of the
+        # clause before it; those edges are added innermost first.
         tails: list[_Tail] = []
-
-        head, branch_tails = self.build_block(body, depth + 1)
-        if head is None:
-            tails.append((node, "true"))
-        else:
-            self.connect(node, head, "true")
-            tails.extend(branch_tails)
-
-        rest = clauses[1:]
-        if not rest:
-            tails.append((node, "false"))
-        elif rest[0][0].value == "else":
-            head, branch_tails = self.build_block(rest[0][1], depth + 1)
+        nodes: list[int] = []
+        for kw, body in clauses:
+            if nodes and kw.value == "else":
+                head, branch_tails = self.build_block(body, depth + 1)
+                if head is None:
+                    tails.append((nodes[-1], "false"))
+                else:
+                    self.connect(nodes[-1], head, "false")
+                    tails.extend(branch_tails)
+                break
+            line = span(kw).start_line
+            nodes.append(self.add("if", self.file.line_text(line).strip(), line + self.line_offset))
+            head, branch_tails = self.build_block(body, depth + 1)
             if head is None:
-                tails.append((node, "false"))
+                tails.append((nodes[-1], "true"))
             else:
-                self.connect(node, head, "false")
+                self.connect(nodes[-1], head, "true")
                 tails.extend(branch_tails)
         else:
-            # elif: desugar into a nested if hanging off the false edge
-            nested, nested_tails = self.build_if(rest, depth)
-            self.connect(node, nested, "false")
-            tails.extend(nested_tails)
-        return node, tails
+            tails.append((nodes[-1], "false"))
+        for outer, nested in reversed(list(zip(nodes, nodes[1:]))):
+            self.connect(outer, nested, "false")
+        return nodes[0], tails
 
     def build_loop(self, stmt: NodeOrLeaf, depth: int) -> tuple[int, list[_Tail]]:
         keyword = "while" if kind_of(stmt) == "while_stmt" else "for"

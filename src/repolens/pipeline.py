@@ -163,10 +163,10 @@ def complete_task(
     excluded the file, and file facts are looked up only in the caller's
     ``store``, which the caller writes back. Without an index, the
     repository's store (``<repo>/.repolens/snippets.json``) is read once: the
-    index is built with the target excluded, taking the tokens and AST paths
-    of every unchanged window from it, every file read is looked up in it
-    before it is parsed, and the facts that had to be parsed are written
-    back to it.
+    index is built with the target excluded, decoding the windows of every
+    unchanged file from it, every file read is looked up in it before it is
+    parsed, and the windows and facts that had to be computed are written
+    back to it once, a failed write being ignored.
     """
 
     cfg = cfg or PipelineConfig()

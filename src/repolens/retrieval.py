@@ -29,7 +29,7 @@ from .syntax import FileFacts, SourceFile, children, facts_from_json, facts_to_j
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 6
+_INDEX_VERSION = 7
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -55,13 +55,10 @@ class SnippetIndex:
     snippets: list[Snippet]
 
 
-# Each window key's identifier tokens and AST paths.
-WindowCache = dict[str, tuple[frozenset[str], frozenset[str]]]
-
-
 def index_path(repo_root: Path | str) -> Path:
-    """Where a repository's store is kept: the window cache ``repolens index``
-    writes, and the file facts ``complete`` and ``evaluate`` add to it."""
+    """Where a repository's store is kept: one entry per file, holding the
+    windows ``repolens index`` cut and the file facts ``complete`` and
+    ``evaluate`` parsed."""
     return Path(repo_root) / ".repolens" / "snippets.json"
 
 
@@ -94,10 +91,14 @@ def ast_paths_of(text: str) -> frozenset[str]:
 
     if not text.strip():
         return frozenset()
+    try:
+        root = parse(SourceFile.from_text("snippet.py", text)).root
+    except ValueError:  # nested too deeply for parso to parse
+        return frozenset()
     paths: set[str] = set()
     # every node holds a retained leaf, so a chain that is already full is
     # the path of every leaf below it
-    stack = [(parse(SourceFile.from_text("snippet.py", text)).root, ())]
+    stack = [(root, ())]
     while stack:
         node, prefix = stack.pop()
         chain = prefix + (kind_of(node),)
@@ -109,8 +110,12 @@ def ast_paths_of(text: str) -> frozenset[str]:
     return frozenset(paths)
 
 
-def _window_key(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# Each window's identifier tokens and AST paths.
+WindowFeatures = list[tuple[frozenset[str], frozenset[str]]]
+
+
+def _features(chunks: list[str]) -> WindowFeatures:
+    return [(frozenset(identifier_tokens(chunk)), ast_paths_of(chunk)) for chunk in chunks]
 
 
 def build_index(
@@ -123,10 +128,11 @@ def build_index(
 ) -> SnippetIndex:
     """Slide a fixed window over every source file except ``exclude``.
 
-    A window's tokens and AST paths depend on its text alone, so they are
-    taken from the windows of the ``reuse`` store when it holds the window's
-    key and computed otherwise; ids, lines and text always come from the
-    file. The result equals a fresh build.
+    A window's tokens and AST paths depend on its text alone, so a file's
+    windows are taken from its entry in the ``reuse`` store when that entry
+    was cut from the same text with the same window and stride, and are
+    computed and kept there otherwise; ids, lines and text always come from
+    the file. The result equals a fresh build.
     """
 
     root = Path(repo_root).resolve()
@@ -148,10 +154,13 @@ def build_index(
                 )
             continue
         lines = text.removesuffix("\n").split("\n") if text else []
-        for start in range(0, max(len(lines) - window, 0) + 1, stride):
-            chunk = "\n".join(lines[start : start + window])
-            cached = reuse.windows.get(_window_key(chunk)) if reuse else None
-            tokens, ast_paths = cached or (frozenset(identifier_tokens(chunk)), ast_paths_of(chunk))
+        starts = range(0, max(len(lines) - window, 0) + 1, stride)
+        chunks = ["\n".join(lines[start : start + window]) for start in starts]
+        if reuse is None:
+            features = _features(chunks)
+        else:
+            features = reuse.window_features(rel, text, window, stride, chunks)
+        for start, chunk, (tokens, ast_paths) in zip(starts, chunks, features):
             snippets.append(
                 Snippet(
                     snippet_id=f"{rel}:{start}",
@@ -166,128 +175,111 @@ def build_index(
     return SnippetIndex(window=window, stride=stride, snippets=snippets)
 
 
-def window_cache(index: SnippetIndex) -> WindowCache:
-    """The cache entries of ``index``'s windows, keyed on the sha256 of their text."""
-    return {_window_key(s.text): (s.tokens, s.ast_paths) for s in index.snippets}
-
-
-def _file_key(path: str, text: str) -> str:
-    return hashlib.sha256(f"{path}\0{text}".encode("utf-8")).hexdigest()
-
-
-def _entry_path(entry: object) -> str | None:
-    path = entry.get("path") if isinstance(entry, dict) else None
-    return path if isinstance(path, str) else None
-
-
 @dataclass(eq=False, slots=True)
 class Store:
-    """A loaded ``.repolens/snippets.json``, which holds two JSON lines: the
-    window cache, decoded on load and kept as read in ``window_line``, and
-    the file facts, each decoded when it is looked up. A write-back writes
-    ``window_line`` back unchanged and encodes only the file facts.
-
-    A file entry is keyed on the sha256 of the file's repository-relative
-    path, a NUL and its text, so only the text can make it stale, and the
-    text is part of the key.
+    """A loaded ``.repolens/snippets.json``: one JSON document mapping each
+    repository-relative path to one entry, keyed on the sha256 of the
+    file's text. An entry holds the file's windows (each window's tokens and
+    AST-path slots into the entry's own path table, with the window and
+    stride they were cut with) and, once parsed, the file's facts
+    (``syntax.facts_to_json``). An entry is decoded when it is looked up, and
+    a lookup with any other text replaces the whole entry with an empty one,
+    so an edited file is never served stale. A malformed entry, or a
+    malformed part of one, is computed again.
     """
 
     path: Path
-    windows: WindowCache
     files: dict
-    window_line: str
     changed: bool = False
+
+    def _entry(self, path: str, text: str) -> dict:
+        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        entry = self.files.get(path)
+        if not isinstance(entry, dict) or entry.get("key") != key:
+            entry = self.files[path] = {"key": key}
+        return entry
+
+    def window_features(self, path: str, text: str, window: int, stride: int, chunks: list[str]) -> WindowFeatures:
+        """The tokens and AST paths of ``chunks``, the windows of ``text`` at
+        ``path``: decoded when the entry holds them for this window and
+        stride, else computed and kept in the entry."""
+        entry = self._entry(path, text)
+        try:
+            cut = entry["windows"]
+            if cut["geometry"] == [window, stride] and len(cut["rows"]) == len(chunks):
+                # a dict, not the list, so a negative slot is missing rather than counted from the end
+                table = dict(enumerate(cut["ast_paths"]))
+                return [(frozenset(tokens), frozenset(map(table.__getitem__, slots))) for tokens, slots in cut["rows"]]
+        except (KeyError, TypeError, ValueError):
+            pass
+        features = _features(chunks)
+        table = sorted(set().union(*(paths for _, paths in features)))
+        slot = {p: i for i, p in enumerate(table)}
+        rows = [[sorted(tokens), sorted(slot[p] for p in paths)] for tokens, paths in features]
+        entry["windows"] = {"geometry": [window, stride], "ast_paths": table, "rows": rows}
+        self.changed = True
+        return features
 
     def facts(self, path: str, text: str) -> FileFacts | None:
         """The stored facts of ``text`` at ``path``; None when absent or malformed."""
-        entry = self.files.get(_file_key(path, text))
-        return facts_from_json(entry, SourceFile.from_text(path, text)) if entry is not None else None
+        entry = self._entry(path, text)
+        return facts_from_json(entry["facts"], SourceFile.from_text(path, text)) if "facts" in entry else None
 
     def keep(self, facts: FileFacts) -> None:
-        """Store ``facts`` in place of any older entry for the same path."""
-        path = facts.file.path
-        older = [key for key, entry in self.files.items() if _entry_path(entry) == path]
-        for key in older:
-            del self.files[key]
-        self.files[_file_key(path, facts.file.text)] = facts_to_json(facts)
+        """Store ``facts`` in the entry of their file's path and text."""
+        self._entry(facts.file.path, facts.file.text)["facts"] = facts_to_json(facts)
         self.changed = True
 
-    def retain(self, paths: set[str]) -> bool:
-        """Drop every file entry that names no path in ``paths``; True when
-        one was dropped."""
-        kept = {key: entry for key, entry in self.files.items() if _entry_path(entry) in paths}
-        dropped = len(kept) < len(self.files)
-        self.files = kept
-        return dropped
+    def retain(self, paths: set[str]) -> None:
+        """Drop the entry of every path not in ``paths``."""
+        stale = self.files.keys() - paths
+        for path in stale:
+            del self.files[path]
+        self.changed |= bool(stale)
+
+    def write(self) -> None:
+        """Write the store to ``path``. The text goes to a temporary file
+        beside it first and then replaces it in one step, so an interrupted
+        write leaves the old store."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        scratch = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        try:
+            doc = {"version": _INDEX_VERSION, "files": self.files}
+            scratch.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+            os.replace(scratch, self.path)
+        except BaseException:
+            scratch.unlink(missing_ok=True)
+            raise
+        self.changed = False
 
     def flush(self) -> None:
-        """Write the store back if it kept new facts. A failed write is
-        ignored: the store is a cache, and the next run parses again."""
+        """Write the store back if an entry was kept or dropped since it was
+        loaded. A failed write is ignored: the store is a cache, and the next
+        run computes again."""
         if self.changed:
-            self.changed = False
             with contextlib.suppress(OSError):
-                _write_store(self.path, self.window_line, self.files)
-
-
-def _encode_windows(windows: WindowCache) -> str:
-    """The store's first line: the window cache as JSON, each window's AST
-    paths as slots in a table that holds each distinct path once."""
-    table = sorted({p for _, paths in windows.values() for p in paths})
-    slot = {p: i for i, p in enumerate(table)}
-    encoded = {key: [sorted(tokens), sorted(slot[p] for p in paths)] for key, (tokens, paths) in windows.items()}
-    return json.dumps({"version": _INDEX_VERSION, "ast_paths": table, "windows": encoded}, sort_keys=True) + "\n"
-
-
-def _write_store(path: Path, window_line: str, files: dict) -> None:
-    """Write a store: ``window_line``, then the file entries as the second
-    JSON line. The text goes to a temporary file beside ``path`` first
-    and then replaces it in one step, so an interrupted write leaves the old
-    store."""
-    scratch = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        scratch.write_text(window_line + json.dumps(files, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(scratch, path)
-    except BaseException:
-        scratch.unlink(missing_ok=True)
-        raise
-
-
-def save_index(index: SnippetIndex, path: Path | str, files: dict | None = None) -> None:
-    """Write ``window_cache(index)`` and the file entries ``files`` as the
-    store at ``path``."""
-    _write_store(Path(path), _encode_windows(window_cache(index)), files or {})
+                self.write()
 
 
 def load_index(path: Path | str) -> Store | None:
-    """Read the store back; None when absent, of another version or
-    malformed in either line, so the caller builds afresh."""
+    """Read the store back; None when absent, of another version or not a
+    JSON document mapping paths to entries, so the caller starts afresh."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline="\n") as lines:
-            window_line = lines.readline()
-            doc = json.loads(window_line)
-            files = json.loads(lines.read())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION or not isinstance(files, dict):
+    if not isinstance(doc, dict) or doc.get("version") != _INDEX_VERSION or not isinstance(doc.get("files"), dict):
         return None
-    try:
-        # a dict, not the list, so a negative slot is missing rather than counted from the end
-        table = dict(enumerate(doc["ast_paths"]))
-        windows = {
-            key: (frozenset(tokens), frozenset(map(table.__getitem__, slots)))
-            for key, (tokens, slots) in doc["windows"].items()
-        }
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return None
-    return Store(path, windows, files, window_line)
+    return Store(path, doc["files"])
 
 
 def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
-    union = len(a | b)
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
     if union == 0:
         return 0.0
-    return len(a & b) / union
+    return shared / union
 
 
 class LexicalScorer:

@@ -178,16 +178,23 @@ def _grammar():
 
 
 def parse(file: SourceFile) -> SyntaxTree:
-    """Parse ``file`` with parso, recovering from syntax errors."""
+    """Parse ``file`` with parso, recovering from syntax errors.
+
+    Raises ``ValueError`` for text nested too deeply for parso's error
+    recovery, which recurses one frame per nesting level.
+    """
     try:
-        module = _grammar().parse(file.text, error_recovery=True)
-    except RecursionError:
-        # parso accepts a last line without its newline through error
-        # recovery, which finds the last leaf one frame per nesting level;
-        # a last line nested too deeply for that is parsed with its newline
-        if file.text.endswith("\n"):
-            raise
-        module = _grammar().parse(file.text + "\n", error_recovery=True)
+        try:
+            module = _grammar().parse(file.text, error_recovery=True)
+        except RecursionError:
+            # parso accepts a last line without its newline through error
+            # recovery; a last line nested too deeply for that is parsed
+            # with its newline
+            if file.text.endswith("\n"):
+                raise
+            module = _grammar().parse(file.text + "\n", error_recovery=True)
+    except RecursionError as err:
+        raise ValueError(f"{file.path} is nested too deeply to parse") from err
     return SyntaxTree(root=module, file=file)
 
 

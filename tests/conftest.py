@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repolens import syntax
+from repolens import retrieval, syntax
 from repolens.syntax import SourceFile, children, parse
 
 TESTS_DIR = Path(__file__).parent
@@ -69,15 +69,22 @@ def write_repo(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def read_store(path: Path) -> tuple[dict, dict]:
-    """A ``.repolens/snippets.json`` as its two JSON lines: the window cache
-    and the file entries."""
-    head, files = path.read_text(encoding="utf-8").split("\n")[:2]
-    return json.loads(head), json.loads(files)
+def read_store(path: Path) -> dict:
+    """A ``.repolens/snippets.json``'s entries, by repository-relative path."""
+    return json.loads(path.read_text(encoding="utf-8"))["files"]
 
 
-def write_store(path: Path, head: object, files: object) -> None:
-    path.write_text(json.dumps(head) + "\n" + json.dumps(files) + "\n", encoding="utf-8")
+def write_store(path: Path, files: object, version: int = retrieval._INDEX_VERSION) -> None:
+    path.write_text(json.dumps({"version": version, "files": files}), encoding="utf-8")
+
+
+def index_repo(root: Path, cache: Path | None = None, window: int = 20, stride: int = 10) -> Path:
+    """Window ``root`` into a new store at ``cache`` (the repository's own
+    store by default), as ``repolens index --force`` does; the store's path."""
+    store = retrieval.Store(cache or retrieval.index_path(root), {})
+    retrieval.build_index(root, window, stride, reuse=store)
+    store.write()
+    return store.path
 
 
 @contextmanager

@@ -84,10 +84,9 @@ def outputs():
         with tempfile.TemporaryDirectory() as scratch:
             root = Path(scratch) / corpus
             shutil.copytree(source, root)
-            cache = retrieval.index_path(root)
-            cache.parent.mkdir(exist_ok=True)
-            window, stride = PipelineConfig.window, PipelineConfig.stride
-            retrieval.save_index(retrieval.build_index(root, window, stride), cache)
+            store = retrieval.Store(retrieval.index_path(root), {})
+            retrieval.build_index(root, PipelineConfig.window, PipelineConfig.stride, reuse=store)
+            store.write()
             for rel in sorted(modules.values()):
                 for cursor in cursors.file_cursors(source, rel, modules):
                     task = CompletionTask(cursor.task_id, root, cursor.file, cursor.line, cursor.prefix)

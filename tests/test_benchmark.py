@@ -29,8 +29,8 @@ from repolens import evaluation, projdeps
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
-from repolens.retrieval import build_index, index_path, save_index
-from tests.conftest import count_parses, http_stub, write_repo
+from repolens.retrieval import build_index
+from tests.conftest import count_parses, http_stub, index_repo, write_repo
 
 MAIN_PY = """\
 import os
@@ -170,8 +170,7 @@ def test_echo_backend_matches_hand_scores(tmp_path):
 def test_second_run_parses_only_slices_and_queries(tmp_path, monkeypatch):
     tasks = write_bench(tmp_path)
     repo = tmp_path / "bench"
-    index_path(repo).parent.mkdir()
-    save_index(build_index(repo), index_path(repo))
+    index_repo(repo)
     projdeps.facts_of.cache_clear()
     first = run_benchmark(tasks, no_timing=True)
 

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 from repolens import cli, projdeps, retrieval
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
-from repolens.retrieval import build_index, index_path, load_index, window_cache
-from tests.conftest import write_repo
+from repolens.pipeline import CompletionTask, complete_task
+from repolens.retrieval import build_index, index_path, load_index
+from tests.conftest import read_store, write_repo
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
-from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_paths
+from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_facts, stored_paths
 
 
 @pytest.fixture
@@ -56,6 +57,14 @@ def test_index_builds_then_hits_cache(runner, repo):
     assert "indexed" in forced.output
 
 
+def stored_index(repo, window=20, stride=10):
+    """The index the repository's store serves, which must need no parse."""
+    store = load_index(index_path(repo))
+    index = build_index(repo, window, stride, reuse=store)
+    assert not store.changed
+    return index
+
+
 def test_index_rebuilds_after_in_place_edit(runner, repo):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     edited = PROCESSOR_PY.replace("row.strip()", "row.strip().lower()")
@@ -64,22 +73,26 @@ def test_index_rebuilds_after_in_place_edit(runner, repo):
     again = runner.invoke(main, ["index", "--repo", str(repo)])
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
-    cached = load_index(repo / ".repolens" / "snippets.json").windows
-    assert cached == window_cache(build_index(repo))
-    assert any("lower" in tokens for tokens, _ in cached.values())
+    cached = stored_index(repo)
+    assert cached == build_index(repo)
+    assert any("lower" in s.tokens for s in cached.snippets)
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
 
-def test_index_after_rename_parses_and_writes_nothing(runner, repo, monkeypatch):
+def test_index_after_rename_windows_the_new_path_and_drops_the_old(runner, repo, monkeypatch):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     (repo / "lib" / "text_utils.py").rename(repo / "lib" / "path_utils.py")
-    parsed, saved = [], []
-    monkeypatch.setattr(retrieval, "ast_paths_of", parsed.append)
-    monkeypatch.setattr(cli, "save_index", lambda *args: saved.append(args))
+    parsed = []
+    real_paths = retrieval.ast_paths_of
+    monkeypatch.setattr(retrieval, "ast_paths_of", lambda text: parsed.append(text) or real_paths(text))
     again = runner.invoke(main, ["index", "--repo", str(repo)])
     assert again.exit_code == 0, again.output
-    assert "index up to date" in again.output
-    assert parsed == [] and saved == []
+    assert "indexed" in again.output
+    monkeypatch.undo()
+    assert parsed == [s.text for s in build_index(repo).snippets if s.path == "lib/path_utils.py"]
+    assert sorted(read_store(index_path(repo))) == ["data_processor.py", "lib/path_utils.py", "main.py"]
+    assert stored_index(repo) == build_index(repo)
+    assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
 
 def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
@@ -88,27 +101,23 @@ def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
     config_path.write_text("window: 5\nstride: 5\n", encoding="utf-8")
     again = runner.invoke(main, ["index", "--repo", str(repo), "--config", str(config_path)])
     assert "indexed" in again.output
-    cached = load_index(repo / ".repolens" / "snippets.json").windows
-    assert cached == window_cache(build_index(repo, window=5, stride=5))
-    assert cached.keys() != window_cache(build_index(repo)).keys()
+    assert stored_index(repo, 5, 5) == build_index(repo, window=5, stride=5)
+    assert {tuple(entry["windows"]["geometry"]) for entry in read_store(index_path(repo)).values()} == {(5, 5)}
 
 
 def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
-    def stored():
-        return load_index(repo / ".repolens" / "snippets.json").files
-
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert stored() == {}
+    assert stored_facts(repo) == {}
     projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
-    facts = stored()
-    assert sorted(entry["path"] for entry in facts.values()) == ["data_processor.py", "main.py"]
+    facts = stored_facts(repo)
+    assert sorted(facts) == ["data_processor.py", "main.py"]
 
     (repo / "lib" / "text_utils.py").write_text(UTILS_PY + "\nextra = 1\n")
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert stored() == facts
+    assert stored_facts(repo) == facts
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo), "--force"]).output
-    assert stored() == {}
+    assert stored_facts(repo) == {}
 
 
 @pytest.mark.parametrize("edit", [False, True], ids=["same-text", "edited"])
@@ -125,24 +134,49 @@ def test_index_drops_the_facts_of_a_renamed_file(runner, repo, edit):
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
     assert stored_paths(repo) == ["main.py"]
+    assert "data_processor.py" not in read_store(index_path(repo))
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
 
-def test_complete_write_back_keeps_the_window_line_as_indexed(runner, repo):
+def test_complete_write_back_keeps_the_indexed_windows(runner, repo):
+    def windows():
+        return {path: entry["windows"] for path, entry in read_store(index_path(repo)).items()}
+
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    windows_line = index_path(repo).read_bytes().split(b"\n")[0]
+    indexed = windows()
     projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
-    assert index_path(repo).read_bytes().split(b"\n")[0] == windows_line
+    assert windows() == indexed
+
+
+def test_complete_writes_back_the_windows_of_an_edited_file(runner, repo, monkeypatch):
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    (repo / "lib" / "text_utils.py").write_text(UTILS_PY + "\nextra = 1\n")
+    edited = [s.text for s in build_index(repo).snippets if s.path == "lib/text_utils.py"]
+    parsed = []
+    real_paths = retrieval.ast_paths_of
+    monkeypatch.setattr(retrieval, "ast_paths_of", lambda text: parsed.append(text) or real_paths(text))
+    args = complete_args(repo, "--dry-run", "--explain", "--no-timing")
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0, first.output
+    assert parsed == edited
+    parsed.clear()
+    second = runner.invoke(main, args)
+    assert parsed == []
+    assert second.output == first.output
+    assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
 
 @pytest.mark.parametrize("fault", ["missing", "cut-short", "not-json", "not-object"])
 def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault):
+    """A store in the version-6 layout, a window line and then a file-facts
+    line, is ignored whatever its second line holds, and ``index`` replaces it."""
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
-    first, files = index_path(repo).read_text().split("\n")[:2]
+    first = json.dumps({"version": 6, "ast_paths": [], "windows": {}})
+    files = json.dumps(stored_facts(repo))
     second = {"missing": "", "cut-short": files[: len(files) // 2], "not-json": "{not json", "not-object": "[]"}[fault]
     broken = first + ("\n" + second if second else "")
     index_path(repo).write_text(broken)
@@ -153,6 +187,7 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     assert index_path(repo).read_text() == broken
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     assert stored_paths(repo) == []
+    assert stored_index(repo) == build_index(repo)
 
 
 def run_fresh(*runs: list[str]) -> tuple[list[int], set[str]]:
@@ -204,6 +239,37 @@ def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):
     completed = runner.invoke(main, ["complete", "--repo", str(repo), "--file", "main.py", "--line", "4", "--dry-run"])
     assert completed.exit_code == 0, completed.output
     assert "return not not" in completed.output
+
+
+def test_syntax_error_after_a_deep_expression_fails_only_as_the_target(runner, tmp_path):
+    # parso's error recovery recurses once per nesting level
+    deep = "def f(c):\n    return " + "not " * 2000 + "c )\n"
+    repo = write_repo(tmp_path / "deep", {"deep.py": deep, "main.py": "from deep import f\n\nflag = f(1)\nvalue = f(\n"})
+    indexed = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert indexed.exit_code == 0, indexed.output
+    assert stored_index(repo) == build_index(repo)
+
+    args = ["complete", "--repo", str(repo), "--file", "main.py", "--line", "4", "--dry-run"]
+    importer = runner.invoke(main, args)
+    assert importer.exit_code == 0, importer.output
+    result = complete_task(CompletionTask("t", repo, "main.py", 3))
+    errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
+    assert [d.context["path"] for d in errors] == ["deep.py"]
+
+    target = runner.invoke(main, ["complete", "--repo", str(repo), "--file", "deep.py", "--line", "2", "--dry-run"])
+    assert target.exit_code == 2
+    assert target.output.startswith("error: ")
+
+
+def test_index_exits_2_when_the_store_cannot_be_written(runner, repo, monkeypatch):
+    def refuse(*args):
+        raise PermissionError(13, "Read-only file system")
+
+    monkeypatch.setattr(retrieval.os, "replace", refuse)
+    result = runner.invoke(main, ["index", "--repo", str(repo)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: cannot write index")
+    assert list((repo / ".repolens").iterdir()) == []
 
 
 def test_index_missing_repo_exits_2(runner, tmp_path):

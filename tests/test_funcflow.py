@@ -174,6 +174,20 @@ def test_elif_desugars_into_nested_ifs():
     assert [e.dst for e in false_edges] == [second.node_id]
 
 
+def test_long_elif_chain_builds_one_if_node_per_branch():
+    branches = 1500
+    text = "def h(x):\n    if x == 0:\n        a = 0\n"
+    text += "".join(f"    elif x == {i}:\n        a = {i}\n" for i in range(1, branches))
+    text += "    done = a\n"
+    cfg = _cfg(text, 2 * branches + 1)  # the cursor on the line after the chain
+    ifs = sorted(n.node_id for n in cfg.nodes if n.kind == "if")
+    assert len(ifs) == branches
+    false_edges = sorted((e.src, e.dst) for e in cfg.edges if e.label == "false")
+    assert false_edges == list(zip(ifs, ifs[1:])) + [(ifs[-1], cfg.exit)]
+    # the last test and every body fall through to the exit
+    assert len([e for e in cfg.edges if e.dst == cfg.exit]) == branches + 1
+
+
 def test_nesting_beyond_two_levels_collapses_to_region_node():
     cfg = _cfg(DEEP_FUNC, 7)
     region = [n for n in cfg.nodes if n.text.endswith("...") and "x > 100" in n.text]

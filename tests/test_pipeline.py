@@ -27,11 +27,9 @@ from repolens.retrieval import (
     ast_paths_of,
     build_index,
     index_path,
-    load_index,
-    save_index,
     semantic_candidates,
 )
-from tests.conftest import TESTS_DIR, count_parses, http_stub, read_store, write_repo, write_store
+from tests.conftest import TESTS_DIR, count_parses, http_stub, index_repo, read_store, write_repo, write_store
 
 MAIN_PY = """\
 import os
@@ -176,12 +174,6 @@ def test_shared_index_equals_fresh_build(repo):
     assert all(e.snippet.path != "main.py" for e in with_shared.exemplars.entries)
 
 
-def write_cache(repo):
-    path = index_path(repo)
-    path.parent.mkdir(exist_ok=True)
-    save_index(build_index(repo), path)
-
-
 def test_current_cache_spares_every_window_parse(repo, monkeypatch):
     parses = []
     inside = []
@@ -203,7 +195,7 @@ def test_current_cache_spares_every_window_parse(repo, monkeypatch):
     monkeypatch.setattr(retrieval, "parse", counted_parse)
     uncached = complete_task(make_task(repo))
     assert parses
-    write_cache(repo)
+    index_repo(repo)
     parses.clear()
     cached = complete_task(make_task(repo))
     assert parses == []
@@ -211,7 +203,7 @@ def test_current_cache_spares_every_window_parse(repo, monkeypatch):
 
 
 def test_in_place_edit_reaches_exemplars_through_cache(repo):
-    write_cache(repo)
+    index_repo(repo)
     stale = complete_task(make_task(repo))
     assert "trimmed = os.path.basename(path)" in stale.prompt.text
     edited = UTILS_PY.replace("trimmed = os.path.basename(path)", "trimmed = edited_marker(path)")
@@ -380,8 +372,13 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
     assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
 
 
+def stored_facts(repo) -> dict:
+    """The file facts in the repository's store, by path."""
+    return {path: entry["facts"] for path, entry in read_store(index_path(repo)).items() if "facts" in entry}
+
+
 def stored_paths(repo) -> list[str]:
-    return sorted(entry["path"] for entry in load_index(index_path(repo)).files.values())
+    return sorted(stored_facts(repo))
 
 
 def same_output(one, other) -> bool:
@@ -389,7 +386,7 @@ def same_output(one, other) -> bool:
 
 
 def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
-    write_cache(repo)
+    index_repo(repo)
     projdeps.facts_of.cache_clear()
     first = complete_task(make_task(repo))
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
@@ -402,7 +399,7 @@ def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
 
 
 def test_stored_module_edited_in_place_is_never_served_stale(repo):
-    write_cache(repo)
+    index_repo(repo)
     projdeps.facts_of.cache_clear()
     complete_task(make_task(repo))
     assert "data_processor.py" in stored_paths(repo)
@@ -424,7 +421,7 @@ def test_stored_module_edited_in_place_is_never_served_stale(repo):
 
 @pytest.mark.parametrize("fault", ["not_utf8", "dangling_link"])
 def test_unreadable_module_is_never_stored(repo, fault):
-    write_cache(repo)
+    index_repo(repo)
     module = repo / "data_processor.py"
     if fault == "not_utf8":
         module.write_bytes(b"\xff\xfe not utf8")
@@ -440,37 +437,36 @@ def test_unreadable_module_is_never_stored(repo, fault):
 
 
 def test_malformed_stored_facts_are_parsed_again(repo):
-    write_cache(repo)
+    index_repo(repo)
     projdeps.facts_of.cache_clear()
     expected = complete_task(make_task(repo))
-    head, good = read_store(index_path(repo))
+    good = read_store(index_path(repo))
     broken = [
-        lambda entry: entry.clear(),
-        lambda entry: entry.update(path="elsewhere.py"),
-        lambda entry: entry.update(records=7),
-        lambda entry: entry["definitions"].append(-1),  # a list index would count it from the end
-        lambda entry: entry["records"][0][2].pop(),  # a span of three numbers
-        lambda entry: entry["records"][0][3].append(["unhashable"]),
-        lambda entry: entry["refs"][3].append(5),
-        lambda entry: entry["imports"].append(["m", [["only one name"]], [0, 0, 0, 0]]),
+        lambda facts: facts.clear(),
+        lambda facts: facts.update(path="elsewhere.py"),
+        lambda facts: facts.update(records=7),
+        lambda facts: facts["definitions"].append(-1),  # a list index would count it from the end
+        lambda facts: facts["records"][0][2].pop(),  # a span of three numbers
+        lambda facts: facts["records"][0][3].append(["unhashable"]),
+        lambda facts: facts["refs"][3].append(5),
+        lambda facts: facts["imports"].append(["m", [["only one name"]], [0, 0, 0, 0]]),
     ]
     for path in ("main.py", "data_processor.py"):
-        for mutate in broken + [lambda entry: None]:
+        for mutate in broken + [lambda facts: None]:
             files = json.loads(json.dumps(good))
-            (key,) = [key for key, entry in files.items() if entry["path"] == path]
-            mutate(files[key])
-            write_store(index_path(repo), head, files)
+            mutate(files[path]["facts"])
+            write_store(index_path(repo), files)
             projdeps.facts_of.cache_clear()
             assert same_output(complete_task(make_task(repo)), expected)
-            assert read_store(index_path(repo))[1][key] == good[key]
-    write_store(index_path(repo), head, dict.fromkeys(good, 7))
+            assert read_store(index_path(repo))[path] == good[path]
+    write_store(index_path(repo), dict.fromkeys(good, 7))
     projdeps.facts_of.cache_clear()
     assert same_output(complete_task(make_task(repo)), expected)
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
 
 
 def test_failed_store_write_changes_nothing(repo, monkeypatch):
-    write_cache(repo)
+    index_repo(repo)
     before = index_path(repo).read_bytes()
 
     def refuse(*args):
@@ -488,7 +484,7 @@ def test_failed_store_write_changes_nothing(repo, monkeypatch):
 
 
 def test_store_keeps_one_entry_per_path(repo):
-    write_cache(repo)
+    index_repo(repo)
     projdeps.facts_of.cache_clear()
     module = repo / "data_processor.py"
     for i in range(3):

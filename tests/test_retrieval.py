@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import tempfile
@@ -18,19 +19,17 @@ from repolens.retrieval import (
     DenseScorer,
     LexicalScorer,
     Snippet,
+    Store,
     ast_paths_of,
     build_index,
     identifier_tokens,
-    index_path,
     load_index,
     rerank,
-    save_index,
     semantic_candidates,
     structure_score,
-    window_cache,
 )
-from repolens.syntax import SourceFile, file_facts, parse
-from tests.conftest import TESTS_DIR, http_stub, read_store, write_repo, write_store
+from repolens.syntax import SourceFile, facts_to_json, file_facts, parse
+from tests.conftest import TESTS_DIR, http_stub, index_repo, read_store, write_repo, write_store
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -108,29 +107,36 @@ def test_index_cache_roundtrip(tmp_path):
     write_repo(tmp_path, {"a.py": numbered_lines(25)})
     index = build_index(tmp_path)
     cache = tmp_path / "index.json"
-    save_index(index, cache)
+    store = Store(cache, {})
+    assert build_index(tmp_path, reuse=store) == index
+    store.write()
     loaded = load_index(cache)
-    assert loaded.windows == window_cache(index)
+    assert loaded.files == store.files
     assert build_index(tmp_path, reuse=loaded) == index
-    # keys the cache does not write are ignored
-    doc, files = read_store(cache)
-    write_store(cache, {**doc, "root": str(tmp_path)}, files)
-    reloaded = load_index(cache)
-    assert (reloaded.windows, reloaded.files) == (loaded.windows, loaded.files)
+    assert not loaded.changed
+    # keys the store does not write are ignored
+    doc = json.loads(cache.read_text())
+    cache.write_text(json.dumps({**doc, "root": str(tmp_path)}))
+    assert load_index(cache).files == loaded.files
 
 
 def test_index_cache_stores_each_ast_path_once(tmp_path):
-    write_repo(tmp_path, {"a.py": numbered_lines(45), "b.py": numbered_lines(12)})
+    files = {"a.py": numbered_lines(45), "b.py": numbered_lines(12)}
+    write_repo(tmp_path, files)
     index = build_index(tmp_path)
-    cache = tmp_path / "index.json"
-    save_index(index, cache)
-    doc, files = read_store(cache)
-    table = doc["ast_paths"]
-    assert table == sorted(set().union(*(s.ast_paths for s in index.snippets)))
-    assert all(isinstance(i, int) for _, slots in doc["windows"].values() for i in slots)
-    assert set(doc) == {"version", "ast_paths", "windows"}
-    assert files == {}
-    assert doc["windows"].keys() == window_cache(index).keys()
+    entries = read_store(index_repo(tmp_path, tmp_path / "index.json"))
+    assert entries.keys() == files.keys()
+    for path, entry in entries.items():
+        windows = [s for s in index.snippets if s.path == path]
+        assert entry.keys() == {"key", "windows"}
+        assert entry["key"] == hashlib.sha256(files[path].encode()).hexdigest()
+        cut = entry["windows"]
+        assert cut.keys() == {"geometry", "ast_paths", "rows"}
+        assert cut["geometry"] == [index.window, index.stride]
+        table = cut["ast_paths"]
+        assert table == sorted(set().union(*(s.ast_paths for s in windows)))
+        decoded = [(tokens, sorted(table[i] for i in slots)) for tokens, slots in cut["rows"]]
+        assert decoded == [(sorted(s.tokens), sorted(s.ast_paths)) for s in windows]
 
 
 def test_index_cache_version_mismatch_returns_none(tmp_path):
@@ -172,68 +178,67 @@ def _v3_doc(index):
     return {**doc, "version": 3, "ast_paths": table, "digests": digests}
 
 
-def _v4_doc(good):
-    """The version-4 layout: window entries and the path table, no file facts."""
-    return {"version": 4, "ast_paths": good["ast_paths"], "windows": good["windows"]}
-
-
-def _v5_doc(good):
-    """The version-5 layout: one JSON document holding the windows and the file facts."""
-    return {**good, "version": 5}
-
-
 def test_v1_and_malformed_caches_are_ignored(tmp_path):
     repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25), "b.py": "x = 1\n"})
     index = build_index(repo)
-    cache = tmp_path / "index.json"
-    save_index(index, cache, {"0" * 64: {"path": "b.py"}})
-    head, files = read_store(cache)
-    good = {**head, "files": files}
-
-    def bad(mutate):
-        doc = json.loads(json.dumps(good))
-        mutate(doc)
-        return doc
-
-    def first_entry(doc):
-        return next(iter(doc["windows"].values()))
-
-    broken = [
-        _v1_doc(index),
-        bad(lambda d: d.update(version=2)),  # v2 paths spelled the renamed kinds
-        _v3_doc(index),
-        _v4_doc(good),
-        _v5_doc(good),
-        bad(lambda d: d.pop("ast_paths")),
-        bad(lambda d: d.pop("windows")),
-        bad(lambda d: d.pop("files")),
-        bad(lambda d: first_entry(d).append([])),
-        bad(lambda d: d["windows"].update(dict.fromkeys(d["windows"], 7))),
-        bad(lambda d: first_entry(d)[1].append(len(d["ast_paths"]))),
-        bad(lambda d: first_entry(d)[1].append(-1)),  # a list index would count it from the end
-        bad(lambda d: d.update(windows="not a map")),
-        bad(lambda d: d.update(files=["not", "a", "map"])),
+    cache = index_repo(repo, tmp_path / "index.json")
+    good = read_store(cache)
+    v4 = {"version": 4, "ast_paths": [], "windows": {}}
+    ignored = [
+        json.dumps(_v1_doc(index)),
+        json.dumps({"version": 2}),  # v2 paths spelled the renamed kinds
+        json.dumps(_v3_doc(index)),
+        json.dumps(v4),
+        json.dumps({**v4, "version": 5, "files": {}}),
+        json.dumps({**v4, "version": 6}) + "\n{}\n",  # the two-line layout
+        json.dumps({"version": 6, "files": good}),
+        json.dumps({"version": retrieval._INDEX_VERSION}),
+        json.dumps({"version": retrieval._INDEX_VERSION, "files": ["not", "a", "map"]}),
+        json.dumps([retrieval._INDEX_VERSION, good]),
+        "{not json",
     ]
-    for doc in broken:
-        if doc["version"] == retrieval._INDEX_VERSION:
-            # the v6 layout: the file entries on a second line, if any
-            first = {key: value for key, value in doc.items() if key != "files"}
-            cache.write_text(json.dumps(first) + ("\n" + json.dumps(doc["files"]) if "files" in doc else ""))
-        else:
-            cache.write_text(json.dumps(doc))
-        assert load_index(cache) is None, doc
-    write_store(cache, head, files)
-    assert load_index(cache) is not None
+    for text in ignored:
+        cache.write_text(text)
+        assert load_index(cache) is None, text
+    write_store(cache, good)
     cache.write_text(cache.read_text()[:-40])
     assert load_index(cache) is None
+
+    def rows(entry):
+        return entry["windows"]["rows"]
+
+    # a malformed entry is computed again; the rest of the store is kept
+    malformed = [
+        lambda entry: entry.clear(),
+        lambda entry: entry.update(key="0" * 64),
+        lambda entry: entry.pop("windows"),
+        lambda entry: entry.update(windows="not a map"),
+        lambda entry: entry["windows"].pop("ast_paths"),
+        lambda entry: entry["windows"].update(geometry=[20]),
+        lambda entry: rows(entry).pop(),
+        lambda entry: rows(entry)[0].append([]),
+        lambda entry: rows(entry).__setitem__(0, 7),
+        lambda entry: rows(entry)[0][1].append(len(entry["windows"]["ast_paths"])),
+        lambda entry: rows(entry)[0][1].append(-1),  # a list index would count it from the end
+    ]
+    for mutate in malformed:
+        files = json.loads(json.dumps(good))
+        mutate(files["a.py"])
+        write_store(cache, files)
+        store = load_index(cache)
+        assert build_index(repo, reuse=store) == index
+        assert store.changed
+        assert store.files == good
+    write_store(cache, {"a.py": 7, "b.py": ["not", "an", "entry"]})
+    store = load_index(cache)
+    assert build_index(repo, reuse=store) == index
+    assert store.files == good
 
 
 def test_interrupted_write_keeps_the_previous_store(tmp_path, monkeypatch):
     repo = write_repo(tmp_path / "repo", {"a.py": numbered_lines(25)})
-    cache = index_path(repo)
-    cache.parent.mkdir()
-    save_index(build_index(repo), cache)
-    before = load_index(cache).windows
+    cache = index_repo(repo)
+    before = cache.read_bytes()
     write_repo(repo, {"b.py": "y = 2\n"})
     real_write = Path.write_text
 
@@ -242,14 +247,14 @@ def test_interrupted_write_keeps_the_previous_store(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    with pytest.raises(OSError):
-        save_index(build_index(repo), cache)
     store = load_index(cache)
+    build_index(repo, reuse=store)
+    with pytest.raises(OSError):
+        store.write()
     store.keep(file_facts(parse(SourceFile.from_text("b.py", "y = 2\n"))))
     store.flush()  # a write-back that fails is ignored
     monkeypatch.undo()
-    assert load_index(cache).windows == before
-    assert load_index(cache).files == {}
+    assert cache.read_bytes() == before
     assert [p.name for p in cache.parent.iterdir()] == ["snippets.json"]
 
 
@@ -272,8 +277,7 @@ def _file_text_pairs():
 def test_stored_facts_equal_fresh_ones():
     with tempfile.TemporaryDirectory() as scratch:
         cache = Path(scratch) / "snippets.json"
-        save_index(build_index(scratch), cache)
-        store = load_index(cache)
+        store = Store(cache, {})
         fresh = {}
         for rel, text in _file_text_pairs():
             fresh[rel] = file_facts(parse(SourceFile.from_text(rel, text)))
@@ -295,8 +299,7 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
     other = numbered_lines(30).replace("value", "other")
     write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": other})
     old = build_index(tmp_path)
-    cache = tmp_path / "index.json"
-    save_index(old, cache)
+    cache = index_repo(tmp_path, tmp_path / "index.json")
     parsed = []
     real_parse = retrieval.parse
 
@@ -311,22 +314,19 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
     (tmp_path / "b.py").write_text(other.replace("other_25 = 25", "edited = True"))
     (tmp_path / "c.py").write_text("fresh = 1\n")
     rebuilt = build_index(tmp_path, reuse=load_index(cache))
-    old_texts = {s.text for s in old.snippets}
-    assert sorted(parsed) == sorted(s.text for s in rebuilt.snippets if s.text not in old_texts)
-    assert {s.path for s in rebuilt.snippets if s.text in parsed} == {"b.py", "c.py"}
+    assert parsed == [s.text for s in rebuilt.snippets if s.path in ("b.py", "c.py")]
 
     parsed.clear()
-    save_index(rebuilt, cache)
+    index_repo(tmp_path, cache)
     assert build_index(tmp_path, window=15, stride=5, reuse=load_index(cache)) == build_index(
         tmp_path, window=15, stride=5
     )
     assert len(parsed) > 0
 
 
-def test_in_place_edit_parses_only_the_changed_windows(tmp_path, monkeypatch):
-    write_repo(tmp_path, {"a.py": numbered_lines(50)})
-    cache = tmp_path / "index.json"
-    save_index(build_index(tmp_path), cache)
+def test_in_place_edit_parses_every_window_of_the_file_once(tmp_path, monkeypatch):
+    write_repo(tmp_path, {"a.py": numbered_lines(50), "b.py": numbered_lines(30)})
+    cache = index_repo(tmp_path, tmp_path / "index.json")
     (tmp_path / "a.py").write_text(numbered_lines(50).replace("value_25 = 25", "value_25 = 52"))
     parsed = []
     real_paths = retrieval.ast_paths_of
@@ -336,10 +336,14 @@ def test_in_place_edit_parses_only_the_changed_windows(tmp_path, monkeypatch):
         return real_paths(text)
 
     monkeypatch.setattr(retrieval, "ast_paths_of", counted_paths)
-    rebuilt = build_index(tmp_path, reuse=load_index(cache))
-    edited = [s.text for s in rebuilt.snippets if "value_25 = 52" in s.text]
-    assert len(edited) == 2 and len(rebuilt.snippets) == 4
-    assert parsed == edited
+    store = load_index(cache)
+    rebuilt = build_index(tmp_path, reuse=store)
+    assert len(parsed) == 4
+    assert parsed == [s.text for s in rebuilt.snippets if s.path == "a.py"]
+    store.write()
+    parsed.clear()
+    assert build_index(tmp_path, reuse=load_index(cache)) == rebuilt
+    assert parsed == []
 
 
 _LINES = [
@@ -371,13 +375,25 @@ _CONTENT = st.lists(st.sampled_from(_LINES), max_size=14).map(lambda ls: "".join
     exclude=st.sampled_from([None, *_FILES]),
 )
 def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geometry, exclude):
-    """Edits, additions and deletions, through a save/load round trip."""
+    """Edits, additions and deletions, with a write-back of windows and
+    facts between them and through a reload."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         write_repo(root, {name: text for name, text in before.items() if text is not None})
-        cache = root / ".repolens" / "snippets.json"
-        cache.parent.mkdir()
-        save_index(build_index(root, *old_geometry), cache)
+        cache = index_repo(root, None, *old_geometry)
+
+        def write_back(store):
+            """Keep the facts of every file and write, as ``complete`` does;
+            the facts kept."""
+            kept = {}
+            for name in _FILES:
+                if (root / name).exists():
+                    kept[name] = file_facts(parse(SourceFile.from_text(name, (root / name).read_text())))
+                    store.keep(kept[name])
+            store.flush()
+            return kept
+
+        write_back(load_index(cache))
         for name, change in after.items():
             if change == "same":
                 continue
@@ -386,10 +402,22 @@ def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geomet
                 target.unlink(missing_ok=True)
             else:
                 write_repo(root, {name: change})
-        reused = build_index(root, *new_geometry, exclude=exclude, reuse=load_index(cache))
+        store = load_index(cache)
+        reused = build_index(root, *new_geometry, exclude=exclude, reuse=store)
         fresh = build_index(root, *new_geometry, exclude=exclude)
         assert reused == fresh
         assert [s.snippet_id for s in reused.snippets] == [s.snippet_id for s in fresh.snippets]
+
+        kept = write_back(store)
+        stored = load_index(cache)
+        # one entry per path, keyed on the text the file holds now
+        assert set(kept) <= set(stored.files) <= {name for name, text in before.items() if text is not None} | set(kept)
+        for name, facts in kept.items():
+            assert stored.files[name]["key"] == hashlib.sha256(facts.file.text.encode()).hexdigest()
+            assert facts_to_json(stored.facts(name, facts.file.text)) == facts_to_json(facts)
+        # the windows written back serve the next build without a parse
+        assert build_index(root, *new_geometry, exclude=exclude, reuse=stored) == fresh
+        assert not stored.changed
 
 
 def test_lexical_scores_hand_cases(tmp_path):
@@ -459,6 +487,20 @@ def test_structure_score_matches_set_arithmetic_oracle():
         union = a | b
         expected = len(a & b) / len(union) if union else 0.0
         assert structure_score(a, b) == expected
+
+
+_NAMES = st.frozensets(st.sampled_from(["a", "b", "value", "total", "f_1", "_x"]))
+
+
+@given(_NAMES, st.lists(_NAMES, max_size=6))
+def test_lexical_and_structure_scores_are_intersection_over_union(query, bags):
+    def oracle(a, b):
+        return len(a & b) / len(a | b) if a | b else 0.0
+
+    expected = [oracle(query, bag) for bag in bags]
+    snippets = [make_snippet(f"s{i}", bag, bag) for i, bag in enumerate(bags)]
+    assert LexicalScorer().scores(" ".join(sorted(query)), snippets) == expected
+    assert [structure_score(query, s.ast_paths) for s in snippets] == expected
 
 
 def test_ast_paths_are_kind_sequences_without_identifiers():
@@ -617,8 +659,7 @@ def _recording_embedder(posted):
 def test_dense_scorer_embeds_each_text_once_and_edits_afresh(tmp_path):
     write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(30)})
     old = build_index(tmp_path)
-    cache = tmp_path / "index.json"
-    save_index(old, cache)
+    cache = index_repo(tmp_path, tmp_path / "index.json")
     posted = []
     with http_stub(_recording_embedder(posted)) as url:
         scorer = DenseScorer(endpoint=url)
