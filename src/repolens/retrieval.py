@@ -17,13 +17,14 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, children, facts_from_json, facts_to_json, kind_of, parse
+from .syntax import FileFacts, SourceFile, _grammar, children, facts_from_json, facts_to_json, kind_of, parse
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
@@ -118,6 +119,51 @@ def _features(chunks: list[str]) -> WindowFeatures:
     return [(frozenset(identifier_tokens(chunk)), ast_paths_of(chunk)) for chunk in chunks]
 
 
+# A window costs about 2 ms to parse, and a spawned worker about 0.3-0.4 s
+# to start (interpreter, imports without a bytecode cache, parso's grammar):
+# at about 300 windows a pool of two only broke even. So a build starts one
+# worker per this many windows to compute, up to its CPUs, and a pool only
+# when that makes two or more.
+_WINDOWS_PER_WORKER = 256
+
+# Windows go to the workers in batches of this many chunks: large enough
+# that pickling a task is small beside parsing its windows, small enough
+# that the last batches even out the workers' loads.
+_BATCH = 16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity
+        return os.cpu_count() or 1
+
+
+def _compute_windows(chunks: list[str]) -> WindowFeatures:
+    """``_features(chunks)``, computed by spawned workers when there are
+    enough chunks and CPUs to repay starting them, else in this process."""
+    workers = min(_cpus(), len(chunks) // _WINDOWS_PER_WORKER)
+    if workers >= 2:
+        try:
+            # imported here, so a process that builds no large index never loads them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            batches = [chunks[i : i + _BATCH] for i in range(0, len(chunks), _BATCH)]
+            # spawn, not fork: the caller may run threads (an HTTP stub, an executor)
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                results = pool.map(_features, batches)
+                # this process waits for the workers and usually parses next
+                # (queries, file facts): generate parso's grammar now, not in
+                # its first task
+                _grammar()
+                return [features for batch in results for features in batch]
+        except (OSError, NotImplementedError, ImportError):
+            pass  # no pool on this host (a process or semaphore limit, no sem_open): compute here
+    return _features(chunks)
+
+
 def build_index(
     repo_root: Path | str,
     window: int = PipelineConfig.window,
@@ -130,13 +176,15 @@ def build_index(
 
     A window's tokens and AST paths depend on its text alone, so a file's
     windows are taken from its entry in the ``reuse`` store when that entry
-    was cut from the same text with the same window and stride, and are
-    computed and kept there otherwise; ids, lines and text always come from
-    the file. The result equals a fresh build.
+    was cut from the same text with the same window and stride. The windows
+    no entry holds are computed together, in file order (on worker processes
+    for a large build, see ``_compute_windows``), and kept in their files'
+    entries; ids, lines and text always come from the file. The result
+    equals a fresh build.
     """
 
     root = Path(repo_root).resolve()
-    snippets: list[Snippet] = []
+    files = []  # (path, text, line count, window starts, chunks, stored features or None)
     for path in _iter_source_files(root, diagnostics):
         rel = path.relative_to(root).as_posix()
         if exclude is not None and rel == exclude:
@@ -156,17 +204,23 @@ def build_index(
         lines = text.removesuffix("\n").split("\n") if text else []
         starts = range(0, max(len(lines) - window, 0) + 1, stride)
         chunks = ["\n".join(lines[start : start + window]) for start in starts]
-        if reuse is None:
-            features = _features(chunks)
-        else:
-            features = reuse.window_features(rel, text, window, stride, chunks)
+        stored = None if reuse is None else reuse.window_features(rel, text, window, stride, len(chunks))
+        files.append((rel, text, len(lines), starts, chunks, stored))
+
+    computed = iter(_compute_windows([chunk for *_, chunks, stored in files if stored is None for chunk in chunks]))
+    snippets: list[Snippet] = []
+    for rel, text, line_count, starts, chunks, features in files:
+        if features is None:
+            features = list(islice(computed, len(chunks)))
+            if reuse is not None:
+                reuse.keep_windows(rel, text, window, stride, features)
         for start, chunk, (tokens, ast_paths) in zip(starts, chunks, features):
             snippets.append(
                 Snippet(
                     snippet_id=f"{rel}:{start}",
                     path=rel,
                     start_line=start,
-                    end_line=min(start + window, len(lines)),
+                    end_line=min(start + window, line_count),
                     text=chunk,
                     tokens=tokens,
                     ast_paths=ast_paths,
@@ -199,26 +253,29 @@ class Store:
             entry = self.files[path] = {"key": key}
         return entry
 
-    def window_features(self, path: str, text: str, window: int, stride: int, chunks: list[str]) -> WindowFeatures:
-        """The tokens and AST paths of ``chunks``, the windows of ``text`` at
-        ``path``: decoded when the entry holds them for this window and
-        stride, else computed and kept in the entry."""
+    def window_features(self, path: str, text: str, window: int, stride: int, count: int) -> WindowFeatures | None:
+        """The tokens and AST paths of the ``count`` windows of ``text`` at
+        ``path``, decoded from its entry; None unless the entry holds them for
+        this window and stride."""
         entry = self._entry(path, text)
         try:
             cut = entry["windows"]
-            if cut["geometry"] == [window, stride] and len(cut["rows"]) == len(chunks):
+            if cut["geometry"] == [window, stride] and len(cut["rows"]) == count:
                 # a dict, not the list, so a negative slot is missing rather than counted from the end
                 table = dict(enumerate(cut["ast_paths"]))
                 return [(frozenset(tokens), frozenset(map(table.__getitem__, slots))) for tokens, slots in cut["rows"]]
         except (KeyError, TypeError, ValueError):
             pass
-        features = _features(chunks)
+        return None
+
+    def keep_windows(self, path: str, text: str, window: int, stride: int, features: WindowFeatures) -> None:
+        """Store ``features``, the windows of ``text`` at ``path`` cut with
+        ``window`` and ``stride``, in that path's entry."""
         table = sorted(set().union(*(paths for _, paths in features)))
         slot = {p: i for i, p in enumerate(table)}
         rows = [[sorted(tokens), sorted(slot[p] for p in paths)] for tokens, paths in features]
-        entry["windows"] = {"geometry": [window, stride], "ast_paths": table, "rows": rows}
+        self._entry(path, text)["windows"] = {"geometry": [window, stride], "ast_paths": table, "rows": rows}
         self.changed = True
-        return features
 
     def facts(self, path: str, text: str) -> FileFacts | None:
         """The stored facts of ``text`` at ``path``; None when absent or malformed."""
@@ -244,8 +301,13 @@ class Store:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         scratch = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
-            doc = {"version": _INDEX_VERSION, "files": self.files}
-            scratch.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+            # the text of json.dumps(document, sort_keys=True), written one
+            # entry at a time so the whole text is never held at once
+            with scratch.open("w", encoding="utf-8") as out:
+                out.write('{"files": {')
+                for i, path in enumerate(sorted(self.files)):
+                    out.write(f"{', ' if i else ''}{json.dumps(path)}: {json.dumps(self.files[path], sort_keys=True)}")
+                out.write(f'}}, "version": {_INDEX_VERSION}}}')
             os.replace(scratch, self.path)
         except BaseException:
             scratch.unlink(missing_ok=True)

@@ -201,6 +201,26 @@ def test_per_task_failure_recorded_batch_completes(tmp_path):
     assert report.em == pytest.approx(300 / 4)
 
 
+def test_broken_index_pool_recorded_batch_completes(tmp_path, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    rows = TASK_ROWS + [{"task_id": "e5", "repo": "other", "file": "main.py", "line": 13, "ground_truth": "x"}]
+    tasks = write_bench(tmp_path, rows)
+    write_repo(tmp_path / "other", {"main.py": MAIN_PY})
+    real_build = evaluation.build_index
+
+    def build_or_break(root, *args, **kwargs):
+        if Path(root).name == "other":  # a worker of its pool died
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+        return real_build(root, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "build_index", build_or_break)
+    report = run_benchmark(tasks, PipelineConfig(backend="mock_fixture"), fixture_table=dict(TRUTHS))
+    by_id = {row.task_id: row for row in report.per_task}
+    assert by_id["e5"].error.startswith("BrokenProcessPool:")
+    assert [by_id[task_id].em for task_id in TRUTHS] == [100.0] * 3
+
+
 def test_backend_failure_recorded_batch_completes(tmp_path):
     tasks = write_bench(tmp_path)
     table = {"a1": TRUTHS["a1"], "c3": TRUTHS["c3"]}

@@ -217,7 +217,10 @@ def run_fresh(*runs: list[str]) -> tuple[list[int], set[str]]:
 
 def test_index_and_dry_run_load_neither_http_nor_evaluation(repo):
     _, modules = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
-    unused = {"http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "csv", "repolens.evaluation"}
+    unused = {
+        "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "multiprocessing", "csv",
+        "repolens.evaluation",
+    }
     assert "repolens.pipeline" in modules
     assert not unused & modules
 

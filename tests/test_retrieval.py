@@ -6,13 +6,15 @@ import hashlib
 import json
 import random
 import tempfile
+import threading
+from multiprocessing import context
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repolens import retrieval
+from repolens import retrieval, syntax
 from repolens.config import PipelineConfig
 from repolens.errors import EmbeddingBackendError
 from repolens.retrieval import (
@@ -240,15 +242,17 @@ def test_interrupted_write_keeps_the_previous_store(tmp_path, monkeypatch):
     cache = index_repo(repo)
     before = cache.read_bytes()
     write_repo(repo, {"b.py": "y = 2\n"})
-    real_write = Path.write_text
-
-    def write_half_then_fail(path, text, *args, **kwargs):
-        real_write(path, text[: len(text) // 2], *args, **kwargs)
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
     store = load_index(cache)
     build_index(repo, reuse=store)
+    real_dumps = json.dumps
+
+    def fail_at_the_second_entry(value, *args, **kwargs):
+        # the store writes a.py's entry, then b.py's
+        if value is store.files["b.py"]:
+            raise OSError(28, "No space left on device")
+        return real_dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", fail_at_the_second_entry)
     with pytest.raises(OSError):
         store.write()
     store.keep(file_facts(parse(SourceFile.from_text("b.py", "y = 2\n"))))
@@ -344,6 +348,152 @@ def test_in_place_edit_parses_every_window_of_the_file_once(tmp_path, monkeypatc
     parsed.clear()
     assert build_index(tmp_path, reuse=load_index(cache)) == rebuilt
     assert parsed == []
+
+
+def test_streamed_write_equals_one_json_dumps(tmp_path):
+    repo = write_repo(
+        tmp_path / "repo",
+        {"a.py": numbered_lines(45), "pkg/b.py": "caf\u00e9 = '\u00fc'\n", "z\u00e9ta.py": "x = 1\n"},
+    )
+    store = Store(tmp_path / "index.json", {})
+    build_index(repo, reuse=store)
+    store.keep(file_facts(parse(SourceFile.from_text("a.py", numbered_lines(45)))))
+    for files in (store.files, {}):
+        store.files = files
+        store.write()
+        doc = {"version": retrieval._INDEX_VERSION, "files": files}
+        assert store.path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True)
+
+
+def _within(seconds: float, build):
+    """``build()``, run on a daemon thread that must finish within ``seconds``."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = build()
+        except BaseException as err:  # re-raised on the test's thread
+            outcome["error"] = err
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"the build ran over {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _pool_repo(root: Path) -> Path:
+    files = {f"corpus/{path.name}": path.read_text() for path in sorted((TESTS_DIR / "corpus_cases").glob("*.py"))}
+    return write_repo(root, {**files, "a.py": numbered_lines(300), "pkg/short.py": "x = 1\n", "pkg/empty.py": ""})
+
+
+def test_pool_build_equals_serial_build(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    repo = _pool_repo(tmp_path / "repo")
+    originals = {path: path.read_text() for path in (repo / "a.py", repo / "corpus" / "ledger.py")}
+
+    def edit(edited: bool) -> None:
+        for path, text in originals.items():
+            path.write_text(text.replace("value_1", "renamed").replace("def ", "def renamed_", 1) if edited else text)
+
+    serial = build_index(repo)
+    serial_store = index_repo(repo, tmp_path / "serial.json").read_bytes()
+    edit(True)
+    serial_edit = build_index(repo)
+    serial_reuse = load_index(tmp_path / "serial.json")
+    assert build_index(repo, reuse=serial_reuse) == serial_edit
+    serial_reuse.write()
+    edit(False)
+    assert len(serial.snippets) > 2 * retrieval._BATCH
+
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append((args, kwargs["mp_context"].get_start_method()))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
+    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
+    syntax._grammar.cache_clear()
+    assert _within(120, lambda: build_index(repo)) == serial
+    # this process parsed nothing, but generated the grammar while it waited
+    assert syntax._grammar.cache_info().currsize == 1
+    pool_store = _within(120, lambda: index_repo(repo, tmp_path / "pool.json"))
+    assert pool_store.read_bytes() == serial_store
+    # a build that reuses the other entries computes the edited files'
+    # windows in the pool and puts them in those files' places
+    edit(True)
+    store = load_index(pool_store)
+    assert _within(120, lambda: build_index(repo, reuse=store)) == serial_edit
+    store.write()
+    assert pool_store.read_bytes() == (tmp_path / "serial.json").read_bytes()
+    assert started == [((2,), "spawn")] * 3
+
+
+@pytest.mark.parametrize(
+    "cpus, per_worker, workers",
+    [(1, 1, None), (2, None, None), (64, None, None), (2, 1, 2), (64, "third", 3)],
+)
+def test_pool_size_follows_the_windows_to_compute(tmp_path, monkeypatch, cpus, per_worker, workers):
+    """One worker per ``_WINDOWS_PER_WORKER`` windows, up to the CPUs, and no
+    pool below two; a pool that cannot start leaves the build in-process."""
+    import concurrent.futures
+
+    repo = _pool_repo(tmp_path)
+    serial = build_index(repo)
+    windows = len(serial.snippets)
+    assert 2 * retrieval._BATCH < windows < 2 * retrieval._WINDOWS_PER_WORKER
+    asked = []
+
+    def cannot_start(*args, **kwargs):
+        asked.append(args[0])
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
+    monkeypatch.setattr(retrieval, "_cpus", lambda: cpus)
+    if per_worker is not None:
+        monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", windows // 3 if per_worker == "third" else per_worker)
+    assert build_index(repo) == build_index(repo, reuse=Store(tmp_path / "index.json", {})) == serial
+    assert asked == ([] if workers is None else [workers] * 2)
+
+
+class _SecondWorkerFails(context.SpawnProcess):
+    """A spawned worker that cannot start once one has, as when the host is
+    out of process ids. Module level, because spawn pickles the process."""
+
+    started: list[context.SpawnProcess] = []
+
+    def start(self):
+        self.started.append(self)
+        if len(self.started) > 1:
+            raise OSError(11, "Resource temporarily unavailable")
+        super().start()
+
+
+class _SpawnOneWorker(context.SpawnContext):
+    Process = _SecondWorkerFails
+
+
+def test_pool_missing_a_worker_leaves_the_build_in_process(tmp_path, monkeypatch):
+    import multiprocessing
+
+    repo = _pool_repo(tmp_path / "repo")
+    serial = build_index(repo)
+    serial_store = index_repo(repo, tmp_path / "serial.json").read_bytes()
+    monkeypatch.setattr(_SecondWorkerFails, "started", [])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _SpawnOneWorker())
+    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
+    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
+    assert _within(120, lambda: build_index(repo)) == serial
+    first, second = _SecondWorkerFails.started
+    first.join(timeout=30)  # the worker that did start ends with the pool
+    assert first.exitcode is not None
+    assert _within(120, lambda: index_repo(repo, tmp_path / "pool.json")).read_bytes() == serial_store
 
 
 _LINES = [
