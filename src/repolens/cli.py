@@ -68,7 +68,10 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     store = None if force else load_index(snippets_path)
     if store is None:
         store = Store(snippets_path, {}, changed=True)
-    index = build_index(root, cfg.window, cfg.stride, reuse=store)
+    try:
+        index = build_index(root, cfg.window, cfg.stride, reuse=store)
+    except RepoLensError as exc:
+        _fail(str(exc))
     store.retain({s.path for s in index.snippets})
     if not store.changed:
         click.echo(f"index up to date at {out_dir}")

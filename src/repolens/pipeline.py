@@ -33,6 +33,7 @@ from .ranking import (
 from .retrieval import (
     DenseScorer,
     ExemplarSet,
+    LexicalScorer,
     SnippetIndex,
     Store,
     ast_paths_of,
@@ -158,15 +159,16 @@ def complete_task(
 ) -> TaskResult:
     """Build the prompt for one task; generation is the caller's business.
 
-    A shared ``index`` may cover the whole repository; the target file's
-    snippets are filtered out here so results match a fresh build that
-    excluded the file, and file facts are looked up only in the caller's
+    A shared ``index`` may cover the whole repository; retrieval skips the
+    target file's windows, so results match a fresh build that excluded the
+    file, and scores it through the index's posting lists, built on its
+    first task. File facts are then looked up only in the caller's
     ``store``, which the caller writes back. Without an index, the
     repository's store (``<repo>/.repolens/snippets.json``) is read once: the
     index is built with the target excluded, decoding the windows of every
-    unchanged file from it, every file read is looked up in it before it is
-    parsed, and the windows and facts that had to be computed are written
-    back to it once, a failed write being ignored.
+    unchanged file from it, and scanned once; every file read is looked up
+    in the store before it is parsed, and the windows and facts that had to
+    be computed are written back to it once, a failed write being ignored.
     """
 
     cfg = cfg or PipelineConfig()
@@ -196,8 +198,10 @@ def complete_task(
     rank_ms = (time.perf_counter() - tick) * 1000
 
     tick = time.perf_counter()
+    if scorer is None and cfg.embedding_endpoint:
+        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
     if index is None:
-        pool_index = build_index(
+        index = build_index(
             task.repo,
             cfg.window,
             cfg.stride,
@@ -207,11 +211,9 @@ def complete_task(
         )
         if store is not None:
             store.flush()
-    else:
-        pool_index = replace(index, snippets=[s for s in index.snippets if s.path != task.file])
-    if scorer is None and cfg.embedding_endpoint:
-        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
-    pool = semantic_candidates(pool_index, target_code, cfg.pool_size, scorer, bundle.diagnostics)
+        if scorer is None:  # one query: a scan costs less than building posting lists
+            scorer = LexicalScorer()
+    pool = semantic_candidates(index, target_code, cfg.pool_size, scorer, bundle.diagnostics, exclude=task.file)
     weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
     exemplars = rerank(pool, ast_paths_of(target_code), weights, cfg.k_final)
     retrieve_ms = (time.perf_counter() - tick) * 1000

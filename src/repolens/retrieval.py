@@ -1,27 +1,29 @@
 """Sliding-window snippet index, similarity scoring and re-ranking.
 
-Candidates come from a plain lexical scorer (identifier-bag Jaccard) or an
-optional dense scorer speaking JSON over HTTP; either way the pool is then
-re-ranked by a weighted blend of the semantic score and an AST-path Jaccard
-similarity, so structurally close snippets rise even when identifiers
-differ.
+Candidates come from a plain lexical scorer (identifier-bag Jaccard, through
+posting lists on an index shared between queries) or an optional dense
+scorer speaking JSON over HTTP; either way the pool is then re-ranked by a
+weighted blend of the semantic score and an AST-path Jaccard similarity, so
+structurally close snippets rise even when identifiers differ.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import heapq
 import json
 import keyword
 import math
 import os
 import re
-from dataclasses import dataclass
-from itertools import islice
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import BackendError, Diagnostic, EmbeddingBackendError
+from .errors import BackendError, Diagnostic, EmbeddingBackendError, IndexWorkersError
 from .gateway import post_json
 from .projdeps import _iter_source_files
 from .syntax import FileFacts, SourceFile, _grammar, children, facts_from_json, facts_to_json, kind_of, parse
@@ -54,6 +56,22 @@ class SnippetIndex:
     window: int
     stride: int
     snippets: list[Snippet]
+    _postings: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def postings(self) -> dict[str, list[int]]:
+        """Each token's posting list, built on first use (see ``_posting_lists``)."""
+        if self._postings is None:
+            object.__setattr__(self, "_postings", _posting_lists(self.snippets))
+        return self._postings
+
+
+def _posting_lists(snippets: list[Snippet]) -> dict[str, list[int]]:
+    """Token -> the positions in ``snippets`` of the windows holding it."""
+    postings: dict[str, list[int]] = {}
+    for position, snippet in enumerate(snippets):
+        for token in snippet.tokens:
+            postings.setdefault(token, []).append(position)
+    return postings
 
 
 def index_path(repo_root: Path | str) -> Path:
@@ -142,13 +160,15 @@ def _cpus() -> int:
 
 def _compute_windows(chunks: list[str]) -> WindowFeatures:
     """``_features(chunks)``, computed by spawned workers when there are
-    enough chunks and CPUs to repay starting them, else in this process."""
+    enough chunks and CPUs to repay starting them, else in this process.
+    A pool that breaks once started (a worker killed, or a main script that
+    each spawned worker re-runs) raises ``IndexWorkersError``."""
     workers = min(_cpus(), len(chunks) // _WINDOWS_PER_WORKER)
     if workers >= 2:
         try:
             # imported here, so a process that builds no large index never loads them
             import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
             batches = [chunks[i : i + _BATCH] for i in range(0, len(chunks), _BATCH)]
             # spawn, not fork: the caller may run threads (an HTTP stub, an executor)
@@ -161,6 +181,8 @@ def _compute_windows(chunks: list[str]) -> WindowFeatures:
                 return [features for batch in results for features in batch]
         except (OSError, NotImplementedError, ImportError):
             pass  # no pool on this host (a process or semaphore limit, no sem_open): compute here
+        except BrokenExecutor as err:  # the imports succeeded, so the name is bound
+            raise IndexWorkersError(f"index workers stopped: {err}") from err
     return _features(chunks)
 
 
@@ -260,10 +282,21 @@ class Store:
         entry = self._entry(path, text)
         try:
             cut = entry["windows"]
-            if cut["geometry"] == [window, stride] and len(cut["rows"]) == count:
+            rows = cut["rows"]
+            if cut["geometry"] == [window, stride] and len(rows) == count:
                 # a dict, not the list, so a negative slot is missing rather than counted from the end
                 table = dict(enumerate(cut["ast_paths"]))
-                return [(frozenset(tokens), frozenset(map(table.__getitem__, slots))) for tokens, slots in cut["rows"]]
+                # a token row that is not a list (a string would give its characters) is left out
+                features = [
+                    (frozenset(tokens), frozenset(map(table.__getitem__, slots)))
+                    for tokens, slots in rows
+                    if type(tokens) is list
+                ]
+                # each join raises TypeError unless every path or token is a string
+                "".join(table.values())
+                "".join(chain.from_iterable(tokens for tokens, _ in features))
+                if len(features) == count:
+                    return features
         except (KeyError, TypeError, ValueError):
             pass
         return None
@@ -395,19 +428,60 @@ class DenseScorer:
         return [(x - low) / (high - low) for x in sims]
 
 
+def _top(n: int, scored) -> list[tuple[Snippet, float]]:
+    """The first ``n`` (snippet, score) pairs by descending score, then by
+    id: ``sorted(scored)[:n]`` under that key, ties kept in input order."""
+    return heapq.nsmallest(n, scored, key=lambda pair: (-pair[1], pair[0].snippet_id))
+
+
+def _lexical_top(index: SnippetIndex, query: str, n: int, exclude: str | None) -> list[tuple[Snippet, float]]:
+    """``_top`` of the lexical scores, with Jaccard computed only for the
+    windows that share a token with the query; windows that share none
+    score 0.0, and fill the pool in id order when too few score more."""
+    bag = identifier_tokens(query)
+    postings = index.postings()
+    snippets = index.snippets
+    shared = Counter(chain.from_iterable(postings[token] for token in bag if token in postings))
+    scored = []
+    for position, count in shared.items():
+        snippet = snippets[position]
+        if snippet.path != exclude:
+            # _jaccard(bag, snippet.tokens), float for float
+            scored.append((snippet, count / (len(bag) + len(snippet.tokens) - count)))
+    top = _top(n, scored)
+    if len(top) < n:
+        unscored = (
+            (snippet, 0.0)
+            for position, snippet in enumerate(snippets)
+            if position not in shared and snippet.path != exclude
+        )
+        top += _top(n - len(top), unscored)
+    return top
+
+
 def semantic_candidates(
     index: SnippetIndex,
     query: str,
     n: int = PipelineConfig.pool_size,
     scorer=None,
     diagnostics: list[Diagnostic] | None = None,
+    exclude: str | None = None,
 ) -> list[tuple[Snippet, float]]:
-    """Top-n snippets by semantic score, falling back to the lexical
-    scorer when a dense backend fails."""
+    """Top-n snippets by semantic score, then by id, leaving out the windows
+    of the file ``exclude``.
 
-    snippets = index.snippets
+    Without a scorer the scores are lexical and come through the index's
+    posting lists, built on its first such query. A caller that queries an
+    index once passes a ``LexicalScorer``, which scans every window and costs
+    less than building the lists; so does the fallback when a dense backend
+    fails.
+    """
+
     if scorer is None:
-        scorer = LexicalScorer()
+        return _lexical_top(index, query, n, exclude)
+    snippets = index.snippets
+    if exclude is not None:
+        snippets = [s for s in snippets if s.path != exclude]
     try:
         values = scorer.scores(query, snippets)
     except EmbeddingBackendError as err:
@@ -420,8 +494,7 @@ def semantic_candidates(
                 )
             )
         values = LexicalScorer().scores(query, snippets)
-    ranked = sorted(zip(snippets, values), key=lambda pair: (-pair[1], pair[0].snippet_id))
-    return ranked[:n]
+    return _top(n, zip(snippets, values))
 
 
 def structure_score(query_paths: set[str] | frozenset[str], candidate_paths: set[str] | frozenset[str]) -> float:

@@ -52,6 +52,20 @@ def count_parses(monkeypatch) -> list[tuple[str, str]]:
     return parses
 
 
+def count_posting_builds(monkeypatch) -> list[int]:
+    """Wrap ``retrieval._posting_lists``; each build appends the number of
+    windows it covered to the list returned."""
+    built: list[int] = []
+    real_build = retrieval._posting_lists
+
+    def counted_build(snippets):
+        built.append(len(snippets))
+        return real_build(snippets)
+
+    monkeypatch.setattr(retrieval, "_posting_lists", counted_build)
+    return built
+
+
 def walk(node):
     """``node`` and every retained node under it, in source order."""
     stack = [node]

@@ -30,7 +30,7 @@ from repolens.config import PipelineConfig
 from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
 from repolens.retrieval import build_index
-from tests.conftest import count_parses, http_stub, index_repo, write_repo
+from tests.conftest import count_parses, count_posting_builds, http_stub, index_repo, write_repo
 
 MAIN_PY = """\
 import os
@@ -219,6 +219,16 @@ def test_broken_index_pool_recorded_batch_completes(tmp_path, monkeypatch):
     by_id = {row.task_id: row for row in report.per_task}
     assert by_id["e5"].error.startswith("BrokenProcessPool:")
     assert [by_id[task_id].em for task_id in TRUTHS] == [100.0] * 3
+
+
+def test_posting_lists_built_once_per_repository(tmp_path, monkeypatch):
+    rows = TASK_ROWS + [{"task_id": "e5", "repo": "other", "file": "main.py", "line": 13, "ground_truth": "x"}]
+    tasks = write_bench(tmp_path, rows)
+    write_repo(tmp_path / "other", {"main.py": MAIN_PY, "helpers.py": UTILS_PY})
+    built = count_posting_builds(monkeypatch)
+    report = run_benchmark(tasks, PipelineConfig(backend="mock_fixture"), fixture_table=dict(TRUTHS, e5="x"))
+    assert [row.error for row in report.per_task] == [""] * 4
+    assert built == [len(build_index(tmp_path / repo).snippets) for repo in ("bench", "other")]
 
 
 def test_backend_failure_recorded_batch_completes(tmp_path):

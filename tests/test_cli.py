@@ -275,6 +275,49 @@ def test_index_exits_2_when_the_store_cannot_be_written(runner, repo, monkeypatc
     assert list((repo / ".repolens").iterdir()) == []
 
 
+def break_the_pool(monkeypatch):
+    """Make every index build start a pool whose worker dies."""
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadWorkerPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, *args):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadWorkerPool)
+    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
+    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
+
+
+def test_index_exits_2_when_a_worker_dies(runner, repo, monkeypatch):
+    assert runner.invoke(main, ["index", "--repo", str(repo)]).exit_code == 0
+    before = index_path(repo).read_bytes()
+    break_the_pool(monkeypatch)
+    result = runner.invoke(main, ["index", "--repo", str(repo), "--force"])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("error: index workers stopped: A process in the process pool")
+    assert index_path(repo).read_bytes() == before  # the previous store stays
+    assert [p.name for p in (repo / ".repolens").iterdir()] == ["snippets.json"]
+
+
+def test_complete_exits_2_when_a_worker_dies(runner, repo, monkeypatch):
+    break_the_pool(monkeypatch)
+    result = runner.invoke(main, complete_args(repo, "--dry-run"))
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1
+    assert result.output.startswith("error: index workers stopped: A process in the process pool")
+
+
 def test_index_missing_repo_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["index", "--repo", str(tmp_path / "nowhere")])
     assert result.exit_code == 2

@@ -29,7 +29,16 @@ from repolens.retrieval import (
     index_path,
     semantic_candidates,
 )
-from tests.conftest import TESTS_DIR, count_parses, http_stub, index_repo, read_store, write_repo, write_store
+from tests.conftest import (
+    TESTS_DIR,
+    count_parses,
+    count_posting_builds,
+    http_stub,
+    index_repo,
+    read_store,
+    write_repo,
+    write_store,
+)
 
 MAIN_PY = """\
 import os
@@ -172,6 +181,32 @@ def test_shared_index_equals_fresh_build(repo):
     fresh = complete_task(make_task(repo))
     assert with_shared.prompt.text == fresh.prompt.text
     assert all(e.snippet.path != "main.py" for e in with_shared.exemplars.entries)
+
+
+def test_one_shot_task_builds_no_posting_lists(repo, monkeypatch):
+    built = count_posting_builds(monkeypatch)
+    complete_task(make_task(repo))
+    index_repo(repo)
+    complete_task(make_task(repo))  # through the store
+    assert built == []
+
+
+def test_shared_index_builds_its_posting_lists_once(repo, monkeypatch):
+    built = count_posting_builds(monkeypatch)
+    shared = build_index(repo)
+    assert built == []  # not at build time
+    tasks = [
+        make_task(repo),
+        make_task(repo, line=CURSOR - 1),
+        make_task(repo, file="data_processor.py", line=1),
+        make_task(repo, file="lib/text_utils.py", line=1),
+    ]
+    for task in tasks:
+        shared_result = complete_task(task, index=shared)
+        assert shared_result.prompt.text == complete_task(task).prompt.text
+    assert built == [len(shared.snippets)]
+    complete_task(make_task(repo), index=build_index(repo))
+    assert built == [len(shared.snippets)] * 2  # once per index
 
 
 def test_current_cache_spares_every_window_parse(repo, monkeypatch):

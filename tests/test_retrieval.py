@@ -7,11 +7,12 @@ import json
 import random
 import tempfile
 import threading
+from dataclasses import replace
 from multiprocessing import context
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repolens import retrieval, syntax
@@ -21,6 +22,7 @@ from repolens.retrieval import (
     DenseScorer,
     LexicalScorer,
     Snippet,
+    SnippetIndex,
     Store,
     ast_paths_of,
     build_index,
@@ -222,6 +224,9 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         lambda entry: rows(entry).__setitem__(0, 7),
         lambda entry: rows(entry)[0][1].append(len(entry["windows"]["ast_paths"])),
         lambda entry: rows(entry)[0][1].append(-1),  # a list index would count it from the end
+        lambda entry: rows(entry)[0].__setitem__(0, "alpha"),  # not its characters
+        lambda entry: rows(entry)[0][0].append(7),
+        lambda entry: entry["windows"]["ast_paths"].__setitem__(0, 7),
     ]
     for mutate in malformed:
         files = json.loads(json.dumps(good))
@@ -596,15 +601,67 @@ def test_lexical_scores_hand_cases(tmp_path):
 def test_semantic_candidates_order_and_cutoff():
     snippets = [make_snippet(f"s{i}", {"common", f"only{i}"}) for i in range(5)]
     snippets.append(make_snippet("exact", {"common", "query_word"}))
-
-    class FakeIndex:
-        pass
-
-    index = FakeIndex()
-    index.snippets = snippets
+    index = SnippetIndex(window=1, stride=1, snippets=snippets)
     top = semantic_candidates(index, "common query_word", n=2)
     assert [s.snippet_id for s, _ in top] == ["exact", "s0"]
     assert len(top) == 2
+
+
+_WINDOW_PATHS = ["a.py", "b.py", "pkg/c.py"]
+_WINDOW_TOKENS = ["alpha", "beta", "gamma", "delta", "eps"]
+
+
+def _window(path, start, tokens):
+    return Snippet(f"{path}:{start}", path, start, start + 20, " ".join(sorted(tokens)), frozenset(tokens), frozenset())
+
+
+def _full_scan(snippets, query, n, exclude):
+    kept = [s for s in snippets if s.path != exclude]
+    ranked = sorted(zip(kept, LexicalScorer().scores(query, kept)), key=lambda pair: (-pair[1], pair[0].snippet_id))
+    return ranked[:n]
+
+
+def _ids_and_floats(pairs):
+    return [(s.snippet_id, score.hex()) for s, score in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    windows=st.lists(
+        st.tuples(
+            st.sampled_from(_WINDOW_PATHS),
+            st.sampled_from([0, 3, 20, 100, 200]),
+            st.frozensets(st.sampled_from(_WINDOW_TOKENS)),
+        ),
+        max_size=12,
+        unique_by=lambda w: w[:2],
+    ),
+    bag=st.frozensets(st.sampled_from([*_WINDOW_TOKENS, "omega"])),
+    n=st.integers(0, 16),
+    exclude=st.sampled_from([None, "elsewhere.py", *_WINDOW_PATHS]),
+)
+@example(windows=[("a.py", 0, {"alpha"})], bag=frozenset(), n=3, exclude=None)  # an empty query bag
+@example(  # ties ordered by the id string: "a.py:100" < "a.py:20"
+    windows=[("a.py", 20, {"alpha"}), ("a.py", 100, {"alpha"}), ("a.py", 3, set())],
+    bag=frozenset({"alpha"}), n=2, exclude=None,
+)
+@example(  # one window shares a token, two must be padded, and n exceeds the pool
+    windows=[("b.py", 0, {"beta"}), ("a.py", 20, {"gamma"}), ("a.py", 100, set())],
+    bag=frozenset({"beta"}), n=9, exclude="elsewhere.py",
+)
+@example(  # exclude names every window's path
+    windows=[("a.py", 0, {"alpha"}), ("a.py", 20, {"beta"})], bag=frozenset({"alpha"}), n=2, exclude="a.py",
+)
+def test_posting_lists_return_the_full_scan(windows, bag, n, exclude):
+    """Through posting lists, the lexical pool is today's full scan: the
+    windows outside ``exclude`` sorted by (-score, id), the same floats."""
+    snippets = [_window(*w) for w in windows]
+    index = SnippetIndex(window=20, stride=10, snippets=snippets)
+    query = " ".join(sorted(bag))
+    expected = _ids_and_floats(_full_scan(snippets, query, n, exclude))
+    for _ in range(2):  # the second query reuses the posting lists
+        assert _ids_and_floats(semantic_candidates(index, query, n, exclude=exclude)) == expected
+    assert _ids_and_floats(semantic_candidates(index, query, n, LexicalScorer(), exclude=exclude)) == expected
 
 
 def test_structure_score_hand_cases():
@@ -735,40 +792,45 @@ def test_dense_scorer_ranks_by_cosine():
         "q": [1.0, 0.0],
         "near q": [0.9, 0.1],
         "off axis": [0.0, 1.0],
+        "q itself": [1.0, 0.0],
     }
 
     content_types = []
+    posted = []
 
     def handler(path, payload, headers):
         content_types.append(headers["Content-Type"])
+        posted.append(payload["texts"])
         return 200, {"vectors": [vectors[t] for t in payload["texts"]]}
 
     # hand-built snippets keep the text-to-vector mapping obvious
     near = Snippet("near", "a.py", 0, 1, "near q", frozenset({"near"}), frozenset())
+    mine = Snippet("mine", "target.py", 0, 1, "q itself", frozenset({"q"}), frozenset())
     off = Snippet("off", "b.py", 0, 1, "off axis", frozenset({"off"}), frozenset())
-
-    class Holder:
-        snippets = [near, off]
+    index = SnippetIndex(window=1, stride=1, snippets=[near, mine, off])
 
     with http_stub(handler) as url:
         scorer = DenseScorer(endpoint=url + "/embed")
-        top = semantic_candidates(Holder, "q", n=2, scorer=scorer)
+        top = semantic_candidates(index, "q", n=3, scorer=scorer, exclude="target.py")
     assert [s.snippet_id for s, _ in top] == ["near", "off"]
     assert top[0][1] == 1.0
     assert top[1][1] == 0.0
     assert set(content_types) == {"application/json"}
+    assert posted == [["near q", "off axis"], ["q"]]  # the target's window is never embedded
+
+
+def _with_target_window():
+    """Windows a and b, and a ``target.py`` window that would rank first for "shared thing"."""
+    mine = replace(make_snippet("mine", {"shared", "thing"}), path="target.py")
+    snippets = [make_snippet("a", {"shared", "one"}), mine, make_snippet("b", {"unrelated"})]
+    return SnippetIndex(window=1, stride=1, snippets=snippets)
 
 
 def test_dense_scorer_failure_falls_back_to_lexical():
-    snippets = [make_snippet("a", {"shared", "one"}), make_snippet("b", {"unrelated"})]
-
-    class Holder:
-        pass
-
-    Holder.snippets = snippets
+    index = _with_target_window()
     scorer = DenseScorer(endpoint="http://127.0.0.1:9/unreachable", timeout=0.2)
     diagnostics = []
-    top = semantic_candidates(Holder, "shared thing", n=2, scorer=scorer, diagnostics=diagnostics)
+    top = semantic_candidates(index, "shared thing", n=3, scorer=scorer, diagnostics=diagnostics, exclude="target.py")
     assert [s.snippet_id for s, _ in top] == ["a", "b"]
     assert any(d.code == "embedding_fallback" for d in diagnostics)
 
@@ -777,13 +839,13 @@ def test_dense_scorer_server_error_falls_back_to_lexical():
     def handler(path, payload, headers):
         return 500, {"error": "boom"}
 
-    class Holder:
-        snippets = [make_snippet("a", {"shared", "one"}), make_snippet("b", {"unrelated"})]
-
+    index = _with_target_window()
     diagnostics = []
     with http_stub(handler) as url:
         scorer = DenseScorer(endpoint=url)
-        top = semantic_candidates(Holder, "shared thing", n=2, scorer=scorer, diagnostics=diagnostics)
+        top = semantic_candidates(
+            index, "shared thing", n=3, scorer=scorer, diagnostics=diagnostics, exclude="target.py"
+        )
     assert [s.snippet_id for s, _ in top] == ["a", "b"]
     assert [d.code for d in diagnostics] == ["embedding_fallback"]
 
