@@ -15,7 +15,7 @@ import re
 import time
 import tokenize
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from io import StringIO
 from pathlib import Path
@@ -251,7 +251,7 @@ def run_benchmark(
                 scorer=scorer,
                 store=stores[root],
             )
-        except (RepoLensError, OSError, ValueError, BrokenExecutor) as exc:
+        except (RepoLensError, OSError, ValueError) as exc:
             failures[task.task_id] = f"{type(exc).__name__}: {exc}"
     for store in stores.values():
         if store is not None:

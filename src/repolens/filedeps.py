@@ -28,8 +28,9 @@ class FileDependency:
 
 def code_preview(code: str, body_lines: int) -> str:
     """Cut ``code`` down to its header line plus ``body_lines`` more,
-    appending an ellipsis marker when anything was dropped."""
-    lines = code.splitlines()
+    appending an ellipsis marker when anything was dropped. Lines end at
+    "\n" only, so a form feed inside a line keeps it whole."""
+    lines = code.removesuffix("\n").split("\n")
     header_end = 0
     for i, line in enumerate(lines):
         if line.rstrip().endswith(":"):

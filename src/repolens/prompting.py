@@ -47,7 +47,9 @@ def estimate_tokens(text: str) -> int:
 
 
 def _indent(text: str) -> str:
-    return "\n".join(f"  {line}" if line else "" for line in text.splitlines())
+    # lines end at "\n" only, as the index cuts them: str.splitlines would
+    # also break at a form feed and other separators inside a line
+    return "\n".join(f"  {line}" if line else "" for line in text.split("\n"))
 
 
 def _node_location(node: GraphNode, target_path: str) -> str:
@@ -98,7 +100,7 @@ def render(
 
     # (label, text) per item; the sections are in prompt order, target last
     parts: dict[str, list[tuple[str, str]]] = {
-        "function_ctx": [(line, line) for line in cfg_text.splitlines() if line.strip()],
+        "function_ctx": [(line, line) for line in cfg_text.split("\n") if line.strip()],
         "file_ctx": [(n.label, _render_node(n, target_path)) for n in ranked.file_topk],
         "project_ctx": [(n.label, _render_node(n, target_path)) for n in ranked.project_topk],
         "exemplars": [(e.snippet.snippet_id, _render_exemplar(e)) for e in exemplars.entries],

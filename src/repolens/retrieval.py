@@ -15,9 +15,11 @@ import heapq
 import json
 import keyword
 import math
+import operator
 import os
 import re
 from collections import Counter
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -40,13 +42,18 @@ _KEYWORDS = frozenset(keyword.kwlist)
 
 @dataclass(frozen=True, slots=True)
 class Snippet:
+    """One window of a file. ``tokens`` (its identifier bag) and
+    ``ast_paths`` are sorted tuples of distinct strings; ``build_index``
+    makes each distinct string one object, shared by every window of the
+    index that holds it."""
+
     snippet_id: str
     path: str
     start_line: int
     end_line: int  # exclusive
     text: str
-    tokens: frozenset[str]
-    ast_paths: frozenset[str]
+    tokens: tuple[str, ...]
+    ast_paths: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,12 +136,32 @@ def ast_paths_of(text: str) -> frozenset[str]:
     return frozenset(paths)
 
 
-# Each window's identifier tokens and AST paths.
-WindowFeatures = list[tuple[frozenset[str], frozenset[str]]]
+# Each window's identifier tokens and AST paths, each a sorted tuple of
+# distinct strings: a tuple takes less memory than a frozenset, hashes
+# nothing when built, and the garbage collector stops tracking a tuple
+# that holds only strings.
+WindowFeatures = list[tuple[tuple[str, ...], tuple[str, ...]]]
+
+
+def _lean(strings: Sequence[str], shared: dict[str, str]) -> tuple[str, ...]:
+    """``strings`` as a tuple, each string replaced by the first equal
+    string ``shared`` met, so every window holding it keeps one object."""
+    return tuple(map(shared.setdefault, strings, strings))
+
+
+def _ascending(strings: tuple[str, ...]) -> bool:
+    """Whether ``strings`` is sorted without repeats."""
+    return all(map(operator.lt, strings, islice(strings, 1, None)))
 
 
 def _features(chunks: list[str]) -> WindowFeatures:
-    return [(frozenset(identifier_tokens(chunk)), ast_paths_of(chunk)) for chunk in chunks]
+    """Each chunk's features. A string repeated across the chunks is one
+    object, so a worker's reply pickles it once."""
+    shared: dict[str, str] = {}
+    return [
+        (_lean(sorted(identifier_tokens(chunk)), shared), _lean(sorted(ast_paths_of(chunk)), shared))
+        for chunk in chunks
+    ]
 
 
 # A window costs about 2 ms to parse, and a spawned worker about 0.3-0.4 s
@@ -202,7 +229,8 @@ def build_index(
     no entry holds are computed together, in file order (on worker processes
     for a large build, see ``_compute_windows``), and kept in their files'
     entries; ids, lines and text always come from the file. The result
-    equals a fresh build.
+    equals a fresh build. Each distinct token or path is one string object
+    across the index, whichever way its windows were obtained.
     """
 
     root = Path(repo_root).resolve()
@@ -230,6 +258,8 @@ def build_index(
         files.append((rel, text, len(lines), starts, chunks, stored))
 
     computed = iter(_compute_windows([chunk for *_, chunks, stored in files if stored is None for chunk in chunks]))
+    # computed batches and decoded entries each hold their own string objects
+    shared: dict[str, str] = {}
     snippets: list[Snippet] = []
     for rel, text, line_count, starts, chunks, features in files:
         if features is None:
@@ -244,8 +274,8 @@ def build_index(
                     start_line=start,
                     end_line=min(start + window, line_count),
                     text=chunk,
-                    tokens=tokens,
-                    ast_paths=ast_paths,
+                    tokens=_lean(tokens, shared),
+                    ast_paths=_lean(ast_paths, shared),
                 )
             )
     return SnippetIndex(window=window, stride=stride, snippets=snippets)
@@ -278,7 +308,9 @@ class Store:
     def window_features(self, path: str, text: str, window: int, stride: int, count: int) -> WindowFeatures | None:
         """The tokens and AST paths of the ``count`` windows of ``text`` at
         ``path``, decoded from its entry; None unless the entry holds them for
-        this window and stride."""
+        this window and stride. A row's tokens and its paths are stored
+        sorted, so they are decoded straight into tuples; a row that is not
+        sorted without repeats is malformed."""
         entry = self._entry(path, text)
         try:
             cut = entry["windows"]
@@ -288,14 +320,14 @@ class Store:
                 table = dict(enumerate(cut["ast_paths"]))
                 # a token row that is not a list (a string would give its characters) is left out
                 features = [
-                    (frozenset(tokens), frozenset(map(table.__getitem__, slots)))
+                    (tuple(tokens), tuple(map(table.__getitem__, slots)))
                     for tokens, slots in rows
                     if type(tokens) is list
                 ]
                 # each join raises TypeError unless every path or token is a string
                 "".join(table.values())
                 "".join(chain.from_iterable(tokens for tokens, _ in features))
-                if len(features) == count:
+                if len(features) == count and all(map(_ascending, chain.from_iterable(features))):
                     return features
         except (KeyError, TypeError, ValueError):
             pass
@@ -306,7 +338,8 @@ class Store:
         ``window`` and ``stride``, in that path's entry."""
         table = sorted(set().union(*(paths for _, paths in features)))
         slot = {p: i for i, p in enumerate(table)}
-        rows = [[sorted(tokens), sorted(slot[p] for p in paths)] for tokens, paths in features]
+        # sorted paths take ascending slots in the sorted table
+        rows = [[list(tokens), list(map(slot.__getitem__, paths))] for tokens, paths in features]
         self._entry(path, text)["windows"] = {"geometry": [window, stride], "ast_paths": table, "rows": rows}
         self.changed = True
 
@@ -369,8 +402,10 @@ def load_index(path: Path | str) -> Store | None:
     return Store(path, doc["files"])
 
 
-def _jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
-    shared = len(a & b)
+def _jaccard(a: set[str] | frozenset[str], b: Collection[str]) -> float:
+    """Jaccard similarity of the set ``a`` (a query's) and ``b``, distinct
+    strings such as a window's sorted tuple; 0.0 when both are empty."""
+    shared = len(a.intersection(b))
     union = len(a) + len(b) - shared
     if union == 0:
         return 0.0
@@ -497,8 +532,9 @@ def semantic_candidates(
     return _top(n, zip(snippets, values))
 
 
-def structure_score(query_paths: set[str] | frozenset[str], candidate_paths: set[str] | frozenset[str]) -> float:
-    """Jaccard similarity of two AST path sets; 0 when both are empty."""
+def structure_score(query_paths: set[str] | frozenset[str], candidate_paths: Collection[str]) -> float:
+    """Jaccard similarity of the query's AST-path set and distinct candidate
+    paths, such as a window's ``Snippet.ast_paths``; 0 when both are empty."""
     return _jaccard(query_paths, candidate_paths)
 
 

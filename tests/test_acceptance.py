@@ -228,15 +228,15 @@ def test_criterion_05_metric_oracles_and_perfect_backend(tmp_path):
         assert report.f1 == 100.0
 
 
-def _toy_snippet(number: int, paths: frozenset[str]) -> Snippet:
+def _toy_snippet(number: int, paths: list[str]) -> Snippet:
     return Snippet(
         snippet_id=f"s{number:03d}",
         path=f"mod_{number}.py",
         start_line=0,
         end_line=3,
         text="",
-        tokens=frozenset(),
-        ast_paths=paths,
+        tokens=(),
+        ast_paths=tuple(sorted(paths)),
     )
 
 
@@ -249,7 +249,7 @@ def test_criterion_06_reranker_reduces_to_semantic_order():
             count = rng.randint(1, 12)
             candidates = [
                 (
-                    _toy_snippet(i, frozenset(rng.sample(pool, rng.randint(0, 10)))),
+                    _toy_snippet(i, rng.sample(pool, rng.randint(0, 10))),
                     rng.randrange(0, 6) / 5,
                 )
                 for i in range(count)
@@ -263,7 +263,7 @@ def test_criterion_06_reranker_reduces_to_semantic_order():
         for _ in range(50):
             count = rng.randint(2, 10)
             tied = [
-                (_toy_snippet(i, frozenset(rng.sample(pool, rng.randint(0, 10)))), 0.5)
+                (_toy_snippet(i, rng.sample(pool, rng.randint(0, 10))), 0.5)
                 for i in range(count)
             ]
             ranked = rerank(tied, query_paths, k_final=count)

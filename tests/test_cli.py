@@ -16,7 +16,7 @@ from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
 from repolens.pipeline import CompletionTask, complete_task
 from repolens.retrieval import build_index, index_path, load_index
-from tests.conftest import read_store, write_repo
+from tests.conftest import break_the_pool, read_store, write_repo
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
 from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_facts, stored_paths
 
@@ -273,29 +273,6 @@ def test_index_exits_2_when_the_store_cannot_be_written(runner, repo, monkeypatc
     assert result.exit_code == 2
     assert result.output.startswith("error: cannot write index")
     assert list((repo / ".repolens").iterdir()) == []
-
-
-def break_the_pool(monkeypatch):
-    """Make every index build start a pool whose worker dies."""
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    class DeadWorkerPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, *args):
-            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadWorkerPool)
-    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
-    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
 
 
 def test_index_exits_2_when_a_worker_dies(runner, repo, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repolens.errors import BudgetTooSmallError
-from repolens.filedeps import explicit_deps, potential_deps
+from repolens.filedeps import code_preview, explicit_deps, potential_deps
 from repolens.funcflow import build_cfg, local_slice, render_cfg
 from repolens.projdeps import build_module_map, cross_module_deps
 from repolens.prompting import (
@@ -169,6 +169,23 @@ def test_target_is_verbatim_and_last(tmp_path):
     assert doc.text.endswith(body)
 
 
+def test_form_feed_stays_inside_its_line(tmp_path):
+    """Lines end at "\n" only, as the index cuts them: a window line holding
+    a form feed (a page break) renders as that one line, indented, and so do
+    a CFG line and a preview line."""
+    text = "def first(a):\n    return a\n\x0c\ndef second(b):\n    b = 1\x0cb\n    return b\n"
+    write_repo(tmp_path, {"m.py": text})
+    (window,) = build_index(tmp_path).snippets
+    doc = render(empty_ranked(), "x = 1\x0cy\nz = 2", rerank([(window, 1.0)], frozenset()), "target()\n")
+    sections = dict(doc.sections)
+    head, *body = sections["exemplars"].split("\n")
+    assert head == "- example from m.py:0 (score 0.70):"
+    assert body == [f"  {line}" if line else "" for line in text.removesuffix("\n").split("\n")]
+    assert sections["function_ctx"] == "x = 1\x0cy\nz = 2"
+    preview = code_preview("def second(b):\n    b = 1\x0cb\n    return b", 1)
+    assert preview == "def second(b):\n    b = 1\x0cb\n    ..."
+
+
 def test_budget_too_small_for_target_raises(tmp_path):
     ranked, cfg_text, exemplars, target_code = prompt_inputs(tmp_path)
     with pytest.raises(BudgetTooSmallError):
@@ -256,7 +273,7 @@ def oracle_render(ranked, cfg_text, exemplars, target_code, budget, target_path=
     target_text = target_code.rstrip("\n")
     if estimate_tokens(f"{SECTION_HEADERS['target']}\n{target_text}") > budget:
         raise BudgetTooSmallError("target section alone exceeds the budget")
-    cfg_lines = [line for line in cfg_text.splitlines() if line.strip()]
+    cfg_lines = [line for line in cfg_text.split("\n") if line.strip()]
     parts = {
         "function_ctx": list(cfg_lines),
         "file_ctx": [_render_node(n, target_path) for n in ranked.file_topk],

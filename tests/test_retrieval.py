@@ -33,7 +33,7 @@ from repolens.retrieval import (
     structure_score,
 )
 from repolens.syntax import SourceFile, facts_to_json, file_facts, parse
-from tests.conftest import TESTS_DIR, http_stub, index_repo, read_store, write_repo, write_store
+from tests.conftest import TESTS_DIR, force_the_pool, http_stub, index_repo, read_store, write_repo, write_store
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -43,8 +43,8 @@ def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | Non
         start_line=0,
         end_line=1,
         text=" ".join(sorted(tokens or set())),
-        tokens=frozenset(tokens or set()),
-        ast_paths=frozenset(paths or set()),
+        tokens=tuple(sorted(tokens or ())),
+        ast_paths=tuple(sorted(paths or ())),
     )
 
 
@@ -95,7 +95,7 @@ def test_windows_split_lines_on_newline_only(tmp_path):
 def test_index_tokens_skip_keywords(tmp_path):
     write_repo(tmp_path, {"m.py": "if flag:\n    total = compute()\n"})
     index = build_index(tmp_path)
-    assert index.snippets[0].tokens == frozenset({"flag", "total", "compute"})
+    assert index.snippets[0].tokens == ("compute", "flag", "total")
     assert identifier_tokens("for item in items: pass") == {"item", "items"}
 
 
@@ -139,8 +139,8 @@ def test_index_cache_stores_each_ast_path_once(tmp_path):
         assert cut["geometry"] == [index.window, index.stride]
         table = cut["ast_paths"]
         assert table == sorted(set().union(*(s.ast_paths for s in windows)))
-        decoded = [(tokens, sorted(table[i] for i in slots)) for tokens, slots in cut["rows"]]
-        assert decoded == [(sorted(s.tokens), sorted(s.ast_paths)) for s in windows]
+        decoded = [(tokens, [table[i] for i in slots]) for tokens, slots in cut["rows"]]
+        assert decoded == [(list(s.tokens), list(s.ast_paths)) for s in windows]
 
 
 def test_index_cache_version_mismatch_returns_none(tmp_path):
@@ -227,6 +227,12 @@ def test_v1_and_malformed_caches_are_ignored(tmp_path):
         lambda entry: rows(entry)[0].__setitem__(0, "alpha"),  # not its characters
         lambda entry: rows(entry)[0][0].append(7),
         lambda entry: entry["windows"]["ast_paths"].__setitem__(0, 7),
+        # a row is decoded as it is stored, so one out of order or with a
+        # repeat would change a window's score
+        lambda entry: rows(entry)[0][0].reverse(),
+        lambda entry: rows(entry)[0][0].append(rows(entry)[0][0][-1]),
+        lambda entry: rows(entry)[0][1].append(rows(entry)[0][1][-1]),
+        lambda entry: entry["windows"]["ast_paths"].reverse(),
     ]
     for mutate in malformed:
         files = json.loads(json.dumps(good))
@@ -422,8 +428,7 @@ def test_pool_build_equals_serial_build(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
-    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
+    force_the_pool(monkeypatch)
     syntax._grammar.cache_clear()
     assert _within(120, lambda: build_index(repo)) == serial
     # this process parsed nothing, but generated the grammar while it waited
@@ -467,6 +472,35 @@ def test_pool_size_follows_the_windows_to_compute(tmp_path, monkeypatch, cpus, p
     assert asked == ([] if workers is None else [workers] * 2)
 
 
+def test_every_build_path_gives_a_lean_index(tmp_path, monkeypatch):
+    """A build computed here, one computed by workers and one decoded from a
+    store are equal; in each, a window's tokens and paths are sorted tuples
+    without repeats, and each distinct string is one object."""
+    repo = _pool_repo(tmp_path / "repo")
+    fresh = build_index(repo)
+    decoded = build_index(repo, reuse=load_index(index_repo(repo, tmp_path / "index.json")))
+    force_the_pool(monkeypatch)
+    pooled = _within(120, lambda: build_index(repo))
+    assert pooled == decoded == fresh
+    for index in (fresh, pooled, decoded):
+        fields = [field for s in index.snippets for field in (s.tokens, s.ast_paths)]
+        assert all(type(field) is tuple and list(field) == sorted(set(field)) for field in fields)
+        strings = [string for field in fields for string in field]
+        assert len({id(string) for string in strings}) == len(set(strings))
+
+
+_PATH_SETS = st.sets(st.text(alphabet="abc/_", max_size=6), max_size=10)
+
+
+@settings(max_examples=300)
+@given(_PATH_SETS, _PATH_SETS)
+@example(set(), set())
+def test_jaccard_of_a_set_and_a_sorted_tuple_is_set_arithmetic(a, b):
+    union = a | b
+    expected = len(a & b) / len(union) if union else 0.0
+    assert retrieval._jaccard(a, tuple(sorted(b))).hex() == expected.hex()
+
+
 class _SecondWorkerFails(context.SpawnProcess):
     """A spawned worker that cannot start once one has, as when the host is
     out of process ids. Module level, because spawn pickles the process."""
@@ -492,8 +526,7 @@ def test_pool_missing_a_worker_leaves_the_build_in_process(tmp_path, monkeypatch
     serial_store = index_repo(repo, tmp_path / "serial.json").read_bytes()
     monkeypatch.setattr(_SecondWorkerFails, "started", [])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _SpawnOneWorker())
-    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
-    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
+    force_the_pool(monkeypatch)
     assert _within(120, lambda: build_index(repo)) == serial
     first, second = _SecondWorkerFails.started
     first.join(timeout=30)  # the worker that did start ends with the pool
@@ -612,7 +645,7 @@ _WINDOW_TOKENS = ["alpha", "beta", "gamma", "delta", "eps"]
 
 
 def _window(path, start, tokens):
-    return Snippet(f"{path}:{start}", path, start, start + 20, " ".join(sorted(tokens)), frozenset(tokens), frozenset())
+    return Snippet(f"{path}:{start}", path, start, start + 20, " ".join(sorted(tokens)), tuple(sorted(tokens)), ())
 
 
 def _full_scan(snippets, query, n, exclude):
@@ -804,9 +837,9 @@ def test_dense_scorer_ranks_by_cosine():
         return 200, {"vectors": [vectors[t] for t in payload["texts"]]}
 
     # hand-built snippets keep the text-to-vector mapping obvious
-    near = Snippet("near", "a.py", 0, 1, "near q", frozenset({"near"}), frozenset())
-    mine = Snippet("mine", "target.py", 0, 1, "q itself", frozenset({"q"}), frozenset())
-    off = Snippet("off", "b.py", 0, 1, "off axis", frozenset({"off"}), frozenset())
+    near = Snippet("near", "a.py", 0, 1, "near q", ("near",), ())
+    mine = Snippet("mine", "target.py", 0, 1, "q itself", ("q",), ())
+    off = Snippet("off", "b.py", 0, 1, "off axis", ("off",), ())
     index = SnippetIndex(window=1, stride=1, snippets=[near, mine, off])
 
     with http_stub(handler) as url:
