@@ -48,14 +48,14 @@ def main() -> None:
 @click.option(
     "--force",
     is_flag=True,
-    help="Start from an empty store: parse every window again and drop the stored file facts.",
+    help="Start from an empty store: parse every file again and drop the stored file facts.",
 )
 def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     """Build and persist the snippet index in ``<repo>/.repolens``, where
     ``complete`` and ``evaluate`` read it.
 
-    The store holds one entry per file, keyed on the file's text, so only the
-    windows of a new or edited file are parsed again. The file facts
+    The store holds one entry per file, keyed on the file's text, so only a new
+    or edited file is parsed again, once for all its windows. The file facts
     ``complete`` and ``evaluate`` stored are kept for the files it windows,
     and the entry of any other path is dropped; the index computes no facts.
     """
@@ -68,10 +68,7 @@ def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     store = None if force else load_index(snippets_path)
     if store is None:
         store = Store(snippets_path, {}, changed=True)
-    try:
-        index = build_index(root, cfg.window, cfg.stride, reuse=store)
-    except RepoLensError as exc:
-        _fail(str(exc))
+    index = build_index(root, cfg.window, cfg.stride, reuse=store)
     store.retain({s.path for s in index.snippets})
     if not store.changed:
         click.echo(f"index up to date at {out_dir}")

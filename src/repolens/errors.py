@@ -25,10 +25,6 @@ class EmptyBenchmarkError(RepoLensError):
     """Task file contained zero tasks."""
 
 
-class IndexWorkersError(RepoLensError):
-    """A worker process of an index build stopped before its windows were computed."""
-
-
 class EmbeddingBackendError(RepoLensError):
     """Dense embedding endpoint failed or answered with a bad payload."""
 

@@ -163,7 +163,7 @@ def generate(
 
     attempts = 1
     if cfg.backend == "mock_echo":
-        raw = _target_text(prompt).splitlines()[-1] if _target_text(prompt) else ""
+        raw = _target_text(prompt).split("\n")[-1]
     elif cfg.backend == "mock_fixture":
         raw = _fixture_lookup(cfg.fixture_path, task_id, fixture_table)
     else:

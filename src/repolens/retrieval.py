@@ -21,20 +21,22 @@ import re
 from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
+from parso.utils import split_lines
+
 from .config import PipelineConfig
-from .errors import BackendError, Diagnostic, EmbeddingBackendError, IndexWorkersError
+from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, _grammar, children, facts_from_json, facts_to_json, kind_of, parse
+from .syntax import FileFacts, SourceFile, children, facts_from_json, facts_to_json, kind_of, parse
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 7
+_INDEX_VERSION = 8
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -117,23 +119,41 @@ def ast_paths_of(text: str) -> frozenset[str]:
 
     if not text.strip():
         return frozenset()
+    return frozenset().union(*line_ast_paths("snippet.py", text))
+
+
+def line_ast_paths(path: str, text: str) -> list[set[str]]:
+    """The AST paths (see ``ast_paths_of``) of each line of ``text``, the
+    file at ``path``, from one parse of the whole text: each terminal's
+    path is filed under every line its leaves span. Lines end at "\\n"
+    alone, as the index cuts them; every set is empty for a text nested too
+    deeply for parso to parse."""
+
+    # parso also ends a line at a lone "\r": ``ours[n]`` is the line that
+    # holds parso's line ``n + 1``
+    ours = list(accumulate((piece.endswith("\n") for piece in split_lines(text, keepends=True)), initial=0))
+    lines: list[set[str]] = [set() for _ in range(ours[-1] + 1)]
     try:
-        root = parse(SourceFile.from_text("snippet.py", text)).root
+        root = parse(SourceFile.from_text(path, text)).root
     except ValueError:  # nested too deeply for parso to parse
-        return frozenset()
-    paths: set[str] = set()
-    # every node holds a retained leaf, so a chain that is already full is
-    # the path of every leaf below it
+        return lines
+    # below a full chain every node keeps it, so each leaf under a node cut
+    # at ``_PATH_DEPTH`` takes that node's path
     stack = [(root, ())]
     while stack:
-        node, prefix = stack.pop()
-        chain = prefix + (kind_of(node),)
-        kids = children(node) if len(chain) < _PATH_DEPTH else None
-        if kids:
+        node, chain = stack.pop()
+        if len(chain) < _PATH_DEPTH:
+            chain += (kind_of(node),)
+        if kids := children(node):
             stack.extend((child, chain) for child in kids)
-        else:
-            paths.add("/".join(chain))
-    return frozenset(paths)
+            continue
+        # a leaf, or a node whose leaves are all dropped (a newline, the
+        # endmarker); a leaf's positions are its own, so no walk recurses
+        (first, _), (last, _) = node.start_pos, node.end_pos
+        joined = "/".join(chain)
+        for line in range(ours[first - 1], ours[last - 1] + 1):
+            lines[line].add(joined)
+    return lines
 
 
 # Each window's identifier tokens and AST paths, each a sorted tuple of
@@ -154,65 +174,6 @@ def _ascending(strings: tuple[str, ...]) -> bool:
     return all(map(operator.lt, strings, islice(strings, 1, None)))
 
 
-def _features(chunks: list[str]) -> WindowFeatures:
-    """Each chunk's features. A string repeated across the chunks is one
-    object, so a worker's reply pickles it once."""
-    shared: dict[str, str] = {}
-    return [
-        (_lean(sorted(identifier_tokens(chunk)), shared), _lean(sorted(ast_paths_of(chunk)), shared))
-        for chunk in chunks
-    ]
-
-
-# A window costs about 2 ms to parse, and a spawned worker about 0.3-0.4 s
-# to start (interpreter, imports without a bytecode cache, parso's grammar):
-# at about 300 windows a pool of two only broke even. So a build starts one
-# worker per this many windows to compute, up to its CPUs, and a pool only
-# when that makes two or more.
-_WINDOWS_PER_WORKER = 256
-
-# Windows go to the workers in batches of this many chunks: large enough
-# that pickling a task is small beside parsing its windows, small enough
-# that the last batches even out the workers' loads.
-_BATCH = 16
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity
-        return os.cpu_count() or 1
-
-
-def _compute_windows(chunks: list[str]) -> WindowFeatures:
-    """``_features(chunks)``, computed by spawned workers when there are
-    enough chunks and CPUs to repay starting them, else in this process.
-    A pool that breaks once started (a worker killed, or a main script that
-    each spawned worker re-runs) raises ``IndexWorkersError``."""
-    workers = min(_cpus(), len(chunks) // _WINDOWS_PER_WORKER)
-    if workers >= 2:
-        try:
-            # imported here, so a process that builds no large index never loads them
-            import multiprocessing
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-            batches = [chunks[i : i + _BATCH] for i in range(0, len(chunks), _BATCH)]
-            # spawn, not fork: the caller may run threads (an HTTP stub, an executor)
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                results = pool.map(_features, batches)
-                # this process waits for the workers and usually parses next
-                # (queries, file facts): generate parso's grammar now, not in
-                # its first task
-                _grammar()
-                return [features for batch in results for features in batch]
-        except (OSError, NotImplementedError, ImportError):
-            pass  # no pool on this host (a process or semaphore limit, no sem_open): compute here
-        except BrokenExecutor as err:  # the imports succeeded, so the name is bound
-            raise IndexWorkersError(f"index workers stopped: {err}") from err
-    return _features(chunks)
-
-
 def build_index(
     repo_root: Path | str,
     window: int = PipelineConfig.window,
@@ -223,18 +184,19 @@ def build_index(
 ) -> SnippetIndex:
     """Slide a fixed window over every source file except ``exclude``.
 
-    A window's tokens and AST paths depend on its text alone, so a file's
-    windows are taken from its entry in the ``reuse`` store when that entry
-    was cut from the same text with the same window and stride. The windows
-    no entry holds are computed together, in file order (on worker processes
-    for a large build, see ``_compute_windows``), and kept in their files'
-    entries; ids, lines and text always come from the file. The result
-    equals a fresh build. Each distinct token or path is one string object
-    across the index, whichever way its windows were obtained.
+    A file's windows are taken from its entry in the ``reuse`` store when
+    that entry was cut from the same text with the same window and stride.
+    Otherwise the file is parsed once: a window's tokens come from its text,
+    and its AST paths are the union of its lines' (``line_ast_paths``); the
+    windows are kept in the file's entry. Ids, lines and text always come
+    from the file, and the result equals a fresh build. Each distinct token
+    or path is one string object across the index, whichever way its
+    windows were obtained.
     """
 
     root = Path(repo_root).resolve()
-    files = []  # (path, text, line count, window starts, chunks, stored features or None)
+    shared: dict[str, str] = {}
+    snippets: list[Snippet] = []
     for path in _iter_source_files(root, diagnostics):
         rel = path.relative_to(root).as_posix()
         if exclude is not None and rel == exclude:
@@ -254,16 +216,16 @@ def build_index(
         lines = text.removesuffix("\n").split("\n") if text else []
         starts = range(0, max(len(lines) - window, 0) + 1, stride)
         chunks = ["\n".join(lines[start : start + window]) for start in starts]
-        stored = None if reuse is None else reuse.window_features(rel, text, window, stride, len(chunks))
-        files.append((rel, text, len(lines), starts, chunks, stored))
-
-    computed = iter(_compute_windows([chunk for *_, chunks, stored in files if stored is None for chunk in chunks]))
-    # computed batches and decoded entries each hold their own string objects
-    shared: dict[str, str] = {}
-    snippets: list[Snippet] = []
-    for rel, text, line_count, starts, chunks, features in files:
+        features = None if reuse is None else reuse.window_features(rel, text, window, stride, len(chunks))
         if features is None:
-            features = list(islice(computed, len(chunks)))
+            line_paths = line_ast_paths(rel, text)
+            features = [
+                (
+                    tuple(sorted(identifier_tokens(chunk))),
+                    tuple(sorted(set().union(*line_paths[start : start + window]))),
+                )
+                for start, chunk in zip(starts, chunks)
+            ]
             if reuse is not None:
                 reuse.keep_windows(rel, text, window, stride, features)
         for start, chunk, (tokens, ast_paths) in zip(starts, chunks, features):
@@ -272,7 +234,7 @@ def build_index(
                     snippet_id=f"{rel}:{start}",
                     path=rel,
                     start_line=start,
-                    end_line=min(start + window, line_count),
+                    end_line=min(start + window, len(lines)),
                     text=chunk,
                     tokens=_lean(tokens, shared),
                     ast_paths=_lean(ast_paths, shared),

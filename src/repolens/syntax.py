@@ -249,7 +249,18 @@ def _async_inner(node: NodeOrLeaf) -> NodeOrLeaf | None:
     return next((child for child in node.children if hasattr(child, "children")), None)
 
 
-def _symbol_from_definition(file: SourceFile, node: NodeOrLeaf) -> SymbolRecord | None:
+class _Defines(dict):
+    """Name leaf -> its ``is_definition()``, asked of parso once per leaf:
+    parso climbs the tree for each answer, and one ``file_facts`` walks
+    most names several times (the module's reference sets, each enclosing
+    definition's, each module-level statement's targets)."""
+
+    def __missing__(self, name: NodeOrLeaf) -> bool:
+        self[name] = answer = name.is_definition()
+        return answer
+
+
+def _symbol_from_definition(file: SourceFile, node: NodeOrLeaf, defines: _Defines) -> SymbolRecord | None:
     """Record of a function or class definition node; None if it has no name."""
     name = next((child for child in children(node) if child.type == "name"), None)
     if name is None:
@@ -260,7 +271,7 @@ def _symbol_from_definition(file: SourceFile, node: NodeOrLeaf) -> SymbolRecord 
         sym_kind="function" if kind_of(node) == "funcdef" else "class",
         def_span=def_span,
         code=file.span_text(def_span),
-        refs=reference_sets(node),
+        refs=reference_sets(node, defines),
     )
 
 
@@ -289,7 +300,7 @@ def _statement_nodes(root: NodeOrLeaf, kinds: set[str]) -> Iterator[NodeOrLeaf]:
 _NESTED_SCOPES = frozenset({"sync_comp_for", "comp_for", "lambdef"})
 
 
-def _module_targets(stmt: NodeOrLeaf) -> Iterator[str]:
+def _module_targets(stmt: NodeOrLeaf, defines: _Defines) -> Iterator[str]:
     """Names a module-level assignment binds in the module's scope, in
     source order: ``reference_sets(stmt).bound`` without the variables of
     comprehensions and lambdas."""
@@ -297,7 +308,7 @@ def _module_targets(stmt: NodeOrLeaf) -> Iterator[str]:
     while stack:
         node = stack.pop()
         if node.type == "name":
-            if node.value and node.is_definition():
+            if node.value and defines[node]:
                 yield node.value
         elif node.type in _NESTED_SCOPES or (node.type == "trailer" and node.children[0].value == "."):
             continue  # a nested scope, or ``.name`` (an attribute target binds nothing)
@@ -305,32 +316,33 @@ def _module_targets(stmt: NodeOrLeaf) -> Iterator[str]:
             stack.extend(reversed(getattr(node, "children", ())))
 
 
-def _module_definitions(tree: SyntaxTree) -> Iterator[SymbolRecord]:
+def _module_definitions(tree: SyntaxTree, defines: _Defines) -> Iterator[SymbolRecord]:
     """Module-scope functions, classes and assigned variables, in source
     order, redefinitions included."""
     for child in children(tree.root):
         for stmt in children(child) if kind_of(child) == "decorated" else (child,):
             kind = kind_of(stmt)
             if kind in ("funcdef", "classdef"):
-                record = _symbol_from_definition(tree.file, stmt)
+                record = _symbol_from_definition(tree.file, stmt, defines)
                 if record:
                     yield record
             elif kind == "expr_stmt":
                 stmt_span = span(stmt)
                 code = tree.file.span_text(stmt_span)
-                refs = reference_sets(stmt)
-                for name in _module_targets(stmt):
+                refs = reference_sets(stmt, defines)
+                for name in _module_targets(stmt, defines):
                     yield SymbolRecord(name=name, sym_kind="variable", def_span=stmt_span, code=code, refs=refs)
 
 
 def file_facts(tree: SyntaxTree) -> FileFacts:
     """Read the facts of ``tree``'s file; the tree itself is not kept."""
     file = tree.file
-    definitions = tuple(_module_definitions(tree))
+    defines = _Defines()
+    definitions = tuple(_module_definitions(tree, defines))
     # a module-level function is one record in both tuples
     top = {record.def_span: record for record in definitions if record.sym_kind == "function"}
     functions = (
-        top.get(span(node)) or _symbol_from_definition(file, node)
+        top.get(span(node)) or _symbol_from_definition(file, node, defines)
         for node in _statement_nodes(tree.root, {"funcdef"})
     )
     return FileFacts(
@@ -339,7 +351,7 @@ def file_facts(tree: SyntaxTree) -> FileFacts:
         functions=tuple(record for record in functions if record),
         imports=tuple(imports_of(tree)),
         span=_file_span(file),
-        refs=reference_sets(tree.root),
+        refs=reference_sets(tree.root, defines),
     )
 
 
@@ -443,7 +455,7 @@ def definitions_before(facts: FileFacts, line: int) -> list[SymbolRecord]:
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
-def reference_sets(node: NodeOrLeaf) -> References:
+def reference_sets(node: NodeOrLeaf, defines: _Defines | None = None) -> References:
     """What ``node``'s code references and binds, in one pass over the subtree.
 
     Each name's position is judged from its parent while walking down: the
@@ -451,8 +463,11 @@ def reference_sets(node: NodeOrLeaf) -> References:
     conversions, skips the name of a keyword argument, and marks the
     parenthesised children of a class definition as its base list. Layout
     leaves hold no names and the async wrappers play no part here, so the
-    walk reads parso's children as they are.
+    walk reads parso's children as they are. ``defines`` keeps each name's
+    ``is_definition()`` across the calls of one ``file_facts``.
     """
+    if defines is None:
+        defines = _Defines()
     used: set[str] = set()
     called: set[str] = set()
     bases: set[str] = set()
@@ -468,7 +483,7 @@ def reference_sets(node: NodeOrLeaf) -> References:
         kids = getattr(current, "children", None)
         if kids is None:
             if kind == "name" and current.value:
-                if current.is_definition():
+                if defines[current]:
                     bound.setdefault(current.value)
                 else:
                     used.add(current.value)
@@ -500,7 +515,7 @@ def reference_sets(node: NodeOrLeaf) -> References:
                 head.type == "name"
                 and trailer.type == "trailer"
                 and trailer.children[0].value == "("
-                and not head.is_definition()
+                and not defines[head]
             ):
                 called.add(head.value)
         stack.extend(reversed(kids))

@@ -66,36 +66,6 @@ def count_posting_builds(monkeypatch) -> list[int]:
     return built
 
 
-def force_the_pool(monkeypatch) -> None:
-    """Make every index build with two or more windows to compute start a
-    pool of two workers."""
-    monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", 1)
-    monkeypatch.setattr(retrieval, "_cpus", lambda: 2)
-
-
-def break_the_pool(monkeypatch) -> None:
-    """Make every index build with two or more windows to compute start a
-    pool whose worker dies."""
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    class DeadWorkerPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, *args):
-            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DeadWorkerPool)
-    force_the_pool(monkeypatch)
-
-
 def walk(node):
     """``node`` and every retained node under it, in source order."""
     stack = [node]

@@ -6,10 +6,9 @@ written beforehand in a temporary directory. Each output line is
 
     <corpus> <fresh|store> windows=<n> index_mb=<MB> peak_mb=<MB> strings=<n> objects=<n> distinct=<n>
 
-``index_mb`` is what the built index still holds once the build returns,
-``peak_mb`` the most the build held at once in this process (a large fresh
-build computes its windows in worker processes, which tracemalloc does not
-see). ``strings`` counts the windows' token and AST-path entries,
+``index_mb`` is what the built index still holds once the build returns
+and the parse trees it dropped are collected, ``peak_mb`` the most the
+build held at once, parse trees included. ``strings`` counts the windows' token and AST-path entries,
 ``objects`` the distinct string objects among them and ``distinct`` the
 distinct strings; a lean index has one object per distinct string. An
 untraced build runs first, so imports and parso's grammar are not counted.
@@ -22,6 +21,7 @@ copy it into an older checkout to run it there. Pytest does not collect it.
 
 from __future__ import annotations
 
+import gc
 import sys
 import tempfile
 import tracemalloc
@@ -44,6 +44,7 @@ def traced_build(root: Path, reuse: retrieval.Store | None) -> tuple[retrieval.S
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     index = retrieval.build_index(root, PipelineConfig.window, PipelineConfig.stride, reuse=reuse)
+    gc.collect()  # a dropped parso tree is cyclic garbage until a full collection
     current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return index, current - base, peak - base

@@ -30,7 +30,7 @@ from repolens.config import PipelineConfig
 from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
 from repolens.retrieval import build_index
-from tests.conftest import break_the_pool, count_parses, count_posting_builds, http_stub, index_repo, write_repo
+from tests.conftest import count_parses, count_posting_builds, http_stub, index_repo, write_repo
 
 MAIN_PY = """\
 import os
@@ -199,18 +199,6 @@ def test_per_task_failure_recorded_batch_completes(tmp_path):
     assert (by_id["d4"].em, by_id["d4"].es, by_id["d4"].id_em, by_id["d4"].f1) == (0, 0, 0, 0)
     assert by_id["a1"].em == 100.0
     assert report.em == pytest.approx(300 / 4)
-
-
-def test_broken_index_pool_recorded_batch_completes(tmp_path, monkeypatch):
-    rows = TASK_ROWS + [{"task_id": "e5", "repo": "other", "file": "main.py", "line": 13, "ground_truth": "x"}]
-    tasks = write_bench(tmp_path, rows)
-    write_repo(tmp_path / "other", {"main.py": MAIN_PY, "helpers.py": UTILS_PY})
-    index_repo(tmp_path / "bench")  # its stored windows leave its build nothing to compute
-    break_the_pool(monkeypatch)  # so only the other repository's build starts a pool, and a worker dies
-    report = run_benchmark(tasks, PipelineConfig(backend="mock_fixture"), fixture_table=dict(TRUTHS))
-    by_id = {row.task_id: row for row in report.per_task}
-    assert by_id["e5"].error.startswith("IndexWorkersError:")
-    assert [by_id[task_id].em for task_id in TRUTHS] == [100.0] * 3
 
 
 def test_posting_lists_built_once_per_repository(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
 from repolens.pipeline import CompletionTask, complete_task
 from repolens.retrieval import build_index, index_path, load_index
-from tests.conftest import break_the_pool, read_store, write_repo
+from tests.conftest import count_parses, read_store, write_repo, write_store
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
 from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_facts, stored_paths
 
@@ -82,14 +83,12 @@ def test_index_rebuilds_after_in_place_edit(runner, repo):
 def test_index_after_rename_windows_the_new_path_and_drops_the_old(runner, repo, monkeypatch):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     (repo / "lib" / "text_utils.py").rename(repo / "lib" / "path_utils.py")
-    parsed = []
-    real_paths = retrieval.ast_paths_of
-    monkeypatch.setattr(retrieval, "ast_paths_of", lambda text: parsed.append(text) or real_paths(text))
+    parses = count_parses(monkeypatch)
     again = runner.invoke(main, ["index", "--repo", str(repo)])
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
     monkeypatch.undo()
-    assert parsed == [s.text for s in build_index(repo).snippets if s.path == "lib/path_utils.py"]
+    assert parses == [("retrieval", "lib/path_utils.py")]
     assert sorted(read_store(index_path(repo))) == ["data_processor.py", "lib/path_utils.py", "main.py"]
     assert stored_index(repo) == build_index(repo)
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
@@ -153,17 +152,16 @@ def test_complete_write_back_keeps_the_indexed_windows(runner, repo):
 def test_complete_writes_back_the_windows_of_an_edited_file(runner, repo, monkeypatch):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     (repo / "lib" / "text_utils.py").write_text(UTILS_PY + "\nextra = 1\n")
-    edited = [s.text for s in build_index(repo).snippets if s.path == "lib/text_utils.py"]
-    parsed = []
-    real_paths = retrieval.ast_paths_of
-    monkeypatch.setattr(retrieval, "ast_paths_of", lambda text: parsed.append(text) or real_paths(text))
+    parses = count_parses(monkeypatch)
     args = complete_args(repo, "--dry-run", "--explain", "--no-timing")
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
-    assert parsed == edited
-    parsed.clear()
+    # the edited file is parsed once for its windows, then the query for its paths
+    retrieval_parses = [p for p in parses if p[0] == "retrieval"]
+    assert retrieval_parses == [("retrieval", "lib/text_utils.py"), ("retrieval", "snippet.py")]
+    parses.clear()
     second = runner.invoke(main, args)
-    assert parsed == []
+    assert [p for p in parses if p[0] == "retrieval"] == [("retrieval", "snippet.py")]
     assert second.output == first.output
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
@@ -187,6 +185,39 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     assert index_path(repo).read_text() == broken
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     assert stored_paths(repo) == []
+    assert stored_index(repo) == build_index(repo)
+
+
+def test_a_version_7_store_is_ignored_and_rebuilt(runner, tmp_path):
+    """Version 7 stored each window's paths from a parse of the window alone,
+    so ``complete`` and ``evaluate`` ignore such a store, writing nothing
+    back to it, and ``index`` replaces it."""
+    tasks = write_bench(tmp_path)
+    repo = tmp_path / "bench"
+    args = ["complete", "--repo", str(repo), "--file", "main.py", "--line", "14"]
+    args += ["--dry-run", "--explain", "--no-timing"]
+    evaluate = ["evaluate", "--tasks", str(tasks), "--format", "json", "--no-timing"]
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    completed = runner.invoke(main, args).output
+    explain = json.loads(completed.split("--- explain ---\n", 1)[1])
+    assert any(entry["structure"] > 0 for entry in explain["exemplars"])
+    evaluated = runner.invoke(main, evaluate).output
+
+    # well-formed entries, but with paths no parse gives: served, they would
+    # zero every structure score
+    files = read_store(index_path(repo))
+    for entry in files.values():
+        entry["windows"]["ast_paths"] = [f"v7/{path}" for path in entry["windows"]["ast_paths"]]
+    write_store(index_path(repo), files, version=7)
+    v7 = index_path(repo).read_bytes()
+    projdeps.facts_of.cache_clear()
+    assert runner.invoke(main, args).output == completed
+    assert runner.invoke(main, evaluate).output == evaluated
+    assert index_path(repo).read_bytes() == v7
+
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    assert json.loads(index_path(repo).read_text())["version"] == 8
+    assert "v7/" not in index_path(repo).read_text()
     assert stored_index(repo) == build_index(repo)
 
 
@@ -223,6 +254,14 @@ def test_index_and_dry_run_load_neither_http_nor_evaluation(repo):
     }
     assert "repolens.pipeline" in modules
     assert not unused & modules
+
+
+def test_index_of_the_corpus_cases_starts_no_process_pool(tmp_path):
+    corpus = tmp_path / "corpus_cases"
+    shutil.copytree(Path(__file__).resolve().parent / "corpus_cases", corpus)
+    _, modules = run_fresh(["index", "--repo", str(corpus)])
+    assert "repolens.retrieval" in modules
+    assert not {"multiprocessing", "concurrent.futures.process"} & modules
 
 
 def test_grammar_is_generated_on_the_first_parse(runner, repo):
@@ -273,26 +312,6 @@ def test_index_exits_2_when_the_store_cannot_be_written(runner, repo, monkeypatc
     assert result.exit_code == 2
     assert result.output.startswith("error: cannot write index")
     assert list((repo / ".repolens").iterdir()) == []
-
-
-def test_index_exits_2_when_a_worker_dies(runner, repo, monkeypatch):
-    assert runner.invoke(main, ["index", "--repo", str(repo)]).exit_code == 0
-    before = index_path(repo).read_bytes()
-    break_the_pool(monkeypatch)
-    result = runner.invoke(main, ["index", "--repo", str(repo), "--force"])
-    assert result.exit_code == 2
-    assert result.output.count("\n") == 1
-    assert result.output.startswith("error: index workers stopped: A process in the process pool")
-    assert index_path(repo).read_bytes() == before  # the previous store stays
-    assert [p.name for p in (repo / ".repolens").iterdir()] == ["snippets.json"]
-
-
-def test_complete_exits_2_when_a_worker_dies(runner, repo, monkeypatch):
-    break_the_pool(monkeypatch)
-    result = runner.invoke(main, complete_args(repo, "--dry-run"))
-    assert result.exit_code == 2
-    assert result.output.count("\n") == 1
-    assert result.output.startswith("error: index workers stopped: A process in the process pool")
 
 
 def test_index_missing_repo_exits_2(runner, tmp_path):

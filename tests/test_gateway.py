@@ -48,6 +48,12 @@ def test_mock_echo_returns_last_target_line():
     assert result.attempts == 1
 
 
+def test_mock_echo_keeps_a_form_feed_inside_the_last_line():
+    # lines end at "\n" only, as the prompt's sections cut them
+    doc = make_doc("def f(a, b):\n    x = a\x0cb")
+    assert generate(doc, gen_cfg(backend="mock_echo")).text == "    x = a\x0cb"
+
+
 def test_mock_fixture_returns_table_entry():
     cfg = gen_cfg(backend="mock_fixture")
     table = {"t1": "x = 1", "t2": "y = 2"}

@@ -6,9 +6,7 @@ import hashlib
 import json
 import random
 import tempfile
-import threading
 from dataclasses import replace
-from multiprocessing import context
 from pathlib import Path
 
 import pytest
@@ -27,13 +25,14 @@ from repolens.retrieval import (
     ast_paths_of,
     build_index,
     identifier_tokens,
+    line_ast_paths,
     load_index,
     rerank,
     semantic_candidates,
     structure_score,
 )
 from repolens.syntax import SourceFile, facts_to_json, file_facts, parse
-from tests.conftest import TESTS_DIR, force_the_pool, http_stub, index_repo, read_store, write_repo, write_store
+from tests.conftest import TESTS_DIR, count_parses, http_stub, index_repo, read_store, write_repo, write_store
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -328,33 +327,27 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
 
     (tmp_path / "b.py").write_text(other.replace("other_25 = 25", "edited = True"))
     (tmp_path / "c.py").write_text("fresh = 1\n")
-    rebuilt = build_index(tmp_path, reuse=load_index(cache))
-    assert parsed == [s.text for s in rebuilt.snippets if s.path in ("b.py", "c.py")]
+    build_index(tmp_path, reuse=load_index(cache))
+    assert parsed == [(tmp_path / name).read_text() for name in ("b.py", "c.py")]
 
-    parsed.clear()
+    # another window and stride parse every file again, once
     index_repo(tmp_path, cache)
-    assert build_index(tmp_path, window=15, stride=5, reuse=load_index(cache)) == build_index(
-        tmp_path, window=15, stride=5
-    )
-    assert len(parsed) > 0
+    fresh = build_index(tmp_path, window=15, stride=5)
+    parsed.clear()
+    assert build_index(tmp_path, window=15, stride=5, reuse=load_index(cache)) == fresh
+    assert parsed == [(tmp_path / name).read_text() for name in ("a.py", "b.py", "c.py")]
 
 
 def test_in_place_edit_parses_every_window_of_the_file_once(tmp_path, monkeypatch):
+    """The four windows of the edited file come from one parse of it."""
     write_repo(tmp_path, {"a.py": numbered_lines(50), "b.py": numbered_lines(30)})
     cache = index_repo(tmp_path, tmp_path / "index.json")
     (tmp_path / "a.py").write_text(numbered_lines(50).replace("value_25 = 25", "value_25 = 52"))
-    parsed = []
-    real_paths = retrieval.ast_paths_of
-
-    def counted_paths(text):
-        parsed.append(text)
-        return real_paths(text)
-
-    monkeypatch.setattr(retrieval, "ast_paths_of", counted_paths)
+    parsed = count_parses(monkeypatch)
     store = load_index(cache)
     rebuilt = build_index(tmp_path, reuse=store)
-    assert len(parsed) == 4
-    assert parsed == [s.text for s in rebuilt.snippets if s.path == "a.py"]
+    assert len([s for s in rebuilt.snippets if s.path == "a.py"]) == 4
+    assert parsed == [("retrieval", "a.py")]
     store.write()
     parsed.clear()
     assert build_index(tmp_path, reuse=load_index(cache)) == rebuilt
@@ -376,113 +369,20 @@ def test_streamed_write_equals_one_json_dumps(tmp_path):
         assert store.path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True)
 
 
-def _within(seconds: float, build):
-    """``build()``, run on a daemon thread that must finish within ``seconds``."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = build()
-        except BaseException as err:  # re-raised on the test's thread
-            outcome["error"] = err
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive(), f"the build ran over {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-def _pool_repo(root: Path) -> Path:
+def _corpus_repo(root: Path) -> Path:
     files = {f"corpus/{path.name}": path.read_text() for path in sorted((TESTS_DIR / "corpus_cases").glob("*.py"))}
     return write_repo(root, {**files, "a.py": numbered_lines(300), "pkg/short.py": "x = 1\n", "pkg/empty.py": ""})
 
 
-def test_pool_build_equals_serial_build(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    repo = _pool_repo(tmp_path / "repo")
-    originals = {path: path.read_text() for path in (repo / "a.py", repo / "corpus" / "ledger.py")}
-
-    def edit(edited: bool) -> None:
-        for path, text in originals.items():
-            path.write_text(text.replace("value_1", "renamed").replace("def ", "def renamed_", 1) if edited else text)
-
-    serial = build_index(repo)
-    serial_store = index_repo(repo, tmp_path / "serial.json").read_bytes()
-    edit(True)
-    serial_edit = build_index(repo)
-    serial_reuse = load_index(tmp_path / "serial.json")
-    assert build_index(repo, reuse=serial_reuse) == serial_edit
-    serial_reuse.write()
-    edit(False)
-    assert len(serial.snippets) > 2 * retrieval._BATCH
-
-    started = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append((args, kwargs["mp_context"].get_start_method()))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    force_the_pool(monkeypatch)
-    syntax._grammar.cache_clear()
-    assert _within(120, lambda: build_index(repo)) == serial
-    # this process parsed nothing, but generated the grammar while it waited
-    assert syntax._grammar.cache_info().currsize == 1
-    pool_store = _within(120, lambda: index_repo(repo, tmp_path / "pool.json"))
-    assert pool_store.read_bytes() == serial_store
-    # a build that reuses the other entries computes the edited files'
-    # windows in the pool and puts them in those files' places
-    edit(True)
-    store = load_index(pool_store)
-    assert _within(120, lambda: build_index(repo, reuse=store)) == serial_edit
-    store.write()
-    assert pool_store.read_bytes() == (tmp_path / "serial.json").read_bytes()
-    assert started == [((2,), "spawn")] * 3
-
-
-@pytest.mark.parametrize(
-    "cpus, per_worker, workers",
-    [(1, 1, None), (2, None, None), (64, None, None), (2, 1, 2), (64, "third", 3)],
-)
-def test_pool_size_follows_the_windows_to_compute(tmp_path, monkeypatch, cpus, per_worker, workers):
-    """One worker per ``_WINDOWS_PER_WORKER`` windows, up to the CPUs, and no
-    pool below two; a pool that cannot start leaves the build in-process."""
-    import concurrent.futures
-
-    repo = _pool_repo(tmp_path)
-    serial = build_index(repo)
-    windows = len(serial.snippets)
-    assert 2 * retrieval._BATCH < windows < 2 * retrieval._WINDOWS_PER_WORKER
-    asked = []
-
-    def cannot_start(*args, **kwargs):
-        asked.append(args[0])
-        raise OSError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cannot_start)
-    monkeypatch.setattr(retrieval, "_cpus", lambda: cpus)
-    if per_worker is not None:
-        monkeypatch.setattr(retrieval, "_WINDOWS_PER_WORKER", windows // 3 if per_worker == "third" else per_worker)
-    assert build_index(repo) == build_index(repo, reuse=Store(tmp_path / "index.json", {})) == serial
-    assert asked == ([] if workers is None else [workers] * 2)
-
-
-def test_every_build_path_gives_a_lean_index(tmp_path, monkeypatch):
-    """A build computed here, one computed by workers and one decoded from a
-    store are equal; in each, a window's tokens and paths are sorted tuples
-    without repeats, and each distinct string is one object."""
-    repo = _pool_repo(tmp_path / "repo")
+def test_every_build_path_gives_a_lean_index(tmp_path):
+    """A build computed here and one decoded from a store are equal; in
+    each, a window's tokens and paths are sorted tuples without repeats,
+    and each distinct string is one object."""
+    repo = _corpus_repo(tmp_path / "repo")
     fresh = build_index(repo)
     decoded = build_index(repo, reuse=load_index(index_repo(repo, tmp_path / "index.json")))
-    force_the_pool(monkeypatch)
-    pooled = _within(120, lambda: build_index(repo))
-    assert pooled == decoded == fresh
-    for index in (fresh, pooled, decoded):
+    assert decoded == fresh
+    for index in (fresh, decoded):
         fields = [field for s in index.snippets for field in (s.tokens, s.ast_paths)]
         assert all(type(field) is tuple and list(field) == sorted(set(field)) for field in fields)
         strings = [string for field in fields for string in field]
@@ -499,39 +399,6 @@ def test_jaccard_of_a_set_and_a_sorted_tuple_is_set_arithmetic(a, b):
     union = a | b
     expected = len(a & b) / len(union) if union else 0.0
     assert retrieval._jaccard(a, tuple(sorted(b))).hex() == expected.hex()
-
-
-class _SecondWorkerFails(context.SpawnProcess):
-    """A spawned worker that cannot start once one has, as when the host is
-    out of process ids. Module level, because spawn pickles the process."""
-
-    started: list[context.SpawnProcess] = []
-
-    def start(self):
-        self.started.append(self)
-        if len(self.started) > 1:
-            raise OSError(11, "Resource temporarily unavailable")
-        super().start()
-
-
-class _SpawnOneWorker(context.SpawnContext):
-    Process = _SecondWorkerFails
-
-
-def test_pool_missing_a_worker_leaves_the_build_in_process(tmp_path, monkeypatch):
-    import multiprocessing
-
-    repo = _pool_repo(tmp_path / "repo")
-    serial = build_index(repo)
-    serial_store = index_repo(repo, tmp_path / "serial.json").read_bytes()
-    monkeypatch.setattr(_SecondWorkerFails, "started", [])
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _SpawnOneWorker())
-    force_the_pool(monkeypatch)
-    assert _within(120, lambda: build_index(repo)) == serial
-    first, second = _SecondWorkerFails.started
-    first.join(timeout=30)  # the worker that did start ends with the pool
-    assert first.exitcode is not None
-    assert _within(120, lambda: index_repo(repo, tmp_path / "pool.json")).read_bytes() == serial_store
 
 
 _LINES = [
@@ -606,6 +473,83 @@ def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geomet
         # the windows written back serve the next build without a parse
         assert build_index(root, *new_geometry, exclude=exclude, reuse=stored) == fresh
         assert not stored.changed
+
+
+def _oracle_line_paths(text: str) -> list[set[str]]:
+    """Each line's AST paths by a recursive walk of one parse of ``text``:
+    a terminal's kind path, cut at ``_PATH_DEPTH`` kinds, goes under every
+    line from the start of its first leaf to the end of its last."""
+    lines: list[set[str]] = [set() for _ in range(text.count("\n") + 1)]
+
+    def visit(node, chain):
+        if len(chain) < retrieval._PATH_DEPTH:
+            chain = chain + (syntax.kind_of(node),)
+        kids = syntax.children(node)
+        for kid in kids:
+            visit(kid, chain)
+        if not kids:
+            for line in range(node.start_pos[0], node.end_pos[0] + 1):
+                lines[line - 1].add("/".join(chain))
+
+    visit(parse(SourceFile.from_text("m.py", text)).root, ())
+    return lines
+
+
+# more than _LINES: leaves over two lines, a chain deeper than _PATH_DEPTH,
+# an async wrapper, a statement over two lines and a comment-only line
+_PATH_LINES = _LINES + [
+    's = """doc',
+    'more"""',
+    "deep = [[[[[[[[[[[[x]]]]]]]]]]]]",
+    "async def g():",
+    "    await f(x); y = 2",
+    "total = (1 +",
+    "    2)",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.sampled_from(_PATH_LINES), max_size=14), geometry=_GEOMETRY)
+def test_window_paths_are_the_union_of_their_lines_paths(lines, geometry):
+    text = "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as scratch:
+        write_repo(Path(scratch), {"m.py": text})
+        index = build_index(scratch, *geometry)
+    line_paths = _oracle_line_paths(text)
+    window = geometry[0]
+    for snippet in index.snippets:
+        union = set().union(*line_paths[snippet.start_line : snippet.start_line + window])
+        assert snippet.ast_paths == tuple(sorted(union))
+
+
+def test_a_lone_carriage_return_stays_inside_its_line():
+    """parso ends a line at a lone "\\r" too; the paths stay with the line
+    that holds it, as a window cut at "\\n" does."""
+    split = line_ast_paths("m.py", "a = 1\nb = 2\nc = (3,\n4)\n")
+    joined = line_ast_paths("m.py", "a = 1\rb = 2\nc = (3,\r4)\n")
+    assert joined == [split[0] | split[1], split[2] | split[3], split[4]]
+    assert ast_paths_of("a = 1\rb = 2\n") == ast_paths_of("a = 1\nb = 2\n")
+
+
+def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
+    """One parse per file no store entry holds windows of, none for a stored
+    one; a file nested too deeply for parso gets windows without paths."""
+    repo = _corpus_repo(tmp_path / "repo")
+    write_repo(repo, {"deep.py": "def f(c):\n    return " + "not " * 2000 + "c )\n"})
+    parses = count_parses(monkeypatch)
+    store = Store(tmp_path / "index.json", {})
+    fresh = build_index(repo, reuse=store)
+    files = list(dict.fromkeys(s.path for s in fresh.snippets))
+    assert len(files) == 8
+    assert parses == [("retrieval", path) for path in files]
+    assert [s.ast_paths for s in fresh.snippets if s.path == "deep.py"] == [()]
+    assert all(s.ast_paths for s in fresh.snippets if s.path == "a.py")
+    store.write()
+
+    (repo / "pkg" / "short.py").write_text("x = 2\n")
+    parses.clear()
+    assert build_index(repo, reuse=load_index(store.path)) == build_index(repo)
+    assert parses == [("retrieval", "pkg/short.py")] + [("retrieval", path) for path in files]
 
 
 def test_lexical_scores_hand_cases(tmp_path):
