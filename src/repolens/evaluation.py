@@ -151,7 +151,8 @@ def load_tasks(tasks_path: Path | str) -> list[CompletionTask]:
     path = Path(tasks_path)
     tasks: list[CompletionTask] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    # rows end at "\n" alone: a JSON string may hold a raw U+2028 or U+0085
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -20,7 +20,6 @@ from .projdeps import (
     ModuleMap,
     build_module_map,
     cross_module_deps,
-    facts_of,
 )
 from .prompting import PromptDocument, render
 from .ranking import (
@@ -33,7 +32,6 @@ from .ranking import (
 from .retrieval import (
     DenseScorer,
     ExemplarSet,
-    LexicalScorer,
     SnippetIndex,
     Store,
     ast_paths_of,
@@ -101,20 +99,23 @@ def extract_context(
     module_map: ModuleMap | None = None,
     store: Store | None = None,
 ) -> ContextBundle:
-    """Run the three static-analysis levels for one cursor position; every
-    file is read through ``facts_of`` over ``store``."""
+    """Run the three static-analysis levels for one cursor position.
+
+    Every file is read through the facts of ``module_map`` (a new map when
+    none is passed) over ``store``, so a caller that holds the map parses
+    an unchanged file once."""
 
     cfg = cfg or PipelineConfig()
     diagnostics: list[Diagnostic] = []
+    if module_map is None:
+        module_map = build_module_map(repo_root, diagnostics)
     file = load_source(repo_root, rel_file)
-    facts = facts_of(file.path, file.text, store)
+    facts = module_map.facts(file.path, file.text, store)
     slice_ = local_slice(facts, line)
     uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
     defs = definitions_before(facts, line)
     file_deps = explicit_deps(defs, uses, slice_.owner, body_preview_lines=cfg.body_preview_lines)
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
-    if module_map is None:
-        module_map = build_module_map(repo_root, diagnostics)
     project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics, store)
     return ContextBundle(
         file=file,
@@ -159,16 +160,20 @@ def complete_task(
 ) -> TaskResult:
     """Build the prompt for one task; generation is the caller's business.
 
-    A shared ``index`` may cover the whole repository; retrieval skips the
-    target file's windows, so results match a fresh build that excluded the
-    file, and scores it through the index's posting lists, built on its
-    first task. File facts are then looked up only in the caller's
-    ``store``, which the caller writes back. Without an index, the
-    repository's store (``<repo>/.repolens/snippets.json``) is read once: the
-    index is built with the target excluded, decoding the windows of every
-    unchanged file from it, and scanned once; every file read is looked up
-    in the store before it is parsed, and the windows and facts that had to
-    be computed are written back to it once, a failed write being ignored.
+    A ``module_map`` keeps the facts of every file read through it, so a
+    caller that passes one map to every task parses an unchanged file once;
+    without one, the task builds its own. A shared ``index`` may cover the
+    whole repository; retrieval skips the target file's windows, so results
+    match a fresh build that excluded the file, and scores it through the
+    index's posting lists, built on its first task. File facts are then
+    looked up only in the caller's ``store``, which the caller writes back.
+    Without an index, the repository's store
+    (``<repo>/.repolens/snippets.json``) is read once: the index is built
+    with the target excluded, decoding the windows of every unchanged file
+    from it, and queried once through its posting lists; every file read is
+    looked up in the store before it is parsed, and the windows and facts
+    that had to be computed are written back to it once, a failed write
+    being ignored.
     """
 
     cfg = cfg or PipelineConfig()
@@ -211,8 +216,6 @@ def complete_task(
         )
         if store is not None:
             store.flush()
-        if scorer is None:  # one query: a scan costs less than building posting lists
-            scorer = LexicalScorer()
     pool = semantic_candidates(index, target_code, cfg.pool_size, scorer, bundle.diagnostics, exclude=task.file)
     weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
     exemplars = rerank(pool, ast_paths_of(target_code), weights, cfg.k_final)

@@ -6,25 +6,26 @@ as cross-file or external, and partitions imported entities into explicit
 yet used) dependencies. Cross-file entries carry the resolved definition
 parsed out of the mapped source file.
 
-The module map is rebuilt on every call, so it always reflects the tree
-and always reports its diagnostics. :func:`facts_of` is the one process-wide
-cache over file text: the ``syntax.FileFacts`` of every file a task reads,
-the target file and each imported module alike, keyed by repository-relative
-path and text (relative imports resolve against the path) and holding the
-256 most recently used entries. Every lookup reads the file, so an in-place
-edit is never served stale; no syntax tree is kept. A caller that loaded the
-repository's ``.repolens`` store passes it along: a cache miss then decodes
-the stored facts of that path and text before it parses, and keeps what it
-parsed in the store. Files that cannot be read or parsed are never cached
-and report on every call.
+``build_module_map`` walks the tree on every call, so a new map always
+reflects the tree and reports its diagnostics. The map then keeps the
+``syntax.FileFacts`` of every file read through it (:meth:`ModuleMap.facts`),
+the target file and each imported module alike: one entry per
+repository-relative path (relative imports resolve against the path),
+reused while the file's text is the same. Every lookup reads the file, so an
+in-place edit is never served stale; no syntax tree is kept. A caller that
+loaded the repository's ``.repolens`` store passes it along: a lookup the
+map cannot answer then decodes the stored facts of that path and text
+before it parses, and keeps what it parsed in the store. Files that cannot
+be read or parsed are never kept and report on every call. The package
+keeps no state of its own: the facts live as long as the caller holds the
+map.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict, namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
@@ -41,13 +42,30 @@ _SKIP_DIRS = {"__pycache__"}
 
 @dataclass(frozen=True, slots=True)
 class ModuleMap:
-    """Dotted module name → repository-relative posix path."""
+    """Dotted module name → repository-relative posix path, and the facts
+    of every file read through the map."""
 
     root: str
     entries: dict[str, str]
+    _facts: dict[str, FileFacts] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def path_of(self, dotted: str) -> str | None:
         return self.entries.get(dotted)
+
+    def facts(self, path: str, text: str, store: Store | None = None) -> FileFacts:
+        """The facts of ``text`` read as the file at the repository-relative
+        ``path``: the map's entry for that path while its text is the same,
+        otherwise the facts stored in ``store`` for that path and text, or
+        else parsed and kept in ``store``."""
+        facts = self._facts.get(path)
+        if facts is None or facts.file.text != text:
+            facts = store.facts(path, text) if store is not None else None
+            if facts is None:
+                facts = file_facts(parse(SourceFile.from_text(path, text)))
+                if store is not None:
+                    store.keep(facts)
+            self._facts[path] = facts
+        return facts
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,14 +91,14 @@ class CrossModuleDependency:
 
 def _iter_source_files(root: Path, diagnostics: list[Diagnostic] | None):
     def on_error(err: OSError) -> None:
-        if diagnostics is not None:
-            diagnostics.append(
-                Diagnostic(
-                    code="unreadable_subtree",
-                    message=f"skipped unreadable directory: {err.filename}",
-                    context={"path": str(err.filename)},
-                )
-            )
+        diagnostic = Diagnostic(
+            code="unreadable_subtree",
+            message=f"skipped unreadable directory: {err.filename}",
+            context={"path": str(err.filename)},
+        )
+        # a task walks the tree twice, for its module map and its index, into one list
+        if diagnostics is not None and diagnostic not in diagnostics:
+            diagnostics.append(diagnostic)
 
     for dirpath, dirnames, filenames in os.walk(root, onerror=on_error):
         dirnames[:] = sorted(
@@ -160,50 +178,6 @@ def _resolve_module(
     return CROSS_FILE, candidates[0]
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _FactsCache:
-    """A least-recently-used cache of ``FileFacts`` by (path, text), with the
-    ``.repolens`` store underneath: a miss is looked up in the caller's store
-    before the text is parsed, and what had to be parsed is kept there."""
-
-    def __init__(self, maxsize: int) -> None:
-        self._entries: OrderedDict[tuple[str, str], FileFacts] = OrderedDict()
-        self._maxsize = maxsize
-        self._hits = self._misses = 0
-
-    def __call__(self, path: str, text: str, store: Store | None = None) -> FileFacts:
-        """The facts of ``text`` read as the file at the repository-relative
-        ``path``, which relative imports resolve against."""
-        key = (path, text)
-        facts = self._entries.get(key)
-        if facts is not None:
-            self._hits += 1
-            self._entries.move_to_end(key)
-            return facts
-        self._misses += 1
-        facts = store.facts(path, text) if store is not None else None
-        if facts is None:
-            facts = file_facts(parse(SourceFile.from_text(path, text)))
-            if store is not None:
-                store.keep(facts)
-        self._entries[key] = facts
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-        return facts
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self._hits = self._misses = 0
-
-
-facts_of = _FactsCache(maxsize=256)
-
-
 class _ModuleReader:
     """Reads each mapped module at most once per dependency pass and
     reports each one that cannot be read or parsed once per pass."""
@@ -219,7 +193,7 @@ class _ModuleReader:
             rel = self._map.path_of(dotted)
             try:
                 text = (Path(self._map.root) / rel).read_text(encoding="utf-8")
-                self._loaded[dotted] = facts_of(rel, text, self._store)
+                self._loaded[dotted] = self._map.facts(rel, text, self._store)
             except (OSError, UnicodeDecodeError, ValueError) as err:
                 self._loaded[dotted] = None
                 if self._diagnostics is not None:
@@ -284,8 +258,8 @@ def cross_module_deps(
     scope, where only definitions are extracted). Everything else imported
     is potential. Cross-file entities resolve their definition from the
     mapped source file; wildcard imports register the module itself as a
-    single potential dependency. Modules are read through :func:`facts_of`
-    over ``store``.
+    single potential dependency. Modules are read through
+    :meth:`ModuleMap.facts` over ``store``.
     """
 
     reader = _ModuleReader(module_map, diagnostics, store)

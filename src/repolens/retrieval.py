@@ -1,10 +1,10 @@
 """Sliding-window snippet index, similarity scoring and re-ranking.
 
 Candidates come from a plain lexical scorer (identifier-bag Jaccard, through
-posting lists on an index shared between queries) or an optional dense
-scorer speaking JSON over HTTP; either way the pool is then re-ranked by a
-weighted blend of the semantic score and an AST-path Jaccard similarity, so
-structurally close snippets rise even when identifiers differ.
+the index's posting lists) or an optional dense scorer speaking JSON over
+HTTP; either way the pool is then re-ranked by a weighted blend of the
+semantic score and an AST-path Jaccard similarity, so structurally close
+snippets rise even when identifiers differ.
 """
 
 from __future__ import annotations
@@ -191,7 +191,9 @@ def build_index(
     windows are kept in the file's entry. Ids, lines and text always come
     from the file, and the result equals a fresh build. Each distinct token
     or path is one string object across the index, whichever way its
-    windows were obtained.
+    windows were obtained. A one-shot task excludes its target: with the
+    target in the index, an edited target would be parsed twice, once for
+    its windows and once for its facts.
     """
 
     root = Path(repo_root).resolve()
@@ -374,14 +376,6 @@ def _jaccard(a: set[str] | frozenset[str], b: Collection[str]) -> float:
     return shared / union
 
 
-class LexicalScorer:
-    """Jaccard similarity over identifier-token bags."""
-
-    def scores(self, query: str, snippets: list[Snippet]) -> list[float]:
-        bag = identifier_tokens(query)
-        return [_jaccard(bag, s.tokens) for s in snippets]
-
-
 def _cosine(a: list[float], b: list[float]) -> float:
     dot = sum(x * y for x, y in zip(a, b))
     norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
@@ -467,11 +461,9 @@ def semantic_candidates(
     """Top-n snippets by semantic score, then by id, leaving out the windows
     of the file ``exclude``.
 
-    Without a scorer the scores are lexical and come through the index's
-    posting lists, built on its first such query. A caller that queries an
-    index once passes a ``LexicalScorer``, which scans every window and costs
-    less than building the lists; so does the fallback when a dense backend
-    fails.
+    Without a scorer, or when the dense ``scorer`` fails, the scores are
+    lexical and come through the index's posting lists, built on its first
+    such query.
     """
 
     if scorer is None:
@@ -490,7 +482,7 @@ def semantic_candidates(
                     context={},
                 )
             )
-        values = LexicalScorer().scores(query, snippets)
+        return _lexical_top(index, query, n, exclude)
     return _top(n, zip(snippets, values))
 
 

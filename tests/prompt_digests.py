@@ -11,9 +11,9 @@ payload and the diagnostics; a budget too small for the target hashes the
 error instead. The ``cache`` lines follow: each corpus is copied into a
 temporary directory, its ``.repolens/snippets.json`` is written there, and
 each cursor's prefix variant is completed at budget 4,000 through that
-store, as a fresh ``repolens complete`` reads it: the process cache of file
-facts is cleared before each cursor, so the first cursor on a file stores
-the facts it parses and later cursors decode them. Last come the syntax
+store, as a fresh ``repolens complete`` reads it: each cursor gets a new
+module map, so the first cursor on a file stores the facts it parses and
+later cursors decode them. Last come the syntax
 layer's own outputs, one line per index window and one per file:
 
     <corpus> <file>:<start> paths <sha256>
@@ -91,7 +91,6 @@ def outputs():
                 for cursor in cursors.file_cursors(source, rel, modules):
                     task = CompletionTask(cursor.task_id, root, cursor.file, cursor.line, cursor.prefix)
                     key = f"{corpus} {cursor.task_id} cache 4000"
-                    projdeps.facts_of.cache_clear()  # so the file facts come from the store
                     yield key, rendered(task, PipelineConfig(token_budget=4000))
     for corpus in CORPORA:
         root = ROOT / "perfbench" / "corpora" / corpus

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repolens import evaluation, projdeps
+from repolens import evaluation
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError, EmptyBenchmarkError
 from repolens.evaluation import format_csv, format_text, report_json, run_benchmark
@@ -171,11 +171,9 @@ def test_second_run_parses_only_slices_and_queries(tmp_path, monkeypatch):
     tasks = write_bench(tmp_path)
     repo = tmp_path / "bench"
     index_repo(repo)
-    projdeps.facts_of.cache_clear()
     first = run_benchmark(tasks, no_timing=True)
 
     parses = count_parses(monkeypatch)
-    projdeps.facts_of.cache_clear()
     second = run_benchmark(tasks, no_timing=True)
     assert sorted(parses) == sorted([("funcflow", "<slice>"), ("retrieval", "snippet.py")] * len(TASK_ROWS))
     assert report_json(second) == report_json(first)
@@ -313,6 +311,15 @@ def test_malformed_task_lines_rejected(tmp_path):
     tasks.write_text(json.dumps(odd) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="surprise"):
         run_benchmark(tasks, PipelineConfig())
+
+
+def test_task_rows_end_at_newline_only(tmp_path):
+    """A raw U+2028, U+2029 or U+0085 inside a JSON string stays in its row."""
+    truths = ["a\u2028b", "c\u2029d", "e\x85f"]
+    rows = [dict(row, ground_truth=truth) for row, truth in zip(TASK_ROWS, truths)]
+    tasks = write_bench(tmp_path, rows)
+    tasks.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8")
+    assert [task.ground_truth for task in evaluation.load_tasks(tasks)] == truths
 
 
 def test_text_and_csv_renderings(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from repolens import cli, projdeps, retrieval
+from repolens import cli, retrieval
 from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
 from repolens.pipeline import CompletionTask, complete_task
@@ -107,7 +107,6 @@ def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
 def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     assert stored_facts(repo) == {}
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     facts = stored_facts(repo)
     assert sorted(facts) == ["data_processor.py", "main.py"]
@@ -122,7 +121,6 @@ def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
 @pytest.mark.parametrize("edit", [False, True], ids=["same-text", "edited"])
 def test_index_drops_the_facts_of_a_renamed_file(runner, repo, edit):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
 
@@ -143,7 +141,6 @@ def test_complete_write_back_keeps_the_indexed_windows(runner, repo):
 
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     indexed = windows()
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
     assert windows() == indexed
@@ -171,7 +168,6 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     """A store in the version-6 layout, a window line and then a file-facts
     line, is ignored whatever its second line holds, and ``index`` replaces it."""
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     first = json.dumps({"version": 6, "ast_paths": [], "windows": {}})
     files = json.dumps(stored_facts(repo))
@@ -180,7 +176,6 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     index_path(repo).write_text(broken)
     assert load_index(index_path(repo)) is None
 
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     assert index_path(repo).read_text() == broken
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
@@ -210,7 +205,6 @@ def test_a_version_7_store_is_ignored_and_rebuilt(runner, tmp_path):
         entry["windows"]["ast_paths"] = [f"v7/{path}" for path in entry["windows"]["ast_paths"]]
     write_store(index_path(repo), files, version=7)
     v7 = index_path(repo).read_bytes()
-    projdeps.facts_of.cache_clear()
     assert runner.invoke(main, args).output == completed
     assert runner.invoke(main, evaluate).output == evaluated
     assert index_path(repo).read_bytes() == v7

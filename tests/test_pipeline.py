@@ -183,27 +183,55 @@ def test_shared_index_equals_fresh_build(repo):
     assert all(e.snippet.path != "main.py" for e in with_shared.exemplars.entries)
 
 
-def test_one_shot_task_builds_no_posting_lists(repo, monkeypatch):
+def test_one_shot_task_builds_posting_lists_once(repo, monkeypatch):
     built = count_posting_builds(monkeypatch)
+    windows = len(build_index(repo, exclude="main.py").snippets)
     complete_task(make_task(repo))
     index_repo(repo)
     complete_task(make_task(repo))  # through the store
-    assert built == []
+    assert built == [windows, windows]
+
+
+def test_a_fresh_module_map_parses_again(repo, monkeypatch):
+    parses = count_parses(monkeypatch)
+    index = build_index(repo)
+    task = make_task(repo)
+    held = complete_task(task, index=index, module_map=projdeps.build_module_map(repo))
+    parses.clear()
+    fresh = complete_task(task, index=index, module_map=projdeps.build_module_map(repo))
+    assert {("projdeps", "main.py"), ("projdeps", "data_processor.py")} <= set(parses)
+    assert same_output(fresh, held)
+
+
+def test_an_unreadable_directory_is_reported_once(repo, monkeypatch):
+    real_scandir = os.scandir
+    hidden = repo / "lib"
+
+    def refuse(path="."):
+        if os.fspath(path) == os.fspath(hidden):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    result = complete_task(make_task(repo))
+    codes = [d.code for d in result.bundle.diagnostics if d.code == "unreadable_subtree"]
+    assert codes == ["unreadable_subtree"]
+    assert result.bundle.diagnostics[0].context == {"path": str(hidden)}
 
 
 def test_shared_index_builds_its_posting_lists_once(repo, monkeypatch):
-    built = count_posting_builds(monkeypatch)
-    shared = build_index(repo)
-    assert built == []  # not at build time
     tasks = [
         make_task(repo),
         make_task(repo, line=CURSOR - 1),
         make_task(repo, file="data_processor.py", line=1),
         make_task(repo, file="lib/text_utils.py", line=1),
     ]
-    for task in tasks:
-        shared_result = complete_task(task, index=shared)
-        assert shared_result.prompt.text == complete_task(task).prompt.text
+    one_shot = [complete_task(task).prompt.text for task in tasks]
+    built = count_posting_builds(monkeypatch)
+    shared = build_index(repo)
+    assert built == []  # not at build time
+    for task, text in zip(tasks, one_shot):
+        assert complete_task(task, index=shared).prompt.text == text
     assert built == [len(shared.snippets)]
     complete_task(make_task(repo), index=build_index(repo))
     assert built == [len(shared.snippets)] * 2  # once per index
@@ -393,7 +421,6 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
         return graph
 
     monkeypatch.setattr(pipeline, "build_graph", traced_build_graph)
-    projdeps.facts_of.cache_clear()
     index = build_index(repo)
     module_map = projdeps.build_module_map(repo)
 
@@ -422,12 +449,10 @@ def same_output(one, other) -> bool:
 
 def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
     index_repo(repo)
-    projdeps.facts_of.cache_clear()
     first = complete_task(make_task(repo))
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
 
     parses = count_parses(monkeypatch)
-    projdeps.facts_of.cache_clear()
     second = complete_task(make_task(repo))
     assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
     assert same_output(second, first)
@@ -435,7 +460,6 @@ def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
 
 def test_stored_module_edited_in_place_is_never_served_stale(repo):
     index_repo(repo)
-    projdeps.facts_of.cache_clear()
     complete_task(make_task(repo))
     assert "data_processor.py" in stored_paths(repo)
     module = repo / "data_processor.py"
@@ -446,11 +470,9 @@ def test_stored_module_edited_in_place_is_never_served_stale(repo):
     os.utime(module, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert (module.stat().st_size, module.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
 
-    projdeps.facts_of.cache_clear()
     stored = complete_task(make_task(repo))
     assert "def process_data(rec):" in project_section(stored)
     index_path(repo).unlink()
-    projdeps.facts_of.cache_clear()
     assert same_output(stored, complete_task(make_task(repo)))
 
 
@@ -464,7 +486,6 @@ def test_unreadable_module_is_never_stored(repo, fault):
         module.unlink()
         module.symlink_to(repo / "missing.py")
     for _ in range(2):
-        projdeps.facts_of.cache_clear()
         result = complete_task(make_task(repo))
         errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
         assert [d.context["path"] for d in errors] == ["data_processor.py"]
@@ -473,7 +494,6 @@ def test_unreadable_module_is_never_stored(repo, fault):
 
 def test_malformed_stored_facts_are_parsed_again(repo):
     index_repo(repo)
-    projdeps.facts_of.cache_clear()
     expected = complete_task(make_task(repo))
     good = read_store(index_path(repo))
     broken = [
@@ -491,11 +511,9 @@ def test_malformed_stored_facts_are_parsed_again(repo):
             files = json.loads(json.dumps(good))
             mutate(files[path]["facts"])
             write_store(index_path(repo), files)
-            projdeps.facts_of.cache_clear()
             assert same_output(complete_task(make_task(repo)), expected)
             assert read_store(index_path(repo))[path] == good[path]
     write_store(index_path(repo), dict.fromkeys(good, 7))
-    projdeps.facts_of.cache_clear()
     assert same_output(complete_task(make_task(repo)), expected)
     assert stored_paths(repo) == ["data_processor.py", "main.py"]
 
@@ -508,19 +526,16 @@ def test_failed_store_write_changes_nothing(repo, monkeypatch):
         raise PermissionError(13, "Read-only file system")
 
     monkeypatch.setattr(retrieval.os, "replace", refuse)
-    projdeps.facts_of.cache_clear()
     refused = complete_task(make_task(repo))
     assert index_path(repo).read_bytes() == before
     assert [p.name for p in index_path(repo).parent.iterdir()] == ["snippets.json"]
     monkeypatch.undo()
-    projdeps.facts_of.cache_clear()
     assert same_output(refused, complete_task(make_task(repo)))
     assert index_path(repo).read_bytes() != before
 
 
 def test_store_keeps_one_entry_per_path(repo):
     index_repo(repo)
-    projdeps.facts_of.cache_clear()
     module = repo / "data_processor.py"
     for i in range(3):
         module.write_text(PROCESSOR_PY.replace("row.strip()", f"row.strip()[{i}]"))
@@ -555,16 +570,16 @@ def _records(bundle):
     ]
 
 
-def test_reused_facts_equal_fresh_ones_on_every_dep_case(dep_case_table):
+def test_reused_facts_equal_fresh_ones_on_every_dep_case(dep_case_table, monkeypatch):
     root = TESTS_DIR / "dep_cases"
-    module_map = projdeps.build_module_map(root)
+    parses = count_parses(monkeypatch)
     for name, _text, _tree, cursor in dep_case_table:
-        projdeps.facts_of.cache_clear()
+        module_map = projdeps.build_module_map(root)
         extract_context(root, name, 0, module_map=module_map)  # the facts are built here
+        parses.clear()
         reused = extract_context(root, name, cursor, module_map=module_map)
-        assert projdeps.facts_of.cache_info().hits > 0
-        projdeps.facts_of.cache_clear()
-        fresh = extract_context(root, name, cursor, module_map=module_map)
+        assert [module for module, _ in parses] == ["funcflow"], name  # the slice alone
+        fresh = extract_context(root, name, cursor)
         assert reused == fresh, name
         # SymbolRecord.refs is left out of record equality, so compare it on its own
         assert [r and r.refs for r in _records(reused)] == [r and r.refs for r in _records(fresh)], name
@@ -581,7 +596,6 @@ def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path):
     write_repo(tmp_path, files)
     (tmp_path / "broken.py").write_bytes(b"\xff not utf8")
     task = make_task(tmp_path, line=CURSOR + 1)
-    projdeps.facts_of.cache_clear()
 
     cold = complete_task(task)
     warm = complete_task(task)

@@ -12,6 +12,7 @@ from repolens.projdeps import (
     build_module_map,
     cross_module_deps,
 )
+from repolens.retrieval import Store
 from repolens.syntax import (
     ImportRecord,
     SourceFile,
@@ -118,8 +119,7 @@ def test_module_map_sees_module_added_without_directory_mtime_change(tmp_path):
     assert "two" in build_module_map(tmp_path).entries
 
 
-def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
-    projdeps.facts_of.cache_clear()
+def test_module_map_keeps_facts_by_path_and_content(tmp_path, monkeypatch):
     parsed = []
     real_parse = projdeps.parse
 
@@ -128,23 +128,33 @@ def test_module_facts_keyed_by_content_and_bounded(tmp_path, monkeypatch):
         return real_parse(file)
 
     monkeypatch.setattr(projdeps, "parse", counted_parse)
-    limit = projdeps.facts_of.cache_info().maxsize
-    assert limit == 256
-    texts = [f"def f{i}():\n    return {i}\n" for i in range(limit + 1)]
-    for checkout in ("one", "two"):
-        write_repo(tmp_path / checkout, {"m0.py": texts[0]})
-    for checkout in ("one", "two"):  # the same path and text in another checkout is the same entry
-        (dep,) = cross_module_deps([_record("m0", ("f0", "f0"))], {"f0"}, build_module_map(tmp_path / checkout))
-        assert dep.resolved.name == "f0"
-    assert parsed == texts[:1]
-    first = projdeps.facts_of("m0.py", texts[0])
-    for i in range(1, limit + 1):  # the last one drops m0, the oldest
-        projdeps.facts_of(f"m{i}.py", texts[i])
-    assert parsed == texts
-    again = projdeps.facts_of("m0.py", texts[0])
-    assert again is not first
-    assert again == first
-    assert parsed == texts + texts[:1]
+    one, two = "def f():\n    return 1\n", "def f():\n    return 2\n"
+    deep = "x = " + "not " * 2000 + "c )\n"  # nested too deeply for parso
+    write_repo(tmp_path, {"m.py": one, "deep.py": deep})
+    mmap = build_module_map(tmp_path)
+    imports = [_record("m", ("f", "f")), _record("deep", ("x", "x"))]
+    for _ in range(2):
+        diagnostics = []
+        dep, _ = cross_module_deps(imports, {"f"}, mmap, diagnostics)
+        assert dep.resolved.code == "def f():\n    return 1"
+        # a file that cannot be parsed is never kept: it reports, and is parsed again, on every pass
+        assert [(d.code, d.context["path"]) for d in diagnostics] == [("resolution_error", "deep.py")]
+    assert parsed == [one, deep, deep]  # an unchanged file is parsed once per map
+
+    parsed.clear()
+    first = mmap.facts("m.py", one)
+    assert mmap.facts("m.py", two).definitions[0].code == "def f():\n    return 2"
+    again = mmap.facts("m.py", one)  # the edit replaced the path's one entry
+    assert again is not first and again == first
+    assert parsed == [two, one]
+    assert build_module_map(tmp_path).facts("m.py", one) is not first  # a new map keeps nothing
+
+    parsed.clear()
+    store = Store(tmp_path / "store.json", {})
+    kept = build_module_map(tmp_path).facts("m.py", one, store)
+    assert parsed == [one] and store.changed
+    assert build_module_map(tmp_path).facts("m.py", one, store) == kept  # decoded from the store
+    assert parsed == [one]
 
 
 def test_same_text_at_two_paths_resolves_relative_imports_per_path(tmp_path):
@@ -154,10 +164,12 @@ def test_same_text_at_two_paths_resolves_relative_imports_per_path(tmp_path):
         {"a/__init__.py": "x = 'from a'\n", "a/mod.py": mod, "b/__init__.py": "x = 'from b'\n", "b/mod.py": mod},
     )
     mmap = build_module_map(tmp_path)
+    kept = {}
     for package in ("a", "b"):
-        facts = projdeps.facts_of(f"{package}/mod.py", mod)
+        facts = kept[package] = mmap.facts(f"{package}/mod.py", mod)
         (dep,) = cross_module_deps(facts.imports, {"x"}, mmap)
         assert (dep.resolved_path, dep.resolved.code) == (f"{package}/__init__.py", f"x = 'from {package}'")
+    assert mmap.facts("a/mod.py", mod) is kept["a"]  # one entry per path
 
 
 def test_classify_full_name_suffix_and_external(tmp_path):

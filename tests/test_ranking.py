@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repolens import projdeps
 from repolens.config import PipelineConfig
 from repolens.filedeps import explicit_deps, potential_deps
 from repolens.funcflow import local_slice
@@ -436,7 +435,7 @@ def test_node_reference_sets_match_reparse_oracle():
                         code = tree.file.span_text(span(node))
                         assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
                         checked += 1
-            facts = projdeps.facts_of(path.name, text)
+            facts = file_facts(tree)
             assert _as_sets(facts.refs) == _oracle_reference_sets(text), where
             for record in facts.definitions:
                 assert _as_sets(record.refs) == _oracle_reference_sets(record.code), (where, record.name)

@@ -18,7 +18,6 @@ from repolens.config import PipelineConfig
 from repolens.errors import EmbeddingBackendError
 from repolens.retrieval import (
     DenseScorer,
-    LexicalScorer,
     Snippet,
     SnippetIndex,
     Store,
@@ -593,9 +592,14 @@ def _window(path, start, tokens):
 
 
 def _full_scan(snippets, query, n, exclude):
-    kept = [s for s in snippets if s.path != exclude]
-    ranked = sorted(zip(kept, LexicalScorer().scores(query, kept)), key=lambda pair: (-pair[1], pair[0].snippet_id))
-    return ranked[:n]
+    bag = identifier_tokens(query)
+    scored = [(s, retrieval._jaccard(bag, s.tokens)) for s in snippets if s.path != exclude]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0].snippet_id))[:n]
+
+
+class _FailingScorer:
+    def scores(self, query, snippets):
+        raise EmbeddingBackendError("no backend")
 
 
 def _ids_and_floats(pairs):
@@ -638,7 +642,8 @@ def test_posting_lists_return_the_full_scan(windows, bag, n, exclude):
     expected = _ids_and_floats(_full_scan(snippets, query, n, exclude))
     for _ in range(2):  # the second query reuses the posting lists
         assert _ids_and_floats(semantic_candidates(index, query, n, exclude=exclude)) == expected
-    assert _ids_and_floats(semantic_candidates(index, query, n, LexicalScorer(), exclude=exclude)) == expected
+    # the lexical fallback of a failed dense scorer
+    assert _ids_and_floats(semantic_candidates(index, query, n, _FailingScorer(), exclude=exclude)) == expected
 
 
 def test_structure_score_hand_cases():
@@ -683,7 +688,9 @@ def test_lexical_and_structure_scores_are_intersection_over_union(query, bags):
 
     expected = [oracle(query, bag) for bag in bags]
     snippets = [make_snippet(f"s{i}", bag, bag) for i, bag in enumerate(bags)]
-    assert LexicalScorer().scores(" ".join(sorted(query)), snippets) == expected
+    index = SnippetIndex(window=1, stride=1, snippets=snippets)
+    scored = {s.snippet_id: score for s, score in semantic_candidates(index, " ".join(sorted(query)), len(bags))}
+    assert [scored[s.snippet_id] for s in snippets] == expected
     assert [structure_score(query, s.ast_paths) for s in snippets] == expected
 
 
