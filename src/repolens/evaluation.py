@@ -25,7 +25,7 @@ from .errors import BackendError, EmptyBenchmarkError, RepoLensError
 from .gateway import generate, read_fixture_table
 from .pipeline import CompletionTask, TaskResult, complete_task
 from .projdeps import ModuleMap, build_module_map
-from .retrieval import DenseScorer, SnippetIndex, Store, build_index, index_path, load_index
+from .retrieval import SnippetIndex, build_index, index_path, load_index
 
 _WS_RUN = re.compile(r"[ \t]+")
 _IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -212,12 +212,13 @@ def run_benchmark(
 ) -> MetricReport:
     """Full pipeline plus generation and scoring for every task.
 
-    Context extraction runs sequentially (module maps and snippet indexes
-    are shared per repository; the repository's ``.repolens/snippets.json``
-    store is read once, for the windows and file facts it holds, and the
-    windows and facts that had to be computed are written back to it once,
-    a failed write being ignored; one dense scorer serves every task);
-    generation fans out over a worker pool.
+    Context extraction runs sequentially, with one module map and one
+    snippet index per repository. Each map is built over the repository's
+    ``.repolens/snippets.json`` store, read once for the windows and file
+    facts it holds; the windows and facts that had to be computed are
+    written back to it once, a failed write being ignored. With an
+    embedding endpoint, each index keeps the vectors of its window texts.
+    Generation fans out over a worker pool.
     A failing task scores zero and carries its error message; the rest of
     the batch still completes. A faulty ``fixture_path`` file fails the run
     with ``ConfigError`` before any task; rows come back sorted by task id.
@@ -229,34 +230,23 @@ def run_benchmark(
         fixture_table = read_fixture_table(cfg.fixture_path)
 
     module_maps: dict[Path, ModuleMap] = {}
-    stores: dict[Path, Store | None] = {}
     indexes: dict[Path, SnippetIndex] = {}
     results: dict[str, TaskResult] = {}
     failures: dict[str, str] = {}
-    scorer = None
-    if cfg.embedding_endpoint:
-        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
     for task in tasks:
         root = Path(task.repo)
         try:
             if root not in indexes:
-                module_maps[root] = build_module_map(root)
-                stores[root] = load_index(index_path(root))
-                indexes[root] = build_index(root, cfg.window, cfg.stride, reuse=stores[root])
+                module_maps[root] = build_module_map(root, store=load_index(index_path(root)))
+                indexes[root] = build_index(root, cfg.window, cfg.stride, reuse=module_maps[root].store)
             results[task.task_id] = complete_task(
-                task,
-                cfg,
-                ablate=ablate,
-                index=indexes[root],
-                module_map=module_maps[root],
-                scorer=scorer,
-                store=stores[root],
+                task, cfg, ablate=ablate, index=indexes[root], module_map=module_maps[root]
             )
         except (RepoLensError, OSError, ValueError) as exc:
             failures[task.task_id] = f"{type(exc).__name__}: {exc}"
-    for store in stores.values():
-        if store is not None:
-            store.flush()
+    for module_map in module_maps.values():
+        if module_map.store is not None:
+            module_map.store.flush()
 
     def run_one(task: CompletionTask) -> tuple[str, str, float, str]:
         tick = time.perf_counter()

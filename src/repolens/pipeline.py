@@ -30,10 +30,8 @@ from .ranking import (
     select_topk,
 )
 from .retrieval import (
-    DenseScorer,
     ExemplarSet,
     SnippetIndex,
-    Store,
     ast_paths_of,
     build_index,
     index_path,
@@ -97,26 +95,25 @@ def extract_context(
     cfg: PipelineConfig | None = None,
     *,
     module_map: ModuleMap | None = None,
-    store: Store | None = None,
 ) -> ContextBundle:
     """Run the three static-analysis levels for one cursor position.
 
-    Every file is read through the facts of ``module_map`` (a new map when
-    none is passed) over ``store``, so a caller that holds the map parses
-    an unchanged file once."""
+    Every file is read through the facts of ``module_map`` (a new map, with
+    no store, when none is passed), so a caller that holds the map parses an
+    unchanged file once. The diagnostics start with the map's own."""
 
     cfg = cfg or PipelineConfig()
-    diagnostics: list[Diagnostic] = []
     if module_map is None:
-        module_map = build_module_map(repo_root, diagnostics)
+        module_map = build_module_map(repo_root)
+    diagnostics = list(module_map.diagnostics)
     file = load_source(repo_root, rel_file)
-    facts = module_map.facts(file.path, file.text, store)
+    facts = module_map.facts(file.path, file.text)
     slice_ = local_slice(facts, line)
     uses = set(slice_.owner.refs.used) if slice_.owner is not None else set()
     defs = definitions_before(facts, line)
     file_deps = explicit_deps(defs, uses, slice_.owner, body_preview_lines=cfg.body_preview_lines)
     file_deps += potential_deps(defs, uses, body_preview_lines=cfg.body_preview_lines)
-    project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics, store)
+    project_deps = cross_module_deps(facts.imports, uses, module_map, diagnostics)
     return ContextBundle(
         file=file,
         line=line,
@@ -155,25 +152,16 @@ def complete_task(
     ablate: str | None = None,
     index: SnippetIndex | None = None,
     module_map: ModuleMap | None = None,
-    scorer=None,
-    store: Store | None = None,
 ) -> TaskResult:
     """Build the prompt for one task; generation is the caller's business.
 
-    A ``module_map`` keeps the facts of every file read through it, so a
-    caller that passes one map to every task parses an unchanged file once;
-    without one, the task builds its own. A shared ``index`` may cover the
-    whole repository; retrieval skips the target file's windows, so results
-    match a fresh build that excluded the file, and scores it through the
-    index's posting lists, built on its first task. File facts are then
-    looked up only in the caller's ``store``, which the caller writes back.
-    Without an index, the repository's store
-    (``<repo>/.repolens/snippets.json``) is read once: the index is built
-    with the target excluded, decoding the windows of every unchanged file
-    from it, and queried once through its posting lists; every file read is
-    looked up in the store before it is parsed, and the windows and facts
-    that had to be computed are written back to it once, a failed write
-    being ignored.
+    A caller that completes many tasks holds one ``module_map`` and one
+    ``index`` and passes both to every task; retrieval skips the target
+    file's windows, so results match a fresh build that excluded it. Without
+    an index, the task builds its map over the repository's store
+    (``<repo>/.repolens/snippets.json``) unless a map is passed, builds an
+    index with the target excluded from the map's store, and writes back what
+    it had to compute, a failed write being ignored.
     """
 
     cfg = cfg or PipelineConfig()
@@ -181,9 +169,10 @@ def complete_task(
         raise ConfigError(f"unknown ablation variant {ablate!r}; pick one of {ABLATION_VARIANTS}")
 
     started = time.perf_counter()
-    if index is None:
-        store = load_index(index_path(task.repo))
-    bundle = extract_context(task.repo, task.file, task.line, cfg, module_map=module_map, store=store)
+    if module_map is None:
+        store = load_index(index_path(task.repo)) if index is None else None
+        module_map = build_module_map(task.repo, store=store)
+    bundle = extract_context(task.repo, task.file, task.line, cfg, module_map=module_map)
     context_ms = (time.perf_counter() - started) * 1000
 
     if task.prefix_override is not None:
@@ -203,8 +192,6 @@ def complete_task(
     rank_ms = (time.perf_counter() - tick) * 1000
 
     tick = time.perf_counter()
-    if scorer is None and cfg.embedding_endpoint:
-        scorer = DenseScorer(cfg.embedding_endpoint, timeout=cfg.timeout)
     if index is None:
         index = build_index(
             task.repo,
@@ -212,11 +199,19 @@ def complete_task(
             cfg.stride,
             exclude=task.file,
             diagnostics=bundle.diagnostics,
-            reuse=store,
+            reuse=module_map.store,
         )
-        if store is not None:
-            store.flush()
-    pool = semantic_candidates(index, target_code, cfg.pool_size, scorer, bundle.diagnostics, exclude=task.file)
+        if module_map.store is not None:
+            module_map.store.flush()
+    pool = semantic_candidates(
+        index,
+        target_code,
+        cfg.pool_size,
+        bundle.diagnostics,
+        task.file,
+        endpoint=cfg.embedding_endpoint,
+        timeout=cfg.timeout,
+    )
     weights = (1.0, 0.0) if ablate == "no-sm" else cfg.weights
     exemplars = rerank(pool, ast_paths_of(target_code), weights, cfg.k_final)
     retrieve_ms = (time.perf_counter() - tick) * 1000

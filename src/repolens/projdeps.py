@@ -7,18 +7,17 @@ yet used) dependencies. Cross-file entries carry the resolved definition
 parsed out of the mapped source file.
 
 ``build_module_map`` walks the tree on every call, so a new map always
-reflects the tree and reports its diagnostics. The map then keeps the
-``syntax.FileFacts`` of every file read through it (:meth:`ModuleMap.facts`),
-the target file and each imported module alike: one entry per
-repository-relative path (relative imports resolve against the path),
-reused while the file's text is the same. Every lookup reads the file, so an
-in-place edit is never served stale; no syntax tree is kept. A caller that
-loaded the repository's ``.repolens`` store passes it along: a lookup the
-map cannot answer then decodes the stored facts of that path and text
-before it parses, and keeps what it parsed in the store. Files that cannot
-be read or parsed are never kept and report on every call. The package
-keeps no state of its own: the facts live as long as the caller holds the
-map.
+reflects the tree and keeps the diagnostics of its walk. The map then keeps
+the ``syntax.FileFacts`` of every file read through it
+(:meth:`ModuleMap.facts`), the target file and each imported module alike:
+one entry per repository-relative path (relative imports resolve against
+the path), reused while the file's text is the same. Every lookup reads the
+file, so an in-place edit is never served stale; no syntax tree is kept. A
+map built over the repository's ``.repolens`` store decodes the stored facts
+of a path and text it has no entry for before it parses, and keeps what it
+parsed in the store. Files that cannot be read or parsed are never kept and
+report on every call. The package keeps no state of its own: the facts live
+as long as the caller holds the map.
 """
 
 from __future__ import annotations
@@ -47,23 +46,25 @@ class ModuleMap:
 
     root: str
     entries: dict[str, str]
+    diagnostics: tuple[Diagnostic, ...] = ()
+    store: Store | None = field(default=None, repr=False, compare=False)
     _facts: dict[str, FileFacts] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def path_of(self, dotted: str) -> str | None:
         return self.entries.get(dotted)
 
-    def facts(self, path: str, text: str, store: Store | None = None) -> FileFacts:
+    def facts(self, path: str, text: str) -> FileFacts:
         """The facts of ``text`` read as the file at the repository-relative
         ``path``: the map's entry for that path while its text is the same,
-        otherwise the facts stored in ``store`` for that path and text, or
-        else parsed and kept in ``store``."""
+        otherwise the facts its store holds for that path and text, or else
+        parsed and kept in the store."""
         facts = self._facts.get(path)
         if facts is None or facts.file.text != text:
-            facts = store.facts(path, text) if store is not None else None
+            facts = self.store.facts(path, text) if self.store is not None else None
             if facts is None:
                 facts = file_facts(parse(SourceFile.from_text(path, text)))
-                if store is not None:
-                    store.keep(facts)
+                if self.store is not None:
+                    self.store.keep(facts)
             self._facts[path] = facts
         return facts
 
@@ -119,19 +120,19 @@ def _dotted_name(rel: PurePosixPath) -> str | None:
     return ".".join(parts)
 
 
-def build_module_map(
-    repo_root: Path | str, diagnostics: list[Diagnostic] | None = None
-) -> ModuleMap:
+def build_module_map(repo_root: Path | str, *, store: Store | None = None) -> ModuleMap:
     """Recursively scan ``repo_root`` and register every Python file.
 
     ``a/b/c.py`` maps from ``a.b.c``; a package's ``__init__.py`` maps from
     the package name itself. A root-level ``__init__.py`` has no dotted
     name and is skipped. When a module file and a package collide on the
-    same dotted name the package wins and the collision is recorded.
+    same dotted name the package wins and the collision is recorded in the
+    map's ``diagnostics``. The map reads and keeps file facts in ``store``.
     """
 
     root = Path(repo_root).resolve()
     entries: dict[str, str] = {}
+    diagnostics: list[Diagnostic] = []
     for path in _iter_source_files(root, diagnostics):
         rel = PurePosixPath(path.relative_to(root).as_posix())
         dotted = _dotted_name(rel)
@@ -139,19 +140,18 @@ def build_module_map(
             continue
         if dotted in entries:
             is_package = rel.name == "__init__.py"
-            if diagnostics is not None:
-                diagnostics.append(
-                    Diagnostic(
-                        code="module_collision",
-                        message=f"both {entries[dotted]} and {rel} map to {dotted}",
-                        context={"dotted": dotted, "kept": str(rel if is_package else entries[dotted])},
-                    )
+            diagnostics.append(
+                Diagnostic(
+                    code="module_collision",
+                    message=f"both {entries[dotted]} and {rel} map to {dotted}",
+                    context={"dotted": dotted, "kept": str(rel if is_package else entries[dotted])},
                 )
+            )
             if not is_package:
                 continue
         entries[dotted] = str(rel)
 
-    return ModuleMap(root=str(root), entries=entries)
+    return ModuleMap(root=str(root), entries=entries, diagnostics=tuple(diagnostics), store=store)
 
 
 def _resolve_module(
@@ -182,10 +182,9 @@ class _ModuleReader:
     """Reads each mapped module at most once per dependency pass and
     reports each one that cannot be read or parsed once per pass."""
 
-    def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None, store: Store | None):
+    def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None):
         self._map = module_map
         self._diagnostics = diagnostics
-        self._store = store
         self._loaded: dict[str, FileFacts | None] = {}
 
     def get(self, dotted: str) -> FileFacts | None:
@@ -193,7 +192,7 @@ class _ModuleReader:
             rel = self._map.path_of(dotted)
             try:
                 text = (Path(self._map.root) / rel).read_text(encoding="utf-8")
-                self._loaded[dotted] = self._map.facts(rel, text, self._store)
+                self._loaded[dotted] = self._map.facts(rel, text)
             except (OSError, UnicodeDecodeError, ValueError) as err:
                 self._loaded[dotted] = None
                 if self._diagnostics is not None:
@@ -249,7 +248,6 @@ def cross_module_deps(
     uses: set[str],
     module_map: ModuleMap,
     diagnostics: list[Diagnostic] | None = None,
-    store: Store | None = None,
 ) -> list[CrossModuleDependency]:
     """Partition imported entities into explicit and potential dependencies.
 
@@ -259,10 +257,10 @@ def cross_module_deps(
     is potential. Cross-file entities resolve their definition from the
     mapped source file; wildcard imports register the module itself as a
     single potential dependency. Modules are read through
-    :meth:`ModuleMap.facts` over ``store``.
+    :meth:`ModuleMap.facts`.
     """
 
-    reader = _ModuleReader(module_map, diagnostics, store)
+    reader = _ModuleReader(module_map, diagnostics)
     deps: list[CrossModuleDependency] = []
     for rec in imports:
         origin, key = _resolve_module(rec.module_path, module_map, diagnostics)

@@ -1,10 +1,11 @@
 """Sliding-window snippet index, similarity scoring and re-ranking.
 
-Candidates come from a plain lexical scorer (identifier-bag Jaccard, through
-the index's posting lists) or an optional dense scorer speaking JSON over
-HTTP; either way the pool is then re-ranked by a weighted blend of the
-semantic score and an AST-path Jaccard similarity, so structurally close
-snippets rise even when identifiers differ.
+Candidates come from a plain lexical score (identifier-bag Jaccard, through
+the index's posting lists) or, given an embedding endpoint, from the cosine
+of vectors fetched as JSON over HTTP and kept on the index; either way the
+pool is then re-ranked by a weighted blend of the semantic score and an
+AST-path Jaccard similarity, so structurally close snippets rise even when
+identifiers differ.
 """
 
 from __future__ import annotations
@@ -60,12 +61,15 @@ class Snippet:
 
 @dataclass(frozen=True, slots=True)
 class SnippetIndex:
-    """Windows over a repository, in file order then start order."""
+    """Windows over a repository, in file order then start order, with what
+    queries compute once and keep: the posting lists and each endpoint's
+    vector of each window text it embedded, keyed by (endpoint, text)."""
 
     window: int
     stride: int
     snippets: list[Snippet]
     _postings: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+    _vectors: dict[tuple[str, str], list[float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def postings(self) -> dict[str, list[int]]:
         """Each token's posting list, built on first use (see ``_posting_lists``)."""
@@ -384,39 +388,37 @@ def _cosine(a: list[float], b: list[float]) -> float:
     return dot / norm
 
 
-class DenseScorer:
-    """Embedding-endpoint scorer: POST {texts: [...]} -> {vectors: [[...]]}.
+def _embed(endpoint: str, texts: list[str], timeout: float) -> list[list[float]]:
+    """POST {texts: [...]} to ``endpoint`` and read back {vectors: [[...]]}."""
+    try:
+        vectors = post_json(endpoint, {"texts": texts}, timeout)["vectors"]
+    except (BackendError, KeyError, TypeError) as err:
+        raise EmbeddingBackendError(f"embedding request failed: {err}") from err
+    # checked before any vector is kept on an index, where a bad one would fail every later query
+    if not (isinstance(vectors, list) and len(vectors) == len(texts) and all(map(_is_vector, vectors))):
+        raise EmbeddingBackendError("embedding reply is not one list of numbers per text")
+    return vectors
 
-    Snippet vectors are requested once per distinct text and cached by that
-    text, so an id that names edited text after an index rebuild is embedded
-    afresh; the query is embedded per call. Cosine similarities are min-max
-    normalized per query so downstream weighting sees [0, 1].
-    """
 
-    def __init__(self, endpoint: str, timeout: float = PipelineConfig.timeout):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self._vectors: dict[str, list[float]] = {}
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and all(type(x) in (int, float) for x in value)
 
-    def _embed(self, texts: list[str]) -> list[list[float]]:
-        try:
-            vectors = post_json(self.endpoint, {"texts": texts}, self.timeout)["vectors"]
-        except (BackendError, KeyError, TypeError) as err:
-            raise EmbeddingBackendError(f"embedding request failed: {err}") from err
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise EmbeddingBackendError("embedding reply does not match request size")
-        return vectors
 
-    def scores(self, query: str, snippets: list[Snippet]) -> list[float]:
-        missing = list(dict.fromkeys(s.text for s in snippets if s.text not in self._vectors))
-        if missing:
-            self._vectors.update(zip(missing, self._embed(missing)))
-        query_vec = self._embed([query])[0]
-        sims = [_cosine(query_vec, self._vectors[s.text]) for s in snippets]
-        low, high = min(sims, default=0.0), max(sims, default=0.0)
-        if high == low:
-            return [1.0 if high > 0 else 0.0 for _ in sims]
-        return [(x - low) / (high - low) for x in sims]
+def _dense_scores(index: SnippetIndex, query: str, snippets: list[Snippet], endpoint: str, timeout: float) -> list[float]:
+    """Cosine of each snippet's vector with the query's, min-max normalized
+    per query so downstream weighting sees [0, 1]. A text the index holds
+    no vector of from ``endpoint`` is embedded once; the query is embedded
+    per call."""
+    vectors = index._vectors
+    missing = list(dict.fromkeys(s.text for s in snippets if (endpoint, s.text) not in vectors))
+    if missing:
+        vectors.update(zip([(endpoint, text) for text in missing], _embed(endpoint, missing, timeout)))
+    query_vec = _embed(endpoint, [query], timeout)[0]
+    sims = [_cosine(query_vec, vectors[endpoint, s.text]) for s in snippets]
+    low, high = min(sims, default=0.0), max(sims, default=0.0)
+    if high == low:
+        return [1.0 if high > 0 else 0.0 for _ in sims]
+    return [(x - low) / (high - low) for x in sims]
 
 
 def _top(n: int, scored) -> list[tuple[Snippet, float]]:
@@ -454,31 +456,35 @@ def semantic_candidates(
     index: SnippetIndex,
     query: str,
     n: int = PipelineConfig.pool_size,
-    scorer=None,
     diagnostics: list[Diagnostic] | None = None,
     exclude: str | None = None,
+    *,
+    endpoint: str = PipelineConfig.embedding_endpoint,
+    timeout: float = PipelineConfig.timeout,
 ) -> list[tuple[Snippet, float]]:
     """Top-n snippets by semantic score, then by id, leaving out the windows
     of the file ``exclude``.
 
-    Without a scorer, or when the dense ``scorer`` fails, the scores are
-    lexical and come through the index's posting lists, built on its first
-    such query.
+    With an embedding ``endpoint`` the scores are dense (``_dense_scores``),
+    from vectors kept on the index, so each window text is embedded once
+    per index and endpoint. Without one, or when the endpoint fails (one
+    ``embedding_fallback`` diagnostic), the scores are lexical and come
+    through the index's posting lists, built on its first such query.
     """
 
-    if scorer is None:
+    if not endpoint:
         return _lexical_top(index, query, n, exclude)
     snippets = index.snippets
     if exclude is not None:
         snippets = [s for s in snippets if s.path != exclude]
     try:
-        values = scorer.scores(query, snippets)
+        values = _dense_scores(index, query, snippets, endpoint, timeout)
     except EmbeddingBackendError as err:
         if diagnostics is not None:
             diagnostics.append(
                 Diagnostic(
                     code="embedding_fallback",
-                    message=f"dense scorer failed, using lexical: {err}",
+                    message=f"embedding endpoint failed, using lexical: {err}",
                     context={},
                 )
             )

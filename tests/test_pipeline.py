@@ -604,3 +604,32 @@ def test_prompt_and_diagnostics_same_with_cold_and_warm_caches(tmp_path):
     assert warm.bundle.diagnostics == cold.bundle.diagnostics
     assert warm.prompt == cold.prompt
     assert warm.graph.edges == cold.graph.edges
+
+
+def test_diagnostics_do_not_depend_on_how_state_is_held(tmp_path, monkeypatch):
+    main = MAIN_PY.replace(
+        "from data_processor import process_data, parse_code\n",
+        "from data_processor import process_data, parse_code, missing\n",
+    )
+    files = {"main.py": main, "data_processor.py": PROCESSOR_PY, "lib/text_utils.py": UTILS_PY}
+    # a module and a package that map to the same dotted name, and a directory that cannot be listed
+    files |= {"pkg.py": "x = 1\n", "pkg/__init__.py": "y = 2\n", "hidden/mod.py": "z = 3\n"}
+    write_repo(tmp_path, files)
+    real_scandir = os.scandir
+
+    def refuse(path="."):
+        if os.fspath(path) == os.fspath(tmp_path / "hidden"):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refuse)
+    task = make_task(tmp_path, line=CURSOR + 1)
+    one_shot = complete_task(task)
+    module_map = projdeps.build_module_map(tmp_path)
+    held = complete_task(task, index=build_index(tmp_path), module_map=module_map)
+    codes = [d.code for d in one_shot.bundle.diagnostics]
+    assert codes == ["unreadable_subtree", "module_collision", "resolution_error"]
+    assert held.bundle.diagnostics == one_shot.bundle.diagnostics
+    # a held map reports its walk on every task
+    again = complete_task(task, index=build_index(tmp_path), module_map=module_map)
+    assert again.bundle.diagnostics == one_shot.bundle.diagnostics

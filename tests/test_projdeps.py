@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repolens import projdeps
 from repolens.funcflow import local_slice
 from repolens.projdeps import (
@@ -97,10 +99,11 @@ def test_module_map_empty_repo(tmp_path):
 
 def test_module_map_package_wins_collision(tmp_path):
     write_repo(tmp_path, {"pkg.py": "x = 1\n", "pkg/__init__.py": "y = 2\n"})
-    diagnostics = []
-    mmap = build_module_map(tmp_path, diagnostics)
+    mmap = build_module_map(tmp_path)
     assert mmap.entries["pkg"] == "pkg/__init__.py"
-    assert [d.code for d in diagnostics] == ["module_collision"]
+    assert [d.code for d in mmap.diagnostics] == ["module_collision"]
+    with pytest.raises(TypeError):  # the store is keyword-only: a stray positional list is refused
+        build_module_map(tmp_path, [])
 
 
 def test_module_map_sees_module_added_after_first_build(tmp_path):
@@ -151,9 +154,9 @@ def test_module_map_keeps_facts_by_path_and_content(tmp_path, monkeypatch):
 
     parsed.clear()
     store = Store(tmp_path / "store.json", {})
-    kept = build_module_map(tmp_path).facts("m.py", one, store)
+    kept = build_module_map(tmp_path, store=store).facts("m.py", one)
     assert parsed == [one] and store.changed
-    assert build_module_map(tmp_path).facts("m.py", one, store) == kept  # decoded from the store
+    assert build_module_map(tmp_path, store=store).facts("m.py", one) == kept  # decoded from the store
     assert parsed == [one]
 
 

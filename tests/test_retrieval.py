@@ -8,6 +8,7 @@ import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from repolens import retrieval, syntax
 from repolens.config import PipelineConfig
 from repolens.errors import EmbeddingBackendError
 from repolens.retrieval import (
-    DenseScorer,
     Snippet,
     SnippetIndex,
     Store,
@@ -597,9 +597,8 @@ def _full_scan(snippets, query, n, exclude):
     return sorted(scored, key=lambda pair: (-pair[1], pair[0].snippet_id))[:n]
 
 
-class _FailingScorer:
-    def scores(self, query, snippets):
-        raise EmbeddingBackendError("no backend")
+def _failing_embed(endpoint, texts, timeout):
+    raise EmbeddingBackendError("no backend")
 
 
 def _ids_and_floats(pairs):
@@ -642,8 +641,10 @@ def test_posting_lists_return_the_full_scan(windows, bag, n, exclude):
     expected = _ids_and_floats(_full_scan(snippets, query, n, exclude))
     for _ in range(2):  # the second query reuses the posting lists
         assert _ids_and_floats(semantic_candidates(index, query, n, exclude=exclude)) == expected
-    # the lexical fallback of a failed dense scorer
-    assert _ids_and_floats(semantic_candidates(index, query, n, _FailingScorer(), exclude=exclude)) == expected
+    # the lexical fallback of a failed embedding endpoint
+    with mock.patch.object(retrieval, "_embed", _failing_embed):
+        fallback = semantic_candidates(index, query, n, exclude=exclude, endpoint="http://embed.invalid")
+    assert _ids_and_floats(fallback) == expected
 
 
 def test_structure_score_hand_cases():
@@ -794,8 +795,7 @@ def test_dense_scorer_ranks_by_cosine():
     index = SnippetIndex(window=1, stride=1, snippets=[near, mine, off])
 
     with http_stub(handler) as url:
-        scorer = DenseScorer(endpoint=url + "/embed")
-        top = semantic_candidates(index, "q", n=3, scorer=scorer, exclude="target.py")
+        top = semantic_candidates(index, "q", n=3, exclude="target.py", endpoint=url + "/embed")
     assert [s.snippet_id for s, _ in top] == ["near", "off"]
     assert top[0][1] == 1.0
     assert top[1][1] == 0.0
@@ -810,66 +810,107 @@ def _with_target_window():
     return SnippetIndex(window=1, stride=1, snippets=snippets)
 
 
-def test_dense_scorer_failure_falls_back_to_lexical():
-    index = _with_target_window()
-    scorer = DenseScorer(endpoint="http://127.0.0.1:9/unreachable", timeout=0.2)
+def _falls_back(endpoint, timeout=PipelineConfig.timeout):
+    """The pool and the diagnostic codes of a "shared thing" query through ``endpoint``."""
     diagnostics = []
-    top = semantic_candidates(index, "shared thing", n=3, scorer=scorer, diagnostics=diagnostics, exclude="target.py")
-    assert [s.snippet_id for s, _ in top] == ["a", "b"]
-    assert any(d.code == "embedding_fallback" for d in diagnostics)
+    top = semantic_candidates(
+        _with_target_window(), "shared thing", 3, diagnostics, "target.py", endpoint=endpoint, timeout=timeout
+    )
+    return [s.snippet_id for s, _ in top], [d.code for d in diagnostics]
+
+
+def test_dense_scorer_failure_falls_back_to_lexical():
+    assert _falls_back("http://127.0.0.1:9/unreachable", timeout=0.2) == (["a", "b"], ["embedding_fallback"])
 
 
 def test_dense_scorer_server_error_falls_back_to_lexical():
     def handler(path, payload, headers):
         return 500, {"error": "boom"}
 
-    index = _with_target_window()
-    diagnostics = []
     with http_stub(handler) as url:
-        scorer = DenseScorer(endpoint=url)
-        top = semantic_candidates(
-            index, "shared thing", n=3, scorer=scorer, diagnostics=diagnostics, exclude="target.py"
-        )
-    assert [s.snippet_id for s, _ in top] == ["a", "b"]
-    assert [d.code for d in diagnostics] == ["embedding_fallback"]
+        assert _falls_back(url) == (["a", "b"], ["embedding_fallback"])
 
 
-def test_dense_scorer_malformed_reply_raises():
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"unexpected": []},
+        {"vectors": "not a list"},
+        {"vectors": [[1.0, 0.0]]},
+        {"vectors": [None, [1.0, 0.0]]},
+        {"vectors": [[1.0, "0"], [1.0, 0.0]]},
+    ],
+    ids=["no-vectors", "not-a-list", "wrong-size", "null-vector", "string-element"],
+)
+def test_dense_malformed_reply_falls_back_to_lexical(reply):
     def handler(path, payload, headers):
-        return 200, {"unexpected": []}
+        return 200, reply
 
+    index = _with_target_window()
     with http_stub(handler) as url:
-        scorer = DenseScorer(endpoint=url)
-        with pytest.raises(EmbeddingBackendError):
-            scorer.scores("q", [make_snippet("s", {"x"})])
+        for _ in range(2):  # nothing malformed is kept on the index
+            diagnostics = []
+            top = semantic_candidates(index, "shared thing", 3, diagnostics, "target.py", endpoint=url)
+            assert [s.snippet_id for s, _ in top] == ["a", "b"]
+            assert [d.code for d in diagnostics] == ["embedding_fallback"]
+    assert index._vectors == {}
 
 
 def _recording_embedder(posted):
+    """Record each request's path and texts; the ``/other`` path embeds other features."""
+
     def handler(path, payload, headers):
-        posted.append(list(payload["texts"]))
-        return 200, {"vectors": [[float(len(t)), float(t.count("_")) + 1.0] for t in payload["texts"]]}
+        posted.append((path, list(payload["texts"])))
+        if path == "/other":
+            return 200, {"vectors": [[1.0, t.count("1") + 1.0] for t in payload["texts"]]}
+        return 200, {"vectors": [[float(len(t)), t.count("_") + 1.0] for t in payload["texts"]]}
 
     return handler
 
 
-def test_dense_scorer_embeds_each_text_once_and_edits_afresh(tmp_path):
+def test_dense_scorer_embeds_each_text_once_per_index(tmp_path):
     write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(30)})
-    old = build_index(tmp_path)
+    index = build_index(tmp_path)
+    posted = []
+    with http_stub(_recording_embedder(posted)) as url:
+        for query in ("value_3", "value_4", "value_3"):
+            semantic_candidates(index, query, endpoint=url)
+    texts = list(dict.fromkeys(s.text for s in index.snippets))
+    assert len(texts) < len(index.snippets)  # a.py and b.py hold the same windows
+    assert [batch for _, batch in posted] == [texts, ["value_3"], ["value_4"], ["value_3"]]
+
+
+def test_rebuilt_index_embeds_its_texts_afresh(tmp_path):
+    write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(30)})
     cache = index_repo(tmp_path, tmp_path / "index.json")
     posted = []
     with http_stub(_recording_embedder(posted)) as url:
-        scorer = DenseScorer(endpoint=url)
-        scorer.scores("value_3", old.snippets)
-        scorer.scores("value_4", old.snippets)
-        snippet_batches = [batch for batch in posted if batch[0] not in ("value_3", "value_4")]
-        embedded = [text for batch in snippet_batches for text in batch]
-        assert sorted(embedded) == sorted({s.text for s in old.snippets})
-
+        semantic_candidates(build_index(tmp_path, reuse=load_index(cache)), "value_3", endpoint=url)
         (tmp_path / "b.py").write_text(numbered_lines(29) + "edited = True\n")
         rebuilt = build_index(tmp_path, reuse=load_index(cache))
         posted.clear()
-        scorer.scores("value_5", rebuilt.snippets)
-    old_texts = {s.text for s in old.snippets}
-    assert posted[0] == [s.text for s in rebuilt.snippets if s.text not in old_texts]
-    assert any("edited = True" in text for text in posted[0])
-    assert posted[1:] == [["value_5"]]
+        semantic_candidates(rebuilt, "value_5", endpoint=url)
+    # the vectors live with the index, so unchanged texts are embedded again too
+    assert [batch for _, batch in posted] == [list(dict.fromkeys(s.text for s in rebuilt.snippets)), ["value_5"]]
+    assert any("edited = True" in text for text in posted[0][1])
+
+
+def test_two_endpoints_on_one_index_never_share_a_vector(tmp_path):
+    write_repo(tmp_path, {"a.py": numbered_lines(30), "b.py": numbered_lines(25) + "other = 1\n" * 5})
+    index = build_index(tmp_path)
+    texts = list(dict.fromkeys(s.text for s in index.snippets))
+    posted = []
+    with http_stub(_recording_embedder(posted)) as url:
+        first = semantic_candidates(index, "value_3", endpoint=url + "/one")
+        second = semantic_candidates(index, "value_3", endpoint=url + "/other")
+        again = semantic_candidates(index, "value_3", endpoint=url + "/one")
+        alone = semantic_candidates(build_index(tmp_path), "value_3", endpoint=url + "/other")
+    assert posted[:5] == [
+        ("/one", texts),
+        ("/one", ["value_3"]),
+        ("/other", texts),  # each endpoint embeds every text itself
+        ("/other", ["value_3"]),
+        ("/one", ["value_3"]),
+    ]
+    assert again == first
+    assert second == alone != first
