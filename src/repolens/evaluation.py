@@ -2,8 +2,10 @@
 
 Four line-level metrics: exact match after light whitespace normalization,
 Levenshtein edit similarity on the raw strings, identifier exact match, and
-identifier F1. The benchmark runner drives the full pipeline over a JSONL
-task file and aggregates per-task scores into a report.
+identifier F1. One model-free measure of the prompt rides along: novel
+recall, the share of the ground truth's identifiers the target does not show
+that the context does. The benchmark runner drives the full pipeline over a
+JSONL task file and aggregates per-task scores into a report.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .config import PipelineConfig
 from .errors import BackendError, EmptyBenchmarkError, RepoLensError
 from .gateway import generate, read_fixture_table
 from .pipeline import CompletionTask, TaskResult, complete_task
+from .prompting import PromptDocument
 from .projdeps import ModuleMap, build_module_map
-from .retrieval import SnippetIndex, build_index, index_path, load_index
+from .retrieval import SnippetIndex, build_index, identifier_tokens, index_path, load_index
 
 _WS_RUN = re.compile(r"[ \t]+")
 _IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -112,9 +115,27 @@ def identifier_f1(candidate: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def novel_id_recall(truth: str, prompt: PromptDocument) -> float | None:
+    """Share of the truth's novel identifiers found in the prompt's other
+    sections; None when there is none.
+
+    Identifiers are non-keyword names. The novel ones are those of ``truth``
+    that the target section does not hold: a section that only repeats the
+    target, as the control flow section does, earns nothing here.
+    """
+    target = "\n".join(body for kind, body in prompt.sections if kind == "target")
+    wanted = identifier_tokens(truth) - identifier_tokens(target)
+    if not wanted:
+        return None
+    seen = identifier_tokens("\n".join(body for kind, body in prompt.sections if kind != "target"))
+    return len(wanted & seen) / len(wanted)
+
+
 @dataclass(frozen=True)
 class TaskOutcome:
-    """Scores for one task; metric values are percentages."""
+    """Scores for one task; metric values are percentages. ``novel_recall``
+    is ``novel_id_recall`` of the task's prompt, None without a prompt or a
+    novel identifier."""
 
     task_id: str
     em: float
@@ -124,12 +145,15 @@ class TaskOutcome:
     latency_ms: float
     generated: str = ""
     error: str = ""
+    novel_recall: float | None = None
 
 
 @dataclass(frozen=True)
 class MetricReport:
     """Batch aggregates (the mean of the per-task percentages) plus the
-    per-task rows and a context-extraction vs. generation time split."""
+    per-task rows and a context-extraction vs. generation time split.
+    ``novel_recall`` is the mean over the ``novel_tasks`` rows that have
+    one, None when no row has."""
 
     em: float
     es: float
@@ -138,6 +162,8 @@ class MetricReport:
     per_task: list[TaskOutcome]
     pipeline_overhead_ms: float
     generation_ms: float
+    novel_recall: float | None = None
+    novel_tasks: int = 0
 
 
 def load_tasks(tasks_path: Path | str) -> list[CompletionTask]:
@@ -274,10 +300,12 @@ def run_benchmark(
         pipeline_total += pipeline_ms
         generation_total += gen_ms
         latency = pipeline_ms + gen_ms
-        if gen_error:
-            outcomes.append(_zero_outcome(task.task_id, latency, gen_error))
-            continue
         truth = task.ground_truth or ""
+        novel = novel_id_recall(truth, results[task.task_id].prompt)
+        novel = None if novel is None else 100.0 * novel
+        if gen_error:
+            outcomes.append(replace(_zero_outcome(task.task_id, latency, gen_error), novel_recall=novel))
+            continue
         outcomes.append(
             TaskOutcome(
                 task_id=task.task_id,
@@ -287,6 +315,7 @@ def run_benchmark(
                 f1=100.0 * identifier_f1(text, truth),
                 latency_ms=latency,
                 generated=text,
+                novel_recall=novel,
             )
         )
 
@@ -296,6 +325,7 @@ def run_benchmark(
         generation_total = 0.0
 
     count = len(outcomes)
+    novel = [row.novel_recall for row in outcomes if row.novel_recall is not None]
     return MetricReport(
         em=sum(row.em for row in outcomes) / count,
         es=sum(row.es for row in outcomes) / count,
@@ -304,6 +334,8 @@ def run_benchmark(
         per_task=outcomes,
         pipeline_overhead_ms=pipeline_total,
         generation_ms=generation_total,
+        novel_recall=sum(novel) / len(novel) if novel else None,
+        novel_tasks=len(novel),
     )
 
 
@@ -318,6 +350,7 @@ def report_json(report: MetricReport) -> dict:
             "f1": report.f1,
         },
         "task_count": len(report.per_task),
+        "novel_recall": {"mean": report.novel_recall, "tasks": report.novel_tasks},
         "pipeline_overhead_ms": report.pipeline_overhead_ms,
         "generation_ms": report.generation_ms,
         "per_task": [
@@ -330,28 +363,35 @@ def report_json(report: MetricReport) -> dict:
                 "latency_ms": row.latency_ms,
                 "generated": row.generated,
                 "error": row.error,
+                "novel_recall": row.novel_recall,
             }
             for row in report.per_task
         ],
     }
 
 
-def format_text(report: MetricReport) -> str:
-    """Fixed-width summary table with one row per task and a mean row."""
+def _percent(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2f}"
 
-    lines = [f"{'task_id':<12} {'em':>7} {'es':>7} {'id_em':>7} {'f1':>7} {'latency_ms':>11}"]
+
+def format_text(report: MetricReport) -> str:
+    """Fixed-width summary table with one row per task and a mean row; a
+    task without a novel identifier reads "-" under ``novel``."""
+
+    lines = [f"{'task_id':<12} {'em':>7} {'es':>7} {'id_em':>7} {'f1':>7} {'novel':>7} {'latency_ms':>11}"]
     for row in report.per_task:
         flag = f"  error: {row.error}" if row.error else ""
         lines.append(
             f"{row.task_id:<12} {row.em:>7.2f} {row.es:>7.2f} {row.id_em:>7.2f}"
-            f" {row.f1:>7.2f} {row.latency_ms:>11.1f}{flag}"
+            f" {row.f1:>7.2f} {_percent(row.novel_recall):>7} {row.latency_ms:>11.1f}{flag}"
         )
     lines.append(
         f"{'mean':<12} {report.em:>7.2f} {report.es:>7.2f} {report.id_em:>7.2f}"
-        f" {report.f1:>7.2f}"
+        f" {report.f1:>7.2f} {_percent(report.novel_recall):>7}"
     )
     lines.append(
         f"tasks: {len(report.per_task)}"
+        f"  novel recall over: {report.novel_tasks}"
         f"  pipeline: {report.pipeline_overhead_ms:.1f} ms"
         f"  generation: {report.generation_ms:.1f} ms"
     )
@@ -359,13 +399,14 @@ def format_text(report: MetricReport) -> str:
 
 
 def format_csv(report: MetricReport) -> str:
-    """Per-task rows as CSV, aggregates omitted."""
+    """Per-task rows as CSV, aggregates omitted; an empty ``novel_recall``
+    cell is a task without a novel identifier."""
 
     buffer = StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(["task_id", "em", "es", "id_em", "f1", "latency_ms", "error"])
+    writer.writerow(["task_id", "em", "es", "id_em", "f1", "novel_recall", "latency_ms", "error"])
     for row in report.per_task:
         writer.writerow(
-            [row.task_id, row.em, row.es, row.id_em, row.f1, row.latency_ms, row.error]
+            [row.task_id, row.em, row.es, row.id_em, row.f1, row.novel_recall, row.latency_ms, row.error]
         )
     return buffer.getvalue()

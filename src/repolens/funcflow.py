@@ -12,10 +12,12 @@ back edges ``loop_back``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from parso.tree import NodeOrLeaf
+from typing import TYPE_CHECKING
 
 from .syntax import FileFacts, SourceFile, Span, SymbolRecord, children, kind_of, parse, span
+
+if TYPE_CHECKING:
+    from parso.tree import NodeOrLeaf
 
 _EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
 

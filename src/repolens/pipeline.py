@@ -157,8 +157,9 @@ def complete_task(
 
     A caller that completes many tasks holds one ``module_map`` and one
     ``index`` and passes both to every task; retrieval skips the target
-    file's windows, so results match a fresh build that excluded it. Without
-    an index, the task builds its map over the repository's store
+    file's windows, so results match a fresh build that excluded it, and
+    the index's read faults are reported where that build reports them.
+    Without an index, the task builds its map over the repository's store
     (``<repo>/.repolens/snippets.json``) unless a map is passed, builds an
     index with the target excluded from the map's store, and writes back what
     it had to compute, a failed write being ignored.
@@ -203,6 +204,9 @@ def complete_task(
         )
         if module_map.store is not None:
             module_map.store.flush()
+    else:
+        # the faults a build that excluded the target would have reported
+        bundle.diagnostics.extend(d for d in index.diagnostics if d.context["path"] != task.file)
     pool = semantic_candidates(
         index,
         target_code,

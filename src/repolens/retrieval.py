@@ -5,39 +5,43 @@ the index's posting lists) or, given an embedding endpoint, from the cosine
 of vectors fetched as JSON over HTTP and kept on the index; either way the
 pool is then re-ranked by a weighted blend of the semantic score and an
 AST-path Jaccard similarity, so structurally close snippets rise even when
-identifiers differ.
+identifiers differ. The AST paths of windows and queries alike are walked
+off the standard library's ``ast`` trees; this module imports nothing from
+parso.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import heapq
+import io
 import json
 import keyword
 import math
 import operator
 import os
 import re
+import tokenize
+import warnings
 from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from pathlib import Path
 
-from parso.utils import split_lines
-
 from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, children, facts_from_json, facts_to_json, kind_of, parse
+from .syntax import FileFacts, SourceFile, facts_from_json, facts_to_json
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 8
+_INDEX_VERSION = 9
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -63,11 +67,14 @@ class Snippet:
 class SnippetIndex:
     """Windows over a repository, in file order then start order, with what
     queries compute once and keep: the posting lists and each endpoint's
-    vector of each window text it embedded, keyed by (endpoint, text)."""
+    vector of each window text it embedded, keyed by (endpoint, text).
+    ``diagnostics`` holds the ``unreadable_file`` faults of the build's walk,
+    so a task on a held index reports them as a one-shot task does."""
 
     window: int
     stride: int
     snippets: list[Snippet]
+    diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
     _postings: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
     _vectors: dict[tuple[str, str], list[float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -116,9 +123,11 @@ def identifier_tokens(text: str) -> set[str]:
 def ast_paths_of(text: str) -> frozenset[str]:
     """Root-to-terminal node-kind paths of ``text``, identifiers erased.
 
-    Each path is the "/"-joined kind sequence from the module root down to
-    one terminal token, truncated to ``_PATH_DEPTH`` kinds. Erasing token
-    values makes the resulting set rename-invariant.
+    Each path is the "/"-joined ``ast`` class names from ``Module`` down to
+    one terminal node, truncated to ``_PATH_DEPTH`` names. Erasing token
+    values makes the resulting set rename-invariant. ``text`` may be a
+    fragment, such as a query's slice and partial line: it is parsed
+    through ``_parsed``'s bounded repair.
     """
 
     if not text.strip():
@@ -128,36 +137,170 @@ def ast_paths_of(text: str) -> frozenset[str]:
 
 def line_ast_paths(path: str, text: str) -> list[set[str]]:
     """The AST paths (see ``ast_paths_of``) of each line of ``text``, the
-    file at ``path``, from one parse of the whole text: each terminal's
-    path is filed under every line its leaves span. Lines end at "\\n"
-    alone, as the index cuts them; every set is empty for a text nested too
-    deeply for parso to parse."""
+    file at ``path``, from one walk of its ``ast`` tree: each terminal's
+    path is filed under every line it spans, and a terminal without a
+    position (an operator such as ``ast.Add``, an empty ``arguments``)
+    under its nearest positioned ancestor's. ``expr_context`` nodes are
+    dropped. Lines end at "\\n" alone, as the index cuts them; the lines
+    ``_parsed`` cuts away, or all of them when nothing parses, get none."""
 
-    # parso also ends a line at a lone "\r": ``ours[n]`` is the line that
-    # holds parso's line ``n + 1``
-    ours = list(accumulate((piece.endswith("\n") for piece in split_lines(text, keepends=True)), initial=0))
+    # ast also ends a line at a lone "\r": ``ours[n]`` is the line that
+    # holds ast's line ``n + 1``
+    ends = re.findall(r"\r\n?|\n", text)
+    ours = list(accumulate((end != "\r" for end in ends), initial=0))
     lines: list[set[str]] = [set() for _ in range(ours[-1] + 1)]
-    try:
-        root = parse(SourceFile.from_text(path, text)).root
-    except ValueError:  # nested too deeply for parso to parse
+    if len(ends) > ours[-1]:
+        text = re.sub(r"\r\n?", "\n", text)
+    tree, kept = _parsed(path, text)
+    if tree is None:
         return lines
-    # below a full chain every node keeps it, so each leaf under a node cut
-    # at ``_PATH_DEPTH`` takes that node's path
-    stack = [(root, ())]
+    # below a full chain every node keeps it, so each terminal under a node
+    # cut at ``_PATH_DEPTH`` takes that node's path
+    stack: list[tuple[ast.AST, str, int, int, int]] = [(tree, "", 0, 0, 0)]
     while stack:
-        node, chain = stack.pop()
-        if len(chain) < _PATH_DEPTH:
-            chain += (kind_of(node),)
-        if kids := children(node):
-            stack.extend((child, chain) for child in kids)
-            continue
-        # a leaf, or a node whose leaves are all dropped (a newline, the
-        # endmarker); a leaf's positions are its own, so no walk recurses
-        (first, _), (last, _) = node.start_pos, node.end_pos
-        joined = "/".join(chain)
-        for line in range(ours[first - 1], ours[last - 1] + 1):
-            lines[line].add(joined)
+        node, chain, depth, first, last = stack.pop()
+        if depth < _PATH_DEPTH:
+            kind = type(node).__name__
+            chain = f"{chain}/{kind}" if chain else kind
+            depth += 1
+        if hasattr(node, "end_lineno"):
+            first, last = node.lineno, node.end_lineno
+        leaf = True
+        for name in node._fields:
+            value = getattr(node, name, None)
+            for child in value if type(value) is list else (value,):
+                if isinstance(child, ast.AST) and not isinstance(child, ast.expr_context):
+                    stack.append((child, chain, depth, first, last))
+                    leaf = False
+        # a terminal of an appended line (``_parsed``'s repair) is not filed
+        if leaf and 0 < first <= kept:
+            for line in range(ours[first - 1], ours[min(last, kept) - 1] + 1):
+                lines[line].add(chain)
     return lines
+
+
+def _ast_parse(text: str, filename: str) -> ast.Module:
+    """``ast.parse``, its warnings (an invalid escape such as "\\d") silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ast.parse(text, filename)
+
+
+def _parsed(path: str, text: str) -> tuple[ast.Module | None, int]:
+    """The tree of ``text`` (lines ending at "\\n") and how many of its
+    lines the tree holds, from at most three ``ast.parse`` calls.
+
+    The lines are first dedented by the indentation of the first line that
+    holds code, a function's def line in a query. A text ``ast`` rejects is
+    then completed (``_closing``): a placeholder name and the closers of
+    open brackets finish its last line, and a dangling block header or
+    ``try`` is closed. If that text is rejected too, the lines from the
+    error line on are cut once and the rest is completed the same way. A
+    text nothing of which parses, or that ``ast`` cannot take at all (a NUL
+    byte, a nesting too deep for its parser), gives ``(None, 0)``.
+    """
+
+    lines = text.split("\n")
+    code = next((line for line in lines if line.strip() and not line.lstrip().startswith("#")), "")
+    indent = code[: len(code) - len(code.lstrip())]
+    if indent:
+        lines = [line.removeprefix(indent) for line in lines]
+        text = "\n".join(lines)
+    try:
+        try:
+            return _ast_parse(text, path), len(lines)
+        except SyntaxError as err:
+            error = err.lineno
+        closing = _closing(lines)
+        if closing:
+            try:
+                return _ast_parse(text + closing, path), len(lines)
+            except SyntaxError as err:
+                error = err.lineno
+        if not error or error < 2:
+            return None, 0
+        lines = lines[: min(error, len(lines)) - 1]
+        return _ast_parse("\n".join(lines) + _closing(lines), path), len(lines)
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        return None, 0
+
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+_LAYOUT_TOKENS = frozenset(
+    {tokenize.NEWLINE, tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+)
+# keywords after which an expression or a simple statement can end
+_FINAL_KEYWORDS = frozenset({"True", "False", "None", "pass", "break", "continue", "return", "yield", "raise"})
+# keywords that open a compound statement's header, which ends at a ":"
+_HEADER_KEYWORDS = frozenset(
+    {"if", "elif", "else", "while", "for", "try", "except", "finally", "with", "def", "class", "async"}
+)
+
+
+def _closing(lines: list[str]) -> str:
+    """What completes ``"\\n".join(lines)``: a placeholder name when its
+    last token wants an operand, the closers of the brackets still open
+    (read with ``tokenize``, so a bracket in a string or comment does not
+    count), the ``:`` a block header lacks, a newline, a ``pass`` body for a
+    dangling block header, and a ``finally: pass`` for each ``try`` that has
+    no handler yet. Empty when the text ends complete."""
+
+    stack: list[str] = []
+    tries: list[str] = []  # indentation of each open ``try`` without a handler
+    last = None
+    indent = ""  # indentation of the current logical line
+    header = False  # whether the current logical line opens a block
+    body = False  # whether that header's ":" came
+    starting = True
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO("\n".join(lines) + "\n").readline):
+            kind, string = tok.type, tok.string
+            if kind == tokenize.NEWLINE:
+                starting = True
+            if kind in _LAYOUT_TOKENS:
+                continue
+            if starting:
+                starting = False
+                row, col = tok.start
+                indent = lines[row - 1][:col]
+                header, body = kind == tokenize.NAME and string in _HEADER_KEYWORDS, False
+                while tries and len(tries[-1]) >= len(indent):
+                    if tries.pop() == indent and string in ("except", "finally"):
+                        break
+                if string == "try":
+                    tries.append(indent)
+            elif kind == tokenize.OP and string == ":" and header and not stack:
+                body = True
+            if kind == tokenize.OP and string in _CLOSERS:
+                stack.append(_CLOSERS[string])
+            elif kind == tokenize.OP and string in ")]}" and stack:
+                stack.pop()
+            last = tok
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    if last is None:
+        return ""
+    ends_header = body and last.string == ":" and not stack  # it wants a body, not an operand
+    if last.type == tokenize.OP:
+        # a trailing "," is valid
+        wants_operand = last.string not in (")", "]", "}", "...", ",") and not ends_header
+    else:
+        wants_operand = (
+            last.type == tokenize.NAME
+            and keyword.iskeyword(last.string)
+            and last.string not in _FINAL_KEYWORDS
+            and not (header and last.string in ("else", "try", "finally") and last.start[1] == len(indent))
+        )
+    tail = ("_" if wants_operand else "") + "".join(reversed(stack))
+    if header and not body:
+        tail += ":"
+    dangling = header and (not body or ends_header)
+    if not tail and not dangling and not tries:
+        return ""
+    tail += "\n"
+    if dangling:
+        tail += f"{indent} pass\n"
+    return tail + "".join(f"{at}finally: pass\n" for at in reversed(tries))
 
 
 # Each window's identifier tokens and AST paths, each a sorted tuple of
@@ -190,9 +333,9 @@ def build_index(
 
     A file's windows are taken from its entry in the ``reuse`` store when
     that entry was cut from the same text with the same window and stride.
-    Otherwise the file is parsed once: a window's tokens come from its text,
-    and its AST paths are the union of its lines' (``line_ast_paths``); the
-    windows are kept in the file's entry. Ids, lines and text always come
+    Otherwise the file is parsed once, with ``ast``: a window's tokens come
+    from its text, and its AST paths are the union of its lines'
+    (``line_ast_paths``); the windows are kept in the file's entry. Ids, lines and text always come
     from the file, and the result equals a fresh build. Each distinct token
     or path is one string object across the index, whichever way its
     windows were obtained. A one-shot task excludes its target: with the
@@ -203,6 +346,7 @@ def build_index(
     root = Path(repo_root).resolve()
     shared: dict[str, str] = {}
     snippets: list[Snippet] = []
+    unreadable: list[Diagnostic] = []
     for path in _iter_source_files(root, diagnostics):
         rel = path.relative_to(root).as_posix()
         if exclude is not None and rel == exclude:
@@ -210,14 +354,10 @@ def build_index(
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as err:
+            fault = Diagnostic(code="unreadable_file", message=f"skipped {rel}: {err}", context={"path": rel})
+            unreadable.append(fault)
             if diagnostics is not None:
-                diagnostics.append(
-                    Diagnostic(
-                        code="unreadable_file",
-                        message=f"skipped {rel}: {err}",
-                        context={"path": rel},
-                    )
-                )
+                diagnostics.append(fault)
             continue
         lines = text.removesuffix("\n").split("\n") if text else []
         starts = range(0, max(len(lines) - window, 0) + 1, stride)
@@ -246,7 +386,7 @@ def build_index(
                     ast_paths=_lean(ast_paths, shared),
                 )
             )
-    return SnippetIndex(window=window, stride=stride, snippets=snippets)
+    return SnippetIndex(window=window, stride=stride, snippets=snippets, diagnostics=tuple(unreadable))
 
 
 @dataclass(eq=False, slots=True)

@@ -3,9 +3,11 @@
 :func:`parse` runs parso and keeps its tree as it is: ``SyntaxTree.root`` is
 parso's module node. parso keeps parsing through syntax errors and surfaces
 the broken region as ``error_node`` -- exactly what an unfinished file with
-a cursor in the middle looks like. The grammar is generated on the first
-parse, not at import, so a run that parses nothing (an up-to-date ``repolens
-index``, ``--help``) never pays for it.
+a cursor in the middle looks like. These trees serve the file facts and the
+control-flow sketch; the index's AST paths come from the standard library's
+``ast`` (``retrieval.line_ast_paths``). parso is imported and its grammar
+generated on the first parse, not at import, so a run that parses nothing
+here (``repolens index``, ``--help``) loads neither.
 
 Analyzers read parso's nodes through three helpers, which hide its layout:
   * :func:`children` is a node's retained children: ``newline`` and
@@ -38,10 +40,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from pathlib import Path, PurePosixPath
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import parso
-from parso.tree import NodeOrLeaf
+if TYPE_CHECKING:
+    from parso.tree import NodeOrLeaf
 
 _PYTHON_GRAMMAR_VERSION = "3.10"
 
@@ -174,6 +176,8 @@ class FileFacts:
 
 @cache
 def _grammar():
+    import parso  # imported on the first parse, so a run that parses nothing never loads it
+
     return parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
 
 

@@ -34,10 +34,12 @@ def dep_case_table():
 
 
 def count_parses(monkeypatch) -> list[tuple[str, str]]:
-    """Wrap ``syntax.parse`` in every ``repolens`` module that imported it;
-    each call appends (module, file path) to the list returned."""
+    """Wrap ``syntax.parse`` in every ``repolens`` module that imported it,
+    and retrieval's ``ast`` parse; each call appends (module, file path) to
+    the list returned, a query's paths counting as ("retrieval", "snippet.py")
+    once per ``ast.parse``."""
     parses: list[tuple[str, str]] = []
-    real_parse = syntax.parse
+    real_parse, real_ast_parse = syntax.parse, retrieval._ast_parse
 
     def wrap(module_name: str):
         def counted_parse(file):
@@ -46,9 +48,14 @@ def count_parses(monkeypatch) -> list[tuple[str, str]]:
 
         return counted_parse
 
+    def counted_ast_parse(text, filename):
+        parses.append(("retrieval", filename))
+        return real_ast_parse(text, filename)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
             monkeypatch.setattr(module, "parse", wrap(name.removeprefix("repolens.")))
+    monkeypatch.setattr(retrieval, "_ast_parse", counted_ast_parse)
     return parses
 
 

@@ -7,11 +7,11 @@ written beforehand in a temporary directory. Each output line is
     <corpus> <fresh|store> windows=<n> index_mb=<MB> peak_mb=<MB> strings=<n> objects=<n> distinct=<n>
 
 ``index_mb`` is what the built index still holds once the build returns
-and the parse trees it dropped are collected, ``peak_mb`` the most the
+and the ``ast`` trees it dropped are freed, ``peak_mb`` the most the
 build held at once, parse trees included. ``strings`` counts the windows' token and AST-path entries,
 ``objects`` the distinct string objects among them and ``distinct`` the
 distinct strings; a lean index has one object per distinct string. An
-untraced build runs first, so imports and parso's grammar are not counted.
+untraced build runs first, so imports are not counted.
 
     python tests/index_memory.py
 
@@ -44,7 +44,10 @@ def traced_build(root: Path, reuse: retrieval.Store | None) -> tuple[retrieval.S
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     index = retrieval.build_index(root, PipelineConfig.window, PipelineConfig.stride, reuse=reuse)
-    gc.collect()  # a dropped parso tree is cyclic garbage until a full collection
+    # an ``ast`` tree has no parent links, so it is freed when dropped; the
+    # collection stays so that a checkout with cyclic (parso) trees is
+    # measured the same way
+    gc.collect()
     current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return index, current - base, peak - base

@@ -322,6 +322,22 @@ def test_task_rows_end_at_newline_only(tmp_path):
     assert [task.ground_truth for task in evaluation.load_tasks(tasks)] == truths
 
 
+def test_novel_recall_mean_skips_a_truth_inside_the_target(tmp_path):
+    """a1 and c3 complete whole lines, so their truths are inside the target;
+    only b2 has novel identifiers (parse_code and path), and the mean is
+    b2's alone."""
+    report = run_benchmark(write_bench(tmp_path), PipelineConfig(), no_timing=True)
+    novel = {row.task_id: row.novel_recall for row in report.per_task}
+    assert novel["a1"] is None and novel["c3"] is None
+    assert novel["b2"] is not None
+    assert (report.novel_recall, report.novel_tasks) == (novel["b2"], 1)
+    assert report_json(report)["novel_recall"] == {"mean": novel["b2"], "tasks": 1}
+    assert "novel recall over: 1" in format_text(report)
+    assert [line.split(",")[5] for line in format_csv(report).splitlines()] == [
+        "novel_recall", "", str(novel["b2"]), ""
+    ]
+
+
 def test_text_and_csv_renderings(tmp_path):
     tasks = write_bench(tmp_path)
     report = run_benchmark(tasks, PipelineConfig(), no_timing=True)

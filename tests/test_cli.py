@@ -183,10 +183,10 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     assert stored_index(repo) == build_index(repo)
 
 
-def test_a_version_7_store_is_ignored_and_rebuilt(runner, tmp_path):
-    """Version 7 stored each window's paths from a parse of the window alone,
-    so ``complete`` and ``evaluate`` ignore such a store, writing nothing
-    back to it, and ``index`` replaces it."""
+def old_store_is_ignored_and_rebuilt(runner, tmp_path, version, old_path):
+    """Write the store back as ``version`` with each AST path replaced by
+    ``old_path(path)``; ``complete`` and ``evaluate`` must ignore it, writing
+    nothing back to it, and ``index`` must replace it."""
     tasks = write_bench(tmp_path)
     repo = tmp_path / "bench"
     args = ["complete", "--repo", str(repo), "--file", "main.py", "--line", "14"]
@@ -202,34 +202,42 @@ def test_a_version_7_store_is_ignored_and_rebuilt(runner, tmp_path):
     # zero every structure score
     files = read_store(index_path(repo))
     for entry in files.values():
-        entry["windows"]["ast_paths"] = [f"v7/{path}" for path in entry["windows"]["ast_paths"]]
-    write_store(index_path(repo), files, version=7)
-    v7 = index_path(repo).read_bytes()
+        entry["windows"]["ast_paths"] = sorted(map(old_path, entry["windows"]["ast_paths"]))
+    write_store(index_path(repo), files, version=version)
+    old = index_path(repo).read_bytes()
     assert runner.invoke(main, args).output == completed
     assert runner.invoke(main, evaluate).output == evaluated
-    assert index_path(repo).read_bytes() == v7
+    assert index_path(repo).read_bytes() == old
 
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert json.loads(index_path(repo).read_text())["version"] == 8
-    assert "v7/" not in index_path(repo).read_text()
+    assert json.loads(index_path(repo).read_text())["version"] == 9
+    assert index_path(repo).read_bytes() != old
     assert stored_index(repo) == build_index(repo)
+
+
+def test_a_version_7_store_is_ignored_and_rebuilt(runner, tmp_path):
+    """Version 7 stored each window's paths from a parse of the window alone."""
+    old_store_is_ignored_and_rebuilt(runner, tmp_path, 7, lambda path: f"v7/{path}")
+
+
+def test_a_version_8_store_is_ignored_and_rebuilt(runner, tmp_path):
+    """Version 8 stored paths of parso's node kinds, which no ``ast`` walk gives."""
+    old_store_is_ignored_and_rebuilt(runner, tmp_path, 8, lambda path: path.replace("Module", "file_input"))
 
 
 def run_fresh(*runs: list[str]) -> tuple[list[int], set[str]]:
     """Run ``main`` on each argument list in one fresh interpreter; return how
-    often parso generated a grammar after each run, and the modules loaded at
-    the end."""
+    often a parso grammar was generated after each run, and the modules
+    loaded at the end."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import json, sys\n"
-        "import parso\n"
-        "real, loads = parso.load_grammar, []\n"
-        "parso.load_grammar = lambda *a, **k: loads.append(1) or real(*a, **k)\n"
         "from repolens.cli import main\n"
+        "from repolens.syntax import _grammar\n"
         "counts = []\n"
         f"for args in {[list(args) for args in runs]!r}:\n"
         "    main(args, standalone_mode=False)\n"
-        "    counts.append(len(loads))\n"
+        "    counts.append(_grammar.cache_info().misses)\n"
         "print(json.dumps([counts, sorted(sys.modules)]))\n"
     )
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
@@ -264,9 +272,19 @@ def test_grammar_is_generated_on_the_first_parse(runner, repo):
     assert counts == [0, 1]
 
 
+def test_index_without_a_store_loads_no_parso(repo):
+    """Windows take their paths from ``ast``, so a full index build neither
+    imports parso nor generates its grammar; the facts of a ``complete``
+    after it do, once."""
+    counts, modules = run_fresh(["index", "--repo", str(repo)])
+    assert counts == [0]
+    assert not {name for name in modules if name == "parso" or name.startswith("parso.")}
+    assert run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))[0] == [0, 1]
+
+
 def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):
-    # CPython compiles 2,000 nested ``not``s and parso parses them, so every
-    # walk over the tree must keep its own stack
+    # CPython compiles 2,000 nested ``not``s and both ast and parso parse
+    # them, so every walk over a tree must keep its own stack
     deep = "def f(c):\n    return " + "not " * 2000 + "c\n"
     repo = write_repo(tmp_path / "deep", {"deep.py": deep, "main.py": "from deep import f\n\nflag = f(1)\nvalue = f(\n"})
     compile(deep, "deep.py", "exec")

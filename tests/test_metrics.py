@@ -11,7 +11,9 @@ from __future__ import annotations
 import keyword
 import random
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,7 +25,11 @@ from repolens.evaluation import (
     identifier_em,
     identifier_f1,
     identifier_sequence,
+    novel_id_recall,
 )
+from repolens.prompting import render
+from repolens.ranking import RankedContext
+from repolens.retrieval import ExemplarSet
 
 
 def _levenshtein_full(a: str, b: str) -> int:
@@ -210,3 +216,31 @@ def test_identity_implies_all_metrics_perfect():
         assert edit_similarity(left, left) == 1.0
         assert identifier_em(left, left) == 1
         assert identifier_f1(left, left) == 1.0
+
+
+def _prompt(cfg_text: str, target: str):
+    return render(RankedContext(scores={}, file_topk=[], project_topk=[]), cfg_text, ExemplarSet([], (1.0, 0.0)), target)
+
+
+def test_novel_recall_gives_no_credit_for_echoing_the_target():
+    """The control flow section repeats ``helper`` from the target: the
+    recall proxy credits it, novel recall counts only ``extra``, which no
+    section shows."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import prompts
+    finally:
+        sys.path.pop(0)
+    target = "def f(x):\n    total = helper(x)\n    return "
+    prompt = _prompt("L2: total = helper(x) -> exit", target)
+    truth = "helper(extra)"
+    assert prompts.context_id_recall(truth, prompt.text) == 0.5
+    assert novel_id_recall(truth, prompt) == 0.0
+    shown = _prompt("L2: total = helper(x) -> exit\nL3: extra = 1", target)
+    assert novel_id_recall(truth, shown) == 1.0
+
+
+def test_novel_recall_is_none_for_a_truth_inside_the_target():
+    prompt = _prompt("L2: total = helper(x) -> exit", "def f(x):\n    total = helper(x)\n    return ")
+    assert novel_id_recall("helper(total)", prompt) is None
+    assert novel_id_recall("()", prompt) is None

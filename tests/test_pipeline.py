@@ -240,7 +240,7 @@ def test_shared_index_builds_its_posting_lists_once(repo, monkeypatch):
 def test_current_cache_spares_every_window_parse(repo, monkeypatch):
     parses = []
     inside = []
-    real_build, real_parse = pipeline.build_index, retrieval.parse
+    real_build, real_parse = pipeline.build_index, retrieval._ast_parse
 
     def traced_build(*args, **kwargs):
         inside.append(True)
@@ -249,13 +249,13 @@ def test_current_cache_spares_every_window_parse(repo, monkeypatch):
         finally:
             inside.pop()
 
-    def counted_parse(file):
+    def counted_parse(text, filename):
         if inside:
-            parses.append(file.path)
-        return real_parse(file)
+            parses.append(filename)
+        return real_parse(text, filename)
 
     monkeypatch.setattr(pipeline, "build_index", traced_build)
-    monkeypatch.setattr(retrieval, "parse", counted_parse)
+    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
     uncached = complete_task(make_task(repo))
     assert parses
     index_repo(repo)
@@ -615,6 +615,7 @@ def test_diagnostics_do_not_depend_on_how_state_is_held(tmp_path, monkeypatch):
     # a module and a package that map to the same dotted name, and a directory that cannot be listed
     files |= {"pkg.py": "x = 1\n", "pkg/__init__.py": "y = 2\n", "hidden/mod.py": "z = 3\n"}
     write_repo(tmp_path, files)
+    (tmp_path / "broken.py").write_bytes(b"x = '\xff'\n")  # not UTF-8
     real_scandir = os.scandir
 
     def refuse(path="."):
@@ -628,7 +629,7 @@ def test_diagnostics_do_not_depend_on_how_state_is_held(tmp_path, monkeypatch):
     module_map = projdeps.build_module_map(tmp_path)
     held = complete_task(task, index=build_index(tmp_path), module_map=module_map)
     codes = [d.code for d in one_shot.bundle.diagnostics]
-    assert codes == ["unreadable_subtree", "module_collision", "resolution_error"]
+    assert codes == ["unreadable_subtree", "module_collision", "resolution_error", "unreadable_file"]
     assert held.bundle.diagnostics == one_shot.bundle.diagnostics
     # a held map reports its walk on every task
     again = complete_task(task, index=build_index(tmp_path), module_map=module_map)

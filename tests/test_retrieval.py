@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
+import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -32,6 +35,9 @@ from repolens.retrieval import (
 )
 from repolens.syntax import SourceFile, facts_to_json, file_facts, parse
 from tests.conftest import TESTS_DIR, count_parses, http_stub, index_repo, read_store, write_repo, write_store
+
+
+PERFBENCH = TESTS_DIR.parent / "perfbench"
 
 
 def make_snippet(sid: str, tokens: set[str] | None = None, paths: set[str] | None = None) -> Snippet:
@@ -314,13 +320,13 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
     old = build_index(tmp_path)
     cache = index_repo(tmp_path, tmp_path / "index.json")
     parsed = []
-    real_parse = retrieval.parse
+    real_parse = retrieval._ast_parse
 
-    def counted_parse(file):
-        parsed.append(file.text)
-        return real_parse(file)
+    def counted_parse(text, filename):
+        parsed.append(text)
+        return real_parse(text, filename)
 
-    monkeypatch.setattr(retrieval, "parse", counted_parse)
+    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
     assert build_index(tmp_path, reuse=load_index(cache)) == old
     assert parsed == []
 
@@ -475,35 +481,49 @@ def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geomet
 
 
 def _oracle_line_paths(text: str) -> list[set[str]]:
-    """Each line's AST paths by a recursive walk of one parse of ``text``:
-    a terminal's kind path, cut at ``_PATH_DEPTH`` kinds, goes under every
-    line from the start of its first leaf to the end of its last."""
+    """Each line's AST paths by a recursive walk of ``ast.parse(text)``: a
+    terminal's class-name path, ``expr_context`` nodes left out and cut at
+    ``_PATH_DEPTH`` names, goes under every line from its first to its last;
+    a terminal without a position (an operator) goes under the lines of its
+    nearest ancestor that has one."""
     lines: list[set[str]] = [set() for _ in range(text.count("\n") + 1)]
 
-    def visit(node, chain):
+    def visit(node, chain, where):
         if len(chain) < retrieval._PATH_DEPTH:
-            chain = chain + (syntax.kind_of(node),)
-        kids = syntax.children(node)
+            chain = chain + (type(node).__name__,)
+        if hasattr(node, "lineno"):
+            where = range(node.lineno - 1, node.end_lineno)
+        kids = [kid for kid in ast.iter_child_nodes(node) if not isinstance(kid, ast.expr_context)]
         for kid in kids:
-            visit(kid, chain)
+            visit(kid, chain, where)
         if not kids:
-            for line in range(node.start_pos[0], node.end_pos[0] + 1):
-                lines[line - 1].add("/".join(chain))
+            for line in where:
+                lines[line].add("/".join(chain))
 
-    visit(parse(SourceFile.from_text("m.py", text)).root, ())
+    visit(ast.parse(text), (), range(0))
     return lines
 
 
-# more than _LINES: leaves over two lines, a chain deeper than _PATH_DEPTH,
-# an async wrapper, a statement over two lines and a comment-only line
-_PATH_LINES = _LINES + [
-    's = """doc',
-    'more"""',
+# Each item is whole statements, so every sequence of them parses: leaves
+# over two lines, a chain deeper than _PATH_DEPTH, an async function, two
+# statements on one line, a statement over two lines, operators (binary,
+# unary, boolean, comparison, augmented), a function without parameters and
+# a comment-only line.
+_PATH_LINES = [
+    "import os",
+    "x = 1",
+    "def f(a):\n    return a + x",
+    "if ready:\n    pass",
+    "class C:\n    y = f(2)",
+    "# note",
+    "",
+    "total = f(x) + g(y)",
+    's = """doc\nmore"""',
     "deep = [[[[[[[[[[[[x]]]]]]]]]]]]",
-    "async def g():",
-    "    await f(x); y = 2",
-    "total = (1 +",
-    "    2)",
+    "async def g():\n    await f(x); y = 2",
+    "total = (1 +\n    2)",
+    "ok = a and \\\n    not b",
+    "def h():\n    x -= -1 if a < b else 0",
 ]
 
 
@@ -522,7 +542,7 @@ def test_window_paths_are_the_union_of_their_lines_paths(lines, geometry):
 
 
 def test_a_lone_carriage_return_stays_inside_its_line():
-    """parso ends a line at a lone "\\r" too; the paths stay with the line
+    """ast ends a line at a lone "\\r" too; the paths stay with the line
     that holds it, as a window cut at "\\n" does."""
     split = line_ast_paths("m.py", "a = 1\nb = 2\nc = (3,\n4)\n")
     joined = line_ast_paths("m.py", "a = 1\rb = 2\nc = (3,\r4)\n")
@@ -532,7 +552,9 @@ def test_a_lone_carriage_return_stays_inside_its_line():
 
 def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
     """One parse per file no store entry holds windows of, none for a stored
-    one; a file nested too deeply for parso gets windows without paths."""
+    one. ``ast`` rejects deep.py (a syntax error after a 2,000-deep chain),
+    so its error line is cut in a second parse: its window holds the paths
+    of the line before it."""
     repo = _corpus_repo(tmp_path / "repo")
     write_repo(repo, {"deep.py": "def f(c):\n    return " + "not " * 2000 + "c )\n"})
     parses = count_parses(monkeypatch)
@@ -540,15 +562,137 @@ def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
     fresh = build_index(repo, reuse=store)
     files = list(dict.fromkeys(s.path for s in fresh.snippets))
     assert len(files) == 8
-    assert parses == [("retrieval", path) for path in files]
-    assert [s.ast_paths for s in fresh.snippets if s.path == "deep.py"] == [()]
+    computed = [("retrieval", path) for path in files for _ in range(1 + (path == "deep.py"))]
+    assert parses == computed
+    assert [s.ast_paths for s in fresh.snippets if s.path == "deep.py"] == [("Module/FunctionDef/arguments/arg",)]
     assert all(s.ast_paths for s in fresh.snippets if s.path == "a.py")
     store.write()
 
     (repo / "pkg" / "short.py").write_text("x = 2\n")
     parses.clear()
     assert build_index(repo, reuse=load_index(store.path)) == build_index(repo)
-    assert parses == [("retrieval", "pkg/short.py")] + [("retrieval", path) for path in files]
+    assert parses == [("retrieval", "pkg/short.py")] + computed
+
+
+def _cursor_queries():
+    """(task id, query, statements) for each function-scope cursor of both
+    perfbench corpora, twice: cut at the cursor's name and with the whole
+    line. The query is the slice from the innermost enclosing def line plus
+    the partial line, as ``complete_task`` builds it; the statements are the
+    0-based lines, counted from the def line, where a statement of that
+    function starts and ends before the cursor line (from the whole file's
+    ``ast`` tree)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import cursors
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for corpus in ("stdlib_email", "repolens_7369f41"):
+        root = PERFBENCH / "corpora" / corpus
+        modules = cursors.corpus_modules(root)
+        for rel in sorted(modules.values()):
+            text = (root / rel).read_text(encoding="utf-8")
+            functions = [
+                node for node in ast.walk(ast.parse(text)) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            lines = text.split("\n")
+            for cursor in cursors.file_cursors(root, rel, modules):
+                owner = max(
+                    (f for f in functions if f.lineno <= cursor.line + 1 <= f.end_lineno), key=lambda f: f.lineno
+                )
+                complete = {
+                    node.lineno - owner.lineno
+                    for node in ast.walk(owner)
+                    if isinstance(node, ast.stmt) and node.end_lineno <= cursor.line
+                }
+                head = "".join(line + "\n" for line in lines[owner.lineno - 1 : cursor.line])
+                for partial in (cursor.prefix, cursor.text):
+                    yield f"{corpus}/{cursor.task_id}", head + partial, complete
+
+
+def test_every_corpus_query_parses_in_at_most_three_calls(monkeypatch):
+    """Each query takes at most three ``ast.parse`` calls, and its tree
+    holds every complete statement of its slice unless the repair had to
+    cut at the error line, which no query of the corpora does."""
+    calls = []
+    real_parse = retrieval._ast_parse
+
+    def counted_parse(text, filename):
+        calls.append(text)
+        return real_parse(text, filename)
+
+    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
+    queries = cut = 0
+    for task_id, query, complete in _cursor_queries():
+        calls.clear()
+        tree, kept = retrieval._parsed("snippet.py", query)
+        assert 1 <= len(calls) <= 3, task_id
+        queries += 1
+        if kept < query.count("\n") + 1:
+            cut += 1
+            continue
+        # the repaired text starts with the query's lines, dedented
+        indent = query[: len(query) - len(query.lstrip())]
+        assert calls[-1].startswith("\n".join(line.removeprefix(indent) for line in query.split("\n"))), task_id
+        starts = {node.lineno - 1 for node in ast.walk(tree) if isinstance(node, ast.stmt)}
+        assert complete <= starts, task_id
+    assert queries == 2 * 402
+    assert cut == 0  # no query loses its partial line
+
+
+@pytest.mark.parametrize(
+    ("fragment", "completed"),
+    [
+        # a placeholder and the closers of open brackets; a bracket in a
+        # string or a comment is not open
+        ("def f(a):\n    s = '(['  # {\n    x = g(a, [", "def f(a):\n    s = '(['  # {\n    x = g(a, [_])\n"),
+        # a trailing comma needs no placeholder; a dedented method body
+        ("    def m(self):\n        return h(self,", "def m(self):\n    return h(self,)\n"),
+        # a header without its ":" and a dangling header get a body
+        ("def f():\n    for x in ", "def f():\n    for x in _:\n     pass\n"),
+        ("def f():\n    if a:", "def f():\n    if a:\n     pass\n"),
+        # an annotation's ":" wants an operand, not a body
+        ("def f():\n    last: ", "def f():\n    last: _\n"),
+        # a try without a handler gets one
+        ("def f():\n    try:\n        y = ", "def f():\n    try:\n        y = _\n    finally: pass\n"),
+        ("def f():\n    try:\n        y = 1\n    except (", "def f():\n    try:\n        y = 1\n    except (_):\n     pass\n"),
+    ],
+)
+def test_a_fragment_is_completed_before_it_is_cut(fragment, completed, monkeypatch):
+    parsed = []
+    real_parse = retrieval._ast_parse
+    monkeypatch.setattr(retrieval, "_ast_parse", lambda text, name: parsed.append(text) or real_parse(text, name))
+    tree, kept = retrieval._parsed("snippet.py", fragment)
+    assert parsed[-1] == completed
+    assert (tree is not None, kept) == (True, fragment.count("\n") + 1)
+    # the appended lines file no path
+    assert ast_paths_of(fragment) == frozenset().union(*line_ast_paths("m.py", completed)[:kept])
+    assert not any("Pass" in path for path in ast_paths_of(fragment))
+
+
+def test_a_rejected_file_keeps_the_paths_of_the_lines_before_its_error():
+    text = "import os\nx = [1,\n 2]\ny = )\nz = 2\n"
+    lines = line_ast_paths("m.py", text)
+    assert lines[:3] == line_ast_paths("m.py", "import os\nx = [1,\n 2]\n")[:3]
+    assert all(lines[:3]) and not any(lines[3:])
+    # an error on the first line leaves nothing to keep
+    assert not any(line_ast_paths("m.py", "x = )\ny = 1\n"))
+
+
+def test_ast_parse_warnings_and_failures_give_empty_sets_or_nothing_printed(monkeypatch, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        escaped = line_ast_paths("m.py", 'x = "\\d"\n')
+    assert escaped[0] == {"Module/Assign/Name", "Module/Assign/Constant"}
+    assert capsys.readouterr() == ("", "")
+    assert line_ast_paths("m.py", "x = 1\0\ny = 2\n") == [set(), set(), set()]
+    for error in (RecursionError, MemoryError, ValueError):
+
+        def fail(text, filename, error=error):
+            raise error("too much")
+
+        monkeypatch.setattr(retrieval, "_ast_parse", fail)
+        assert line_ast_paths("m.py", "x = 1\n") == [set(), set()]
 
 
 def test_lexical_scores_hand_cases(tmp_path):
@@ -700,11 +844,11 @@ def test_ast_paths_are_kind_sequences_without_identifiers():
     assert all(tok.isidentifier() for p in paths for tok in p.split("/"))
     renamed = ast_paths_of("result = anything(2)\n")
     assert paths == renamed
-    assert any(p.startswith("file_input/") for p in paths)
+    assert any(p.startswith("Module/") for p in paths)
 
 
 def test_ast_paths_depth_cap():
-    nested = "x = ((((((((((((((1))))))))))))))\n"
+    nested = "x = [[[[[[[[[[[[[[1]]]]]]]]]]]]]]\n"
     depths = {len(p.split("/")) for p in ast_paths_of(nested)}
     assert max(depths) == retrieval._PATH_DEPTH
 
