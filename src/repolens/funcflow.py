@@ -1,29 +1,31 @@
 """Function-level context: the pre-cursor slice and its control flow graph.
 
-The CFG is statement-level and deliberately shallow: branching constructs
-are expanded only down to ``_MAX_DEPTH`` nesting levels; anything deeper is
-grouped into a single region node so the rendered path summary stays
-readable inside a prompt. try/except gets no exceptional edges; the try and
-finally suites are inlined in sequential order. Loop and branch bodies hang
-off their header node with ``true`` edges, loop exits use ``loop_exit`` and
-back edges ``loop_back``.
+The CFG is statement-level and deliberately shallow. It is built from the
+slice's ``ast`` tree, parsed through the bounded repair of
+``syntax._parsed``; a statement the repair appended is never a node.
+Branching constructs are expanded only down to ``_MAX_DEPTH`` nesting
+levels; anything deeper is grouped into a single region node so the rendered
+path summary stays readable inside a prompt. try/except gets no exceptional
+edges: the try, else and finally suites are inlined in sequential order, and
+the handlers are left out; a with suite is inlined after its header. Loop
+and branch bodies hang off their header node with ``true`` edges, loop exits
+use ``loop_exit`` and back edges ``loop_back``; every other edge is ``seq``.
+A return ends its path at ``exit``; ``pass``, ``break`` and ``continue`` are
+plain statements.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .syntax import FileFacts, SourceFile, Span, SymbolRecord, children, kind_of, parse, span
-
-if TYPE_CHECKING:
-    from parso.tree import NodeOrLeaf
-
-_EDGE_LABELS = ("seq", "true", "false", "loop_back", "loop_exit")
-
-_LABEL_RANK = {label: i for i, label in enumerate(_EDGE_LABELS)}
+from .syntax import FileFacts, Span, SymbolRecord, _parsed
 
 _MAX_DEPTH = 2
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_TRIES = (ast.Try, getattr(ast, "TryStar", ast.Try))  # TryStar is new in Python 3.11
+_WITHS = (ast.With, ast.AsyncWith)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +89,14 @@ _Tail = tuple[int, str]
 
 
 class _Builder:
-    def __init__(self, slice_file: SourceFile, line_offset: int) -> None:
-        self.file = slice_file
+    """Nodes and edges over the statements of one slice's ``ast`` tree.
+    ``lines`` are the slice's lines, ending at "\\n" alone, ``rows`` maps
+    the tree's lines to them (see ``syntax._parsed``) and ``line_offset`` is
+    the slice's first line in its file."""
+
+    def __init__(self, lines: list[str], rows: list[int], line_offset: int) -> None:
+        self.lines = lines
+        self.rows = rows
         self.line_offset = line_offset
         self.nodes: list[CfgNode] = []
         self.edges: list[CfgEdge] = []
@@ -103,28 +111,29 @@ class _Builder:
     def connect(self, src: int, dst: int, label: str) -> None:
         self.edges.append(CfgEdge(src=src, dst=dst, label=label))
 
-    def stmt_node(self, node: NodeOrLeaf, kind: str = "statement", collapsed: bool = False) -> int:
-        """A node for ``node`` labelled with its first line, plus `` ...``
-        when it is collapsed or spans more lines."""
-        where = span(node)
-        text = self.file.line_text(where.start_line).strip()
-        if collapsed or where.end_line > where.start_line:
+    def stmt_node(self, stmt: ast.stmt, kind: str = "statement", header: bool = False) -> int:
+        """A node for ``stmt`` labelled with its first line (a decorated
+        definition's first decorator), plus `` ...`` when the statement runs
+        on and its later lines are not nodes of their own, as they are for a
+        ``header``."""
+        decorators = getattr(stmt, "decorator_list", None)
+        line = self.rows[(decorators[0] if decorators else stmt).lineno - 1]
+        text = self.lines[line].strip()
+        if not header and self.rows[min(stmt.end_lineno, len(self.rows)) - 1] > line:
             text = f"{text} ..."
-        return self.add(kind, text, where.start_line + self.line_offset)
+        return self.add(kind, text, line + self.line_offset)
 
     # --- statement dispatch -------------------------------------------------
 
-    def build_block(self, stmts: list[NodeOrLeaf], depth: int) -> tuple[int | None, list[_Tail]]:
+    def build_block(self, stmts: list[ast.stmt], depth: int) -> tuple[int | None, list[_Tail]]:
         head: int | None = None
         tails: list[_Tail] = []
-        started = False
         for stmt in stmts:
+            if stmt.lineno > len(self.rows):
+                break  # the repair's, as is every statement after it
             entry, exits = self.build_stmt(stmt, depth)
-            if entry is None:
-                continue
-            if not started:
+            if head is None:
                 head = entry
-                started = True
             else:
                 for tail, label in tails:
                     self.connect(tail, entry, label)
@@ -134,172 +143,91 @@ class _Builder:
                 break
         return head, tails
 
-    def build_stmt(self, stmt: NodeOrLeaf, depth: int) -> tuple[int | None, list[_Tail]]:
-        kind = kind_of(stmt)
-        if kind in ("operator", "keyword", "error_leaf"):
-            return None, []
-        if kind == "return_stmt":
+    def build_stmt(self, stmt: ast.stmt, depth: int) -> tuple[int, list[_Tail]]:
+        if isinstance(stmt, ast.Return):
             node = self.stmt_node(stmt, "return")
             self.connect(node, self.exit, "seq")
             return node, []
-        if kind == "if_stmt":
-            if depth < _MAX_DEPTH:
-                return self.build_if(_split_clauses(children(stmt), ("if", "elif", "else")), depth)
-            node = self.stmt_node(stmt, collapsed=True)
-            return node, [(node, "seq")]
-        if kind in ("for_stmt", "while_stmt"):
-            if depth < _MAX_DEPTH:
-                return self.build_loop(stmt, depth)
-            node = self.stmt_node(stmt, collapsed=True)
-            return node, [(node, "seq")]
-        if kind == "try_stmt":
+        if isinstance(stmt, ast.If) and depth < _MAX_DEPTH:
+            return self.build_if(stmt, depth)
+        if isinstance(stmt, _LOOPS) and depth < _MAX_DEPTH:
+            return self.build_loop(stmt, depth)
+        if isinstance(stmt, _TRIES):
             return self.build_try(stmt, depth)
-        if kind == "with_stmt":
+        if isinstance(stmt, _WITHS):
             return self.build_with(stmt, depth)
         node = self.stmt_node(stmt)
         return node, [(node, "seq")]
 
-    def build_if(
-        self, clauses: list[tuple[NodeOrLeaf, list[NodeOrLeaf]]], depth: int
-    ) -> tuple[int, list[_Tail]]:
-        # clauses[0] is the 'if' clause: parso opens every if_stmt with its
-        # keyword. Each elif is a nested if hanging off the false edge of the
-        # clause before it; those edges are added innermost first.
+    def build_if(self, stmt: ast.If, depth: int) -> tuple[int, list[_Tail]]:
+        # an elif is the lone If of its parent's orelse, at the parent's
+        # column; the chain is walked in a loop, not by recursion, so a chain
+        # of any length builds, each test hanging off the false edge of the
+        # one before it
         tails: list[_Tail] = []
-        nodes: list[int] = []
-        for kw, body in clauses:
-            if nodes and kw.value == "else":
-                head, branch_tails = self.build_block(body, depth + 1)
-                if head is None:
-                    tails.append((nodes[-1], "false"))
-                else:
-                    self.connect(nodes[-1], head, "false")
-                    tails.extend(branch_tails)
-                break
-            line = span(kw).start_line
-            nodes.append(self.add("if", self.file.line_text(line).strip(), line + self.line_offset))
-            head, branch_tails = self.build_block(body, depth + 1)
-            if head is None:
-                tails.append((nodes[-1], "true"))
+        first = previous = None
+        while True:
+            node = self.stmt_node(stmt, "if", header=True)
+            if previous is None:
+                first = node
             else:
-                self.connect(nodes[-1], head, "true")
-                tails.extend(branch_tails)
-        else:
-            tails.append((nodes[-1], "false"))
-        for outer, nested in reversed(list(zip(nodes, nodes[1:]))):
-            self.connect(outer, nested, "false")
-        return nodes[0], tails
+                self.connect(previous, node, "false")
+            self.branch(node, "true", stmt.body, depth + 1, tails)
+            orelse = stmt.orelse
+            if len(orelse) == 1 and isinstance(orelse[0], ast.If) and orelse[0].col_offset == stmt.col_offset:
+                previous, stmt = node, orelse[0]
+                continue
+            self.branch(node, "false", orelse, depth + 1, tails)
+            return first, tails
 
-    def build_loop(self, stmt: NodeOrLeaf, depth: int) -> tuple[int, list[_Tail]]:
-        keyword = "while" if kind_of(stmt) == "while_stmt" else "for"
-        clauses = _split_clauses(children(stmt), (keyword, "else"))
-        node = self.stmt_node(stmt, keyword)
-        head, body_tails = self.build_block(clauses[0][1], depth + 1)
+    def branch(self, node: int, label: str, stmts: list[ast.stmt], depth: int, tails: list[_Tail]) -> None:
+        """Hang the block ``stmts`` off ``node``'s ``label`` edge, adding its
+        tails to ``tails``; an empty block leaves that edge itself a tail."""
+        head, block_tails = self.build_block(stmts, depth)
+        if head is None:
+            tails.append((node, label))
+        else:
+            self.connect(node, head, label)
+            tails.extend(block_tails)
+
+    def build_loop(self, stmt: ast.For | ast.AsyncFor | ast.While, depth: int) -> tuple[int, list[_Tail]]:
+        node = self.stmt_node(stmt, "while" if isinstance(stmt, ast.While) else "for", header=True)
+        head, body_tails = self.build_block(stmt.body, depth + 1)
         if head is not None:
             self.connect(node, head, "true")
             for tail, _label in body_tails:
                 self.connect(tail, node, "loop_back")
-        tails: list[_Tail] = [(node, "loop_exit")]
-        for kw, else_body in clauses[1:]:
-            if kw.value != "else":
-                continue
-            head, else_tails = self.build_block(else_body, depth)
-            if head is not None:
-                for tail, label in tails:
-                    self.connect(tail, head, label)
-                tails = else_tails
-        return node, tails
-
-    def build_try(self, stmt: NodeOrLeaf, depth: int) -> tuple[int | None, list[_Tail]]:
-        stmts: list[NodeOrLeaf] = []
-        take = False
-        for child in children(stmt):
-            kind = kind_of(child)
-            if kind == "keyword" and child.value in ("try", "finally", "else"):
-                take = True
-                continue
-            if kind == "except_clause" or (kind == "keyword" and child.value == "except"):
-                take = False
-                continue
-            if kind == "suite" and take:
-                stmts.extend(children(child))
-                take = False
-        head, tails = self.build_block(stmts, depth)
+        head, else_tails = self.build_block(stmt.orelse, depth)
         if head is None:
-            node = self.stmt_node(stmt, collapsed=True)
+            return node, [(node, "loop_exit")]
+        self.connect(node, head, "loop_exit")
+        return node, else_tails
+
+    def build_try(self, stmt: ast.Try, depth: int) -> tuple[int, list[_Tail]]:
+        head, tails = self.build_block(stmt.body + stmt.orelse + stmt.finalbody, depth)
+        if head is None:
+            node = self.stmt_node(stmt)
             return node, [(node, "seq")]
         return head, tails
 
-    def build_with(self, stmt: NodeOrLeaf, depth: int) -> tuple[int, list[_Tail]]:
-        line = span(stmt).start_line
-        node = self.add("statement", self.file.line_text(line).strip(), line + self.line_offset)
-        kids = children(stmt)
-        body: list[NodeOrLeaf] = []
-        for child in kids:
-            if kind_of(child) == "suite":
-                body.extend(children(child))
-        seen_colon = False
-        if not body:
-            # single-line with: statements follow the ':' operator directly
-            for child in kids:
-                if kind_of(child) == "operator" and child.value == ":":
-                    seen_colon = True
-                    continue
-                if seen_colon and hasattr(child, "children"):
-                    body.append(child)
-        head, tails = self.build_block(body, depth)
+    def build_with(self, stmt: ast.With | ast.AsyncWith, depth: int) -> tuple[int, list[_Tail]]:
+        node = self.stmt_node(stmt, header=True)
+        head, tails = self.build_block(stmt.body, depth)
         if head is None:
             return node, [(node, "seq")]
         self.connect(node, head, "seq")
         return node, tails
 
 
-def _split_clauses(
-    kids: list[NodeOrLeaf], keywords: tuple[str, ...]
-) -> list[tuple[NodeOrLeaf, list[NodeOrLeaf]]]:
-    """Group a compound statement's retained children into (clause keyword,
-    body statements) pairs; bodies come from an indented block or, for
-    one-line suites, from the statements after the ':'."""
-    kinds = [kind_of(child) for child in kids]
-    clauses: list[tuple[NodeOrLeaf, list[NodeOrLeaf]]] = []
-    i = 0
-    n = len(kids)
-    while i < n:
-        if not (kinds[i] == "keyword" and kids[i].value in keywords):
-            i += 1
-            continue
-        kw = kids[i]
-        i += 1
-        while i < n and not (kinds[i] == "operator" and kids[i].value == ":"):
-            i += 1
-        i += 1  # past ':'
-        body: list[NodeOrLeaf] = []
-        if i < n and kinds[i] == "suite":
-            body = children(kids[i])
-            i += 1
-        else:
-            while i < n and not (kinds[i] == "keyword" and kids[i].value in keywords):
-                if kinds[i] not in ("operator", "keyword"):
-                    body.append(kids[i])
-                i += 1
-        clauses.append((kw, body))
-    return clauses
-
-
-def _slice_statements(root: NodeOrLeaf, origin: str) -> list[NodeOrLeaf]:
-    stmts = children(root)
-    if origin == "function" and stmts and kind_of(stmts[0]) == "funcdef":
-        return next((children(child) for child in children(stmts[0]) if kind_of(child) == "suite"), [])
-    return stmts
-
-
 def build_cfg(slice_: LocalSlice) -> ControlFlowGraph:
-    """Statement-level CFG over the pre-cursor slice; empty slices produce
-    the trivial entry -> exit graph."""
-    slice_file = SourceFile.from_text("<slice>", slice_.code)
-    tree = parse(slice_file)
-    builder = _Builder(slice_file, slice_.span.start_line)
-    stmts = _slice_statements(tree.root, slice_.origin)
+    """Statement-level CFG over the pre-cursor slice; empty slices, and
+    slices ``ast`` cannot parse even with the repair, produce the trivial
+    entry -> exit graph."""
+    tree, rows = _parsed("<slice>", slice_.code)
+    builder = _Builder(slice_.code.split("\n"), rows, slice_.span.start_line)
+    stmts = tree.body if tree is not None else []
+    if slice_.origin == "function" and stmts and isinstance(stmts[0], (ast.FunctionDef, ast.AsyncFunctionDef)):
+        stmts = stmts[0].body
     head, tails = builder.build_block(stmts, 0)
     if head is None:
         builder.connect(builder.entry, builder.exit, "seq")
@@ -310,24 +238,26 @@ def build_cfg(slice_: LocalSlice) -> ControlFlowGraph:
     return ControlFlowGraph(nodes=builder.nodes, edges=builder.edges, entry=builder.entry, exit=builder.exit)
 
 
-def _node_label(node: CfgNode) -> str:
-    if node.kind in ("entry", "exit"):
-        return node.kind
-    return f"L{(node.line or 0) + 1}: {node.text}"
-
-
 def render_cfg(cfg: ControlFlowGraph) -> str:
-    """One line per edge, nodes in construction (source) order; seq edges
-    render as plain arrows, labeled edges carry their label."""
-    by_src: dict[int, list[CfgEdge]] = {}
+    """Each statement once, in source order, as ``L<n>: <text>``. A
+    statement that does more than fall through (go to the next statement,
+    or to ``exit`` for a return or the last statement) ends with its edges,
+    ``  [label Lm, ...]``, each (label, target) pair once, in the order they
+    were added. An empty slice renders nothing."""
+    stmts = [node for node in cfg.nodes if node.node_id not in (cfg.entry, cfg.exit)]
+    names = {node.node_id: f"L{node.line + 1}" for node in stmts}
+    names[cfg.exit] = "exit"
+    out: dict[int, list[tuple[str, int]]] = {}
     for edge in cfg.edges:
-        by_src.setdefault(edge.src, []).append(edge)
-    labels = {node.node_id: _node_label(node) for node in cfg.nodes}
-    lines: list[str] = []
-    for node in cfg.nodes:
-        for edge in sorted(by_src.get(node.node_id, ()), key=lambda e: (_LABEL_RANK[e.label], e.dst)):
-            if edge.label == "seq":
-                lines.append(f"{labels[edge.src]} -> {labels[edge.dst]}")
-            else:
-                lines.append(f"{labels[edge.src]} -[{edge.label}]-> {labels[edge.dst]}")
+        pairs = out.setdefault(edge.src, [])
+        if (edge.label, edge.dst) not in pairs:
+            pairs.append((edge.label, edge.dst))
+    lines = []
+    for i, node in enumerate(stmts):
+        line = f"{names[node.node_id]}: {node.text}"
+        last = node.kind == "return" or i + 1 == len(stmts)
+        pairs = out.get(node.node_id, [])
+        if pairs != [("seq", cfg.exit if last else stmts[i + 1].node_id)]:
+            line += "  [" + ", ".join(f"{label} {names[dst]}" for label, dst in pairs) + "]"
+        lines.append(line)
     return "\n".join(lines)

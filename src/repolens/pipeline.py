@@ -156,13 +156,13 @@ def complete_task(
     """Build the prompt for one task; generation is the caller's business.
 
     A caller that completes many tasks holds one ``module_map`` and one
-    ``index`` and passes both to every task; retrieval skips the target
-    file's windows, so results match a fresh build that excluded it, and
-    the index's read faults are reported where that build reports them.
-    Without an index, the task builds its map over the repository's store
-    (``<repo>/.repolens/snippets.json``) unless a map is passed, builds an
-    index with the target excluded from the map's store, and writes back what
-    it had to compute, a failed write being ignored.
+    ``index`` and passes both to every task. Without an index, the task
+    builds its map over the repository's store
+    (``<repo>/.repolens/snippets.json``) unless a map is passed, indexes
+    every file from the map's store, and writes back what it had to
+    compute, a failed write being ignored. Either way retrieval skips the
+    target file's windows, and the index's read faults are reported, the
+    target's left out.
     """
 
     cfg = cfg or PipelineConfig()
@@ -194,19 +194,10 @@ def complete_task(
 
     tick = time.perf_counter()
     if index is None:
-        index = build_index(
-            task.repo,
-            cfg.window,
-            cfg.stride,
-            exclude=task.file,
-            diagnostics=bundle.diagnostics,
-            reuse=module_map.store,
-        )
+        index = build_index(task.repo, cfg.window, cfg.stride, reuse=module_map.store)
         if module_map.store is not None:
             module_map.store.flush()
-    else:
-        # the faults a build that excluded the target would have reported
-        bundle.diagnostics.extend(d for d in index.diagnostics if d.context["path"] != task.file)
+    bundle.diagnostics.extend(d for d in index.diagnostics if d.context["path"] != task.file)
     pool = semantic_candidates(
         index,
         target_code,

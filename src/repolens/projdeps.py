@@ -92,14 +92,14 @@ class CrossModuleDependency:
 
 def _iter_source_files(root: Path, diagnostics: list[Diagnostic] | None):
     def on_error(err: OSError) -> None:
-        diagnostic = Diagnostic(
-            code="unreadable_subtree",
-            message=f"skipped unreadable directory: {err.filename}",
-            context={"path": str(err.filename)},
-        )
-        # a task walks the tree twice, for its module map and its index, into one list
-        if diagnostics is not None and diagnostic not in diagnostics:
-            diagnostics.append(diagnostic)
+        if diagnostics is not None:
+            diagnostics.append(
+                Diagnostic(
+                    code="unreadable_subtree",
+                    message=f"skipped unreadable directory: {err.filename}",
+                    context={"path": str(err.filename)},
+                )
+            )
 
     for dirpath, dirnames, filenames in os.walk(root, onerror=on_error):
         dirnames[:] = sorted(

@@ -6,8 +6,8 @@ of vectors fetched as JSON over HTTP and kept on the index; either way the
 pool is then re-ranked by a weighted blend of the semantic score and an
 AST-path Jaccard similarity, so structurally close snippets rise even when
 identifiers differ. The AST paths of windows and queries alike are walked
-off the standard library's ``ast`` trees; this module imports nothing from
-parso.
+off the standard library's ``ast`` trees, parsed through the bounded repair
+of ``syntax._parsed``; this module imports nothing from parso.
 """
 
 from __future__ import annotations
@@ -16,26 +16,23 @@ import ast
 import contextlib
 import hashlib
 import heapq
-import io
 import json
 import keyword
 import math
 import operator
 import os
 import re
-import tokenize
-import warnings
 from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, facts_from_json, facts_to_json
+from .syntax import FileFacts, SourceFile, _parsed, facts_from_json, facts_to_json
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
@@ -127,7 +124,7 @@ def ast_paths_of(text: str) -> frozenset[str]:
     one terminal node, truncated to ``_PATH_DEPTH`` names. Erasing token
     values makes the resulting set rename-invariant. ``text`` may be a
     fragment, such as a query's slice and partial line: it is parsed
-    through ``_parsed``'s bounded repair.
+    through ``syntax._parsed``'s bounded repair.
     """
 
     if not text.strip():
@@ -142,16 +139,11 @@ def line_ast_paths(path: str, text: str) -> list[set[str]]:
     position (an operator such as ``ast.Add``, an empty ``arguments``)
     under its nearest positioned ancestor's. ``expr_context`` nodes are
     dropped. Lines end at "\\n" alone, as the index cuts them; the lines
-    ``_parsed`` cuts away, or all of them when nothing parses, get none."""
+    ``syntax._parsed`` cuts away, or all of them when nothing parses, get
+    none."""
 
-    # ast also ends a line at a lone "\r": ``ours[n]`` is the line that
-    # holds ast's line ``n + 1``
-    ends = re.findall(r"\r\n?|\n", text)
-    ours = list(accumulate((end != "\r" for end in ends), initial=0))
-    lines: list[set[str]] = [set() for _ in range(ours[-1] + 1)]
-    if len(ends) > ours[-1]:
-        text = re.sub(r"\r\n?", "\n", text)
-    tree, kept = _parsed(path, text)
+    lines: list[set[str]] = [set() for _ in range(text.count("\n") + 1)]
+    tree, rows = _parsed(path, text)
     if tree is None:
         return lines
     # below a full chain every node keeps it, so each terminal under a node
@@ -173,134 +165,10 @@ def line_ast_paths(path: str, text: str) -> list[set[str]]:
                     stack.append((child, chain, depth, first, last))
                     leaf = False
         # a terminal of an appended line (``_parsed``'s repair) is not filed
-        if leaf and 0 < first <= kept:
-            for line in range(ours[first - 1], ours[min(last, kept) - 1] + 1):
+        if leaf and 0 < first <= len(rows):
+            for line in range(rows[first - 1], rows[min(last, len(rows)) - 1] + 1):
                 lines[line].add(chain)
     return lines
-
-
-def _ast_parse(text: str, filename: str) -> ast.Module:
-    """``ast.parse``, its warnings (an invalid escape such as "\\d") silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ast.parse(text, filename)
-
-
-def _parsed(path: str, text: str) -> tuple[ast.Module | None, int]:
-    """The tree of ``text`` (lines ending at "\\n") and how many of its
-    lines the tree holds, from at most three ``ast.parse`` calls.
-
-    The lines are first dedented by the indentation of the first line that
-    holds code, a function's def line in a query. A text ``ast`` rejects is
-    then completed (``_closing``): a placeholder name and the closers of
-    open brackets finish its last line, and a dangling block header or
-    ``try`` is closed. If that text is rejected too, the lines from the
-    error line on are cut once and the rest is completed the same way. A
-    text nothing of which parses, or that ``ast`` cannot take at all (a NUL
-    byte, a nesting too deep for its parser), gives ``(None, 0)``.
-    """
-
-    lines = text.split("\n")
-    code = next((line for line in lines if line.strip() and not line.lstrip().startswith("#")), "")
-    indent = code[: len(code) - len(code.lstrip())]
-    if indent:
-        lines = [line.removeprefix(indent) for line in lines]
-        text = "\n".join(lines)
-    try:
-        try:
-            return _ast_parse(text, path), len(lines)
-        except SyntaxError as err:
-            error = err.lineno
-        closing = _closing(lines)
-        if closing:
-            try:
-                return _ast_parse(text + closing, path), len(lines)
-            except SyntaxError as err:
-                error = err.lineno
-        if not error or error < 2:
-            return None, 0
-        lines = lines[: min(error, len(lines)) - 1]
-        return _ast_parse("\n".join(lines) + _closing(lines), path), len(lines)
-    except (SyntaxError, ValueError, RecursionError, MemoryError):
-        return None, 0
-
-
-_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-_LAYOUT_TOKENS = frozenset(
-    {tokenize.NEWLINE, tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
-)
-# keywords after which an expression or a simple statement can end
-_FINAL_KEYWORDS = frozenset({"True", "False", "None", "pass", "break", "continue", "return", "yield", "raise"})
-# keywords that open a compound statement's header, which ends at a ":"
-_HEADER_KEYWORDS = frozenset(
-    {"if", "elif", "else", "while", "for", "try", "except", "finally", "with", "def", "class", "async"}
-)
-
-
-def _closing(lines: list[str]) -> str:
-    """What completes ``"\\n".join(lines)``: a placeholder name when its
-    last token wants an operand, the closers of the brackets still open
-    (read with ``tokenize``, so a bracket in a string or comment does not
-    count), the ``:`` a block header lacks, a newline, a ``pass`` body for a
-    dangling block header, and a ``finally: pass`` for each ``try`` that has
-    no handler yet. Empty when the text ends complete."""
-
-    stack: list[str] = []
-    tries: list[str] = []  # indentation of each open ``try`` without a handler
-    last = None
-    indent = ""  # indentation of the current logical line
-    header = False  # whether the current logical line opens a block
-    body = False  # whether that header's ":" came
-    starting = True
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO("\n".join(lines) + "\n").readline):
-            kind, string = tok.type, tok.string
-            if kind == tokenize.NEWLINE:
-                starting = True
-            if kind in _LAYOUT_TOKENS:
-                continue
-            if starting:
-                starting = False
-                row, col = tok.start
-                indent = lines[row - 1][:col]
-                header, body = kind == tokenize.NAME and string in _HEADER_KEYWORDS, False
-                while tries and len(tries[-1]) >= len(indent):
-                    if tries.pop() == indent and string in ("except", "finally"):
-                        break
-                if string == "try":
-                    tries.append(indent)
-            elif kind == tokenize.OP and string == ":" and header and not stack:
-                body = True
-            if kind == tokenize.OP and string in _CLOSERS:
-                stack.append(_CLOSERS[string])
-            elif kind == tokenize.OP and string in ")]}" and stack:
-                stack.pop()
-            last = tok
-    except (tokenize.TokenError, SyntaxError):
-        pass
-    if last is None:
-        return ""
-    ends_header = body and last.string == ":" and not stack  # it wants a body, not an operand
-    if last.type == tokenize.OP:
-        # a trailing "," is valid
-        wants_operand = last.string not in (")", "]", "}", "...", ",") and not ends_header
-    else:
-        wants_operand = (
-            last.type == tokenize.NAME
-            and keyword.iskeyword(last.string)
-            and last.string not in _FINAL_KEYWORDS
-            and not (header and last.string in ("else", "try", "finally") and last.start[1] == len(indent))
-        )
-    tail = ("_" if wants_operand else "") + "".join(reversed(stack))
-    if header and not body:
-        tail += ":"
-    dangling = header and (not body or ends_header)
-    if not tail and not dangling and not tries:
-        return ""
-    tail += "\n"
-    if dangling:
-        tail += f"{indent} pass\n"
-    return tail + "".join(f"{at}finally: pass\n" for at in reversed(tries))
 
 
 # Each window's identifier tokens and AST paths, each a sorted tuple of
@@ -325,11 +193,9 @@ def build_index(
     repo_root: Path | str,
     window: int = PipelineConfig.window,
     stride: int = PipelineConfig.stride,
-    exclude: str | None = None,
-    diagnostics: list[Diagnostic] | None = None,
     reuse: Store | None = None,
 ) -> SnippetIndex:
-    """Slide a fixed window over every source file except ``exclude``.
+    """Slide a fixed window over every source file.
 
     A file's windows are taken from its entry in the ``reuse`` store when
     that entry was cut from the same text with the same window and stride.
@@ -338,26 +204,22 @@ def build_index(
     (``line_ast_paths``); the windows are kept in the file's entry. Ids, lines and text always come
     from the file, and the result equals a fresh build. Each distinct token
     or path is one string object across the index, whichever way its
-    windows were obtained. A one-shot task excludes its target: with the
-    target in the index, an edited target would be parsed twice, once for
-    its windows and once for its facts.
+    windows were obtained. A file that cannot be read is skipped, with an
+    ``unreadable_file`` fault in the index's ``diagnostics``.
     """
 
     root = Path(repo_root).resolve()
     shared: dict[str, str] = {}
     snippets: list[Snippet] = []
     unreadable: list[Diagnostic] = []
-    for path in _iter_source_files(root, diagnostics):
+    for path in _iter_source_files(root, None):
         rel = path.relative_to(root).as_posix()
-        if exclude is not None and rel == exclude:
-            continue
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as err:
-            fault = Diagnostic(code="unreadable_file", message=f"skipped {rel}: {err}", context={"path": rel})
-            unreadable.append(fault)
-            if diagnostics is not None:
-                diagnostics.append(fault)
+            unreadable.append(
+                Diagnostic(code="unreadable_file", message=f"skipped {rel}: {err}", context={"path": rel})
+            )
             continue
         lines = text.removesuffix("\n").split("\n") if text else []
         starts = range(0, max(len(lines) - window, 0) + 1, stride)

@@ -1,13 +1,19 @@
 """Error-tolerant Python parsing and symbol-level queries.
 
+This module holds both parse rules of the package.
+
 :func:`parse` runs parso and keeps its tree as it is: ``SyntaxTree.root`` is
 parso's module node. parso keeps parsing through syntax errors and surfaces
 the broken region as ``error_node`` -- exactly what an unfinished file with
-a cursor in the middle looks like. These trees serve the file facts and the
-control-flow sketch; the index's AST paths come from the standard library's
-``ast`` (``retrieval.line_ast_paths``). parso is imported and its grammar
-generated on the first parse, not at import, so a run that parses nothing
-here (``repolens index``, ``--help``) loads neither.
+a cursor in the middle looks like. These trees serve the file facts alone.
+parso is imported and its grammar generated on the first parse, not at
+import, so a run that parses no file facts (``repolens index``, ``--help``,
+a ``complete`` whose facts are stored) loads neither.
+
+:func:`_parsed` runs the standard library's ``ast`` through a bounded repair
+(``_closing``) that completes a fragment cut at a cursor. Its trees serve
+the index's AST paths (``retrieval.line_ast_paths``), the query's, and the
+control-flow sketch (``funcflow.build_cfg``).
 
 Analyzers read parso's nodes through three helpers, which hide its layout:
   * :func:`children` is a node's retained children: ``newline`` and
@@ -36,6 +42,12 @@ span when it is read back.
 
 from __future__ import annotations
 
+import ast
+import io
+import keyword
+import re
+import tokenize
+import warnings
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
@@ -573,3 +585,135 @@ def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
             bound = tuple(pairs)
         records.append(ImportRecord(module_path=module_path, bound_names=bound, import_span=import_span))
     return records
+
+
+def _ast_parse(text: str, filename: str) -> ast.Module:
+    """``ast.parse``, its warnings (an invalid escape such as "\\d") silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ast.parse(text, filename)
+
+
+def _parsed(path: str, text: str) -> tuple[ast.Module | None, list[int]]:
+    """The ``ast`` tree of ``text``, the file at ``path``, from at most three
+    ``ast.parse`` calls, and the rows of the lines the tree holds: ``rows[n]``
+    is the 0-based line, lines ending at "\\n" alone, that holds ``ast``'s
+    line ``n + 1``. ``ast`` also ends a line at a lone "\\r", so a text
+    holding one is parsed with every "\\r" line end made a "\\n". A line
+    past ``len(rows)`` is one the repair below appended.
+
+    The lines are first dedented by the indentation of the first line that
+    holds code, a function's def line in a query. A text ``ast`` rejects is
+    then completed (``_closing``): a placeholder name and the closers of
+    open brackets finish its last line, and a dangling block header or
+    ``try`` is closed. If that text is rejected too, the lines from the
+    error line on are cut once and the rest is completed the same way. A
+    text nothing of which parses, or that ``ast`` cannot take at all (a NUL
+    byte, a nesting too deep for its parser), gives ``(None, [])``.
+    """
+
+    ends = re.findall(r"\r\n?|\n", text)
+    rows = list(accumulate((end != "\r" for end in ends), initial=0))
+    if len(ends) > rows[-1]:
+        text = re.sub(r"\r\n?", "\n", text)
+    lines = text.split("\n")
+    code = next((line for line in lines if line.strip() and not line.lstrip().startswith("#")), "")
+    indent = code[: len(code) - len(code.lstrip())]
+    if indent:
+        lines = [line.removeprefix(indent) for line in lines]
+        text = "\n".join(lines)
+    try:
+        try:
+            return _ast_parse(text, path), rows
+        except SyntaxError as err:
+            error = err.lineno
+        closing = _closing(lines)
+        if closing:
+            try:
+                return _ast_parse(text + closing, path), rows
+            except SyntaxError as err:
+                error = err.lineno
+        if not error or error < 2:
+            return None, []
+        lines = lines[: min(error, len(lines)) - 1]
+        return _ast_parse("\n".join(lines) + _closing(lines), path), rows[: len(lines)]
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        return None, []
+
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+_LAYOUT_TOKENS = frozenset(
+    {tokenize.NEWLINE, tokenize.NL, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+)
+# keywords after which an expression or a simple statement can end
+_FINAL_KEYWORDS = frozenset({"True", "False", "None", "pass", "break", "continue", "return", "yield", "raise"})
+# keywords that open a compound statement's header, which ends at a ":"
+_HEADER_KEYWORDS = frozenset(
+    {"if", "elif", "else", "while", "for", "try", "except", "finally", "with", "def", "class", "async"}
+)
+
+
+def _closing(lines: list[str]) -> str:
+    """What completes ``"\\n".join(lines)``: a placeholder name when its
+    last token wants an operand, the closers of the brackets still open
+    (read with ``tokenize``, so a bracket in a string or comment does not
+    count), the ``:`` a block header lacks, a newline, a ``pass`` body for a
+    dangling block header, and a ``finally: pass`` for each ``try`` that has
+    no handler yet. Empty when the text ends complete."""
+
+    stack: list[str] = []
+    tries: list[str] = []  # indentation of each open ``try`` without a handler
+    last = None
+    indent = ""  # indentation of the current logical line
+    header = False  # whether the current logical line opens a block
+    body = False  # whether that header's ":" came
+    starting = True
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO("\n".join(lines) + "\n").readline):
+            kind, string = tok.type, tok.string
+            if kind == tokenize.NEWLINE:
+                starting = True
+            if kind in _LAYOUT_TOKENS:
+                continue
+            if starting:
+                starting = False
+                row, col = tok.start
+                indent = lines[row - 1][:col]
+                header, body = kind == tokenize.NAME and string in _HEADER_KEYWORDS, False
+                while tries and len(tries[-1]) >= len(indent):
+                    if tries.pop() == indent and string in ("except", "finally"):
+                        break
+                if string == "try":
+                    tries.append(indent)
+            elif kind == tokenize.OP and string == ":" and header and not stack:
+                body = True
+            if kind == tokenize.OP and string in _CLOSERS:
+                stack.append(_CLOSERS[string])
+            elif kind == tokenize.OP and string in ")]}" and stack:
+                stack.pop()
+            last = tok
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    if last is None:
+        return ""
+    ends_header = body and last.string == ":" and not stack  # it wants a body, not an operand
+    if last.type == tokenize.OP:
+        # a trailing "," is valid
+        wants_operand = last.string not in (")", "]", "}", "...", ",") and not ends_header
+    else:
+        wants_operand = (
+            last.type == tokenize.NAME
+            and keyword.iskeyword(last.string)
+            and last.string not in _FINAL_KEYWORDS
+            and not (header and last.string in ("else", "try", "finally") and last.start[1] == len(indent))
+        )
+    tail = ("_" if wants_operand else "") + "".join(reversed(stack))
+    if header and not body:
+        tail += ":"
+    dangling = header and (not body or ends_header)
+    if not tail and not dangling and not tries:
+        return ""
+    tail += "\n"
+    if dangling:
+        tail += f"{indent} pass\n"
+    return tail + "".join(f"{at}finally: pass\n" for at in reversed(tries))

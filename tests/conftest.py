@@ -35,11 +35,11 @@ def dep_case_table():
 
 def count_parses(monkeypatch) -> list[tuple[str, str]]:
     """Wrap ``syntax.parse`` in every ``repolens`` module that imported it,
-    and retrieval's ``ast`` parse; each call appends (module, file path) to
-    the list returned, a query's paths counting as ("retrieval", "snippet.py")
-    once per ``ast.parse``."""
+    and ``syntax``'s ``ast`` parse; each call appends (module, file path) to
+    the list returned, an ``ast.parse`` counting as ("ast", file path): a
+    query's paths as ("ast", "snippet.py"), a slice as ("ast", "<slice>")."""
     parses: list[tuple[str, str]] = []
-    real_parse, real_ast_parse = syntax.parse, retrieval._ast_parse
+    real_parse, real_ast_parse = syntax.parse, syntax._ast_parse
 
     def wrap(module_name: str):
         def counted_parse(file):
@@ -49,13 +49,13 @@ def count_parses(monkeypatch) -> list[tuple[str, str]]:
         return counted_parse
 
     def counted_ast_parse(text, filename):
-        parses.append(("retrieval", filename))
+        parses.append(("ast", filename))
         return real_ast_parse(text, filename)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("repolens") and getattr(module, "parse", None) is real_parse:
             monkeypatch.setattr(module, "parse", wrap(name.removeprefix("repolens.")))
-    monkeypatch.setattr(retrieval, "_ast_parse", counted_ast_parse)
+    monkeypatch.setattr(syntax, "_ast_parse", counted_ast_parse)
     return parses
 
 

@@ -88,7 +88,7 @@ def test_index_after_rename_windows_the_new_path_and_drops_the_old(runner, repo,
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
     monkeypatch.undo()
-    assert parses == [("retrieval", "lib/path_utils.py")]
+    assert parses == [("ast", "lib/path_utils.py")]
     assert sorted(read_store(index_path(repo))) == ["data_processor.py", "lib/path_utils.py", "main.py"]
     assert stored_index(repo) == build_index(repo)
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
@@ -153,12 +153,13 @@ def test_complete_writes_back_the_windows_of_an_edited_file(runner, repo, monkey
     args = complete_args(repo, "--dry-run", "--explain", "--no-timing")
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
-    # the edited file is parsed once for its windows, then the query for its paths
-    retrieval_parses = [p for p in parses if p[0] == "retrieval"]
-    assert retrieval_parses == [("retrieval", "lib/text_utils.py"), ("retrieval", "snippet.py")]
+    # the slice is parsed for its sketch, the edited file once for its
+    # windows, then the query for its paths
+    ast_parses = [p for p in parses if p[0] == "ast"]
+    assert ast_parses == [("ast", "<slice>"), ("ast", "lib/text_utils.py"), ("ast", "snippet.py")]
     parses.clear()
     second = runner.invoke(main, args)
-    assert [p for p in parses if p[0] == "retrieval"] == [("retrieval", "snippet.py")]
+    assert [p for p in parses if p[0] == "ast"] == [("ast", "<slice>"), ("ast", "snippet.py")]
     assert second.output == first.output
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
@@ -275,11 +276,20 @@ def test_grammar_is_generated_on_the_first_parse(runner, repo):
 def test_index_without_a_store_loads_no_parso(repo):
     """Windows take their paths from ``ast``, so a full index build neither
     imports parso nor generates its grammar; the facts of a ``complete``
-    after it do, once."""
+    after it do, once. The control-flow sketch comes from ``ast`` too, so a
+    later ``complete`` whose facts are stored imports no parso at all."""
+
+    def parso_modules(modules):
+        return {name for name in modules if name == "parso" or name.startswith("parso.")}
+
     counts, modules = run_fresh(["index", "--repo", str(repo)])
     assert counts == [0]
-    assert not {name for name in modules if name == "parso" or name.startswith("parso.")}
+    assert not parso_modules(modules)
     assert run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))[0] == [0, 1]
+    counts, modules = run_fresh(complete_args(repo, "--dry-run"))
+    assert counts == [0]
+    assert "repolens.funcflow" in modules
+    assert not parso_modules(modules)
 
 
 def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):

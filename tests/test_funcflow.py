@@ -6,11 +6,15 @@ freezing here; graph invariants are checked across every fixture.
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from repolens.funcflow import build_cfg, local_slice, render_cfg
+from repolens.funcflow import _MAX_DEPTH, build_cfg, local_slice, render_cfg
 from repolens.syntax import SourceFile, file_facts, parse
 
 LOOP_FUNC = """\
@@ -132,7 +136,7 @@ def test_empty_slice_yields_trivial_graph():
     cfg = build_cfg(local_slice(facts, 0))
     assert len(cfg.nodes) == 2
     assert [(e.src, e.dst, e.label) for e in cfg.edges] == [(cfg.entry, cfg.exit, "seq")]
-    assert render_cfg(cfg) == "entry -> exit"
+    assert render_cfg(cfg) == ""
 
 
 def test_if_else_graph_matches_hand_drawing():
@@ -141,9 +145,9 @@ def test_if_else_graph_matches_hand_drawing():
     assert kinds == ["entry", "exit", "if", "statement", "statement"]
     labels = sorted(e.label for e in cfg.edges)
     assert labels == ["false", "seq", "seq", "seq", "true"]
-    rendered = render_cfg(cfg)
-    assert len(rendered.splitlines()) == 5
-    assert "-[true]->" in rendered and "-[false]->" in rendered
+    # each statement once; only the branch and the body that skips the
+    # else arm do more than fall through
+    assert render_cfg(cfg) == "L1: if c:  [true L2, false L4]\nL2: a = 1  [seq exit]\nL4: a = 2"
 
 
 def test_loop_graph_has_one_back_and_one_exit_edge():
@@ -253,3 +257,142 @@ def test_straight_line_slice_property(n):
     assert len(cfg.nodes) == n + 2
     assert len(cfg.edges) == n + 1
     assert all(e.label == "seq" for e in cfg.edges)
+
+
+def test_a_bare_return_in_a_loop_ends_its_path():
+    text = "def f(xs):\n    for x in xs:\n        if x:\n            return\n        y = x\n    z = 1\n"
+    cfg = _cfg(text, 5)
+    (ret,) = [n for n in cfg.nodes if n.kind == "return"]
+    assert (ret.line, ret.text) == (3, "return")
+    assert [(e.dst, e.label) for e in _out_edges(cfg, ret.node_id)] == [(cfg.exit, "seq")]
+    assert render_cfg(cfg).splitlines()[2:] == ["L4: return", "L5: y = x  [loop_back L2]"]
+
+
+def test_pass_break_and_continue_are_plain_statements():
+    text = "def f(xs):\n    for x in xs:\n        if x:\n            continue\n        pass\n        break\n    z = 1\n"
+    cfg = _cfg(text, 6)
+    plain = {n.text: n for n in cfg.nodes if n.kind == "statement"}
+    assert sorted(plain) == ["break", "continue", "pass"]
+    assert [e.label for e in _out_edges(cfg, plain["continue"].node_id)] == ["seq"]
+    assert render_cfg(cfg).splitlines()[2:] == ["L4: continue", "L5: pass", "L6: break  [loop_back L2]"]
+
+
+def test_a_method_slice_sketches_the_method_body():
+    text = "class C:\n    def m(self, a):\n        b = a\n        if b:\n            return b\n        c = 2\n"
+    cfg = _cfg(text, 5)
+    assert render_cfg(cfg) == "L3: b = a\nL4: if b:  [true L5, false exit]\nL5: return b"
+
+
+def test_a_decorated_nested_def_is_labelled_at_its_decorator():
+    text = "def f():\n    @wrap\n    @other\n    def g():\n        return 1\n    h = g()\n    k = 1\n"
+    cfg = _cfg(text, 6)
+    assert render_cfg(cfg) == "L2: @wrap ...\nL6: h = g()"
+
+
+def test_a_slice_ending_on_a_block_header_gets_no_node_for_the_repair():
+    text = "def f(a):\n    b = a\n    if b:\n        c = 1\n"
+    cfg = _cfg(text, 3)
+    assert [n.text for n in cfg.nodes if n.kind not in ("entry", "exit")] == ["b = a", "if b:"]
+    assert render_cfg(cfg) == "L2: b = a\nL3: if b:  [true exit, false exit]"
+
+
+def test_a_lone_carriage_return_keeps_every_label_on_its_line():
+    # ast ends a line at the "\r" inside the string; the sketch does not
+    text = "def f():\n    s = '''a\rb\n'''\n    t = 1\n    u = 2\n"
+    cfg = _cfg(text, 4)
+    assert [(n.line, n.text) for n in cfg.nodes if n.kind == "statement"] == [(1, "s = '''a\rb ..."), (3, "t = 1")]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _first_line(stmt: ast.stmt) -> int:
+    return min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])]) - 1
+
+
+def _sketched_lines(stmts: list[ast.stmt], depth: int, cursor: int, cut: list[int]) -> tuple[set[int], bool]:
+    """The 0-based lines of ``stmts`` the sketch of a slice ending at line
+    ``cursor`` holds a node at, and whether the block returned: each
+    statement starting before the cursor, ``if`` and loops expanded down to
+    ``_MAX_DEPTH``, try and with bodies inlined into their block (a ``try``
+    line is not a node), except handlers left out, nothing after a return
+    in its block. The first line after a try whose inlined body returned,
+    a line the sketch cannot reach as no edge leaves a handler, goes to
+    ``cut`` when it starts before the cursor."""
+    lines: set[int] = set()
+    for i, stmt in enumerate(stmts):
+        first = _first_line(stmt)
+        if first >= cursor:
+            break
+        tries = isinstance(stmt, ast.Try) or type(stmt).__name__ == "TryStar"
+        if not tries:
+            lines.add(first)
+        if isinstance(stmt, ast.Return):
+            return lines, True
+        nested: list[tuple[list[ast.stmt], int]] = []
+        if isinstance(stmt, ast.If) and depth < _MAX_DEPTH:
+            link = stmt
+            while True:  # an elif chain sits at its first test's depth
+                nested.append((link.body, depth + 1))
+                orelse = link.orelse
+                if len(orelse) == 1 and isinstance(orelse[0], ast.If) and orelse[0].col_offset == link.col_offset:
+                    link = orelse[0]
+                    if link.lineno - 1 < cursor:
+                        lines.add(link.lineno - 1)
+                    continue
+                nested.append((orelse, depth + 1))
+                break
+        elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)) and depth < _MAX_DEPTH:
+            nested += [(stmt.body, depth + 1), (stmt.orelse, depth)]
+        for block, at in nested:
+            lines |= _sketched_lines(block, at, cursor, cut)[0]
+        if tries or isinstance(stmt, (ast.With, ast.AsyncWith)):
+            inlined = stmt.body + stmt.orelse + stmt.finalbody if tries else stmt.body
+            inner, returned = _sketched_lines(inlined, depth, cursor, cut)
+            lines |= inner
+            if returned:
+                if tries and i + 1 < len(stmts) and _first_line(stmts[i + 1]) < cursor:
+                    cut.append(_first_line(stmts[i + 1]))
+                return lines, True
+    return lines, False
+
+
+def test_the_sketch_holds_every_statement_before_every_corpus_cursor():
+    """An ``ast`` oracle over every function-scope cursor of both perfbench
+    corpora: the sketch of the slice holds a node at each statement of the
+    owner's body that ``_sketched_lines`` counts."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import cursors
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    checked = 0
+    cut_by_try = []
+    for corpus in ("stdlib_email", "repolens_7369f41"):
+        root = PERFBENCH / "corpora" / corpus
+        modules = cursors.corpus_modules(root)
+        for rel in sorted(modules.values()):
+            found = cursors.file_cursors(root, rel, modules)
+            if not found:
+                continue
+            text = (root / rel).read_text(encoding="utf-8")
+            facts = file_facts(parse(SourceFile.from_text(rel, text)))
+            functions = [
+                node
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for cursor in found:
+                owner = max(
+                    (f for f in functions if f.lineno <= cursor.line + 1 <= f.end_lineno), key=lambda f: f.lineno
+                )
+                cut: list[int] = []
+                expected = _sketched_lines(owner.body, 0, cursor.line, cut)[0]
+                if cut:
+                    cut_by_try.append(cursor.task_id)
+                cfg = build_cfg(local_slice(facts, cursor.line))
+                assert expected <= {n.line for n in cfg.nodes}, (corpus, cursor.task_id)
+                checked += 1
+    assert checked == 402
+    # a try body that returns leaves the rest of its block unreachable
+    assert cut_by_try == ["email/contentmanager.py:159", "email/contentmanager.py:174"]

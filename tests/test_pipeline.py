@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repolens import pipeline, projdeps, retrieval
+from repolens import pipeline, projdeps, retrieval, syntax
 from repolens.config import PipelineConfig
 from repolens.errors import ConfigError
 from repolens.pipeline import (
@@ -119,7 +119,8 @@ def test_extract_context_assembles_all_levels(repo):
     bundle = extract_context(repo, "main.py", CURSOR)
     assert bundle.slice_.origin == "function"
     assert bundle.slice_.owner.name == "target"
-    assert bundle.cfg_text.startswith("entry ->")
+    # each statement once; both fall through, so neither carries edges
+    assert bundle.cfg_text == "L24: full = os.path.join(BASE_DIR, path)\nL25: value = combine(7)"
     by_kind = {(d.symbol.name, d.dep_kind) for d in bundle.file_deps}
     assert by_kind == {
         ("combine", "explicit"),
@@ -185,7 +186,7 @@ def test_shared_index_equals_fresh_build(repo):
 
 def test_one_shot_task_builds_posting_lists_once(repo, monkeypatch):
     built = count_posting_builds(monkeypatch)
-    windows = len(build_index(repo, exclude="main.py").snippets)
+    windows = len(build_index(repo).snippets)
     complete_task(make_task(repo))
     index_repo(repo)
     complete_task(make_task(repo))  # through the store
@@ -240,7 +241,7 @@ def test_shared_index_builds_its_posting_lists_once(repo, monkeypatch):
 def test_current_cache_spares_every_window_parse(repo, monkeypatch):
     parses = []
     inside = []
-    real_build, real_parse = pipeline.build_index, retrieval._ast_parse
+    real_build, real_parse = pipeline.build_index, syntax._ast_parse
 
     def traced_build(*args, **kwargs):
         inside.append(True)
@@ -255,7 +256,7 @@ def test_current_cache_spares_every_window_parse(repo, monkeypatch):
         return real_parse(text, filename)
 
     monkeypatch.setattr(pipeline, "build_index", traced_build)
-    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
+    monkeypatch.setattr(syntax, "_ast_parse", counted_parse)
     uncached = complete_task(make_task(repo))
     assert parses
     index_repo(repo)
@@ -351,7 +352,7 @@ def test_ablate_no_sm_orders_by_semantic_score(repo):
     cfg = PipelineConfig()
     result = complete_task(make_task(repo), cfg, ablate="no-sm")
     pool = semantic_candidates(
-        build_index(repo, exclude="main.py"), result.target_code, cfg.pool_size
+        build_index(repo), result.target_code, cfg.pool_size, exclude="main.py"
     )
     expected = [snippet.snippet_id for snippet, _ in pool][: cfg.k_final]
     assert [e.snippet.snippet_id for e in result.exemplars.entries] == expected
@@ -431,7 +432,7 @@ def test_repeat_task_parses_only_target_slice_and_query(repo, monkeypatch):
 
     parses.clear()
     complete_task(make_task(repo), index=index, module_map=module_map)
-    assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
+    assert sorted(parses) == [("ast", "<slice>"), ("ast", "snippet.py")]
 
 
 def stored_facts(repo) -> dict:
@@ -454,7 +455,7 @@ def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
 
     parses = count_parses(monkeypatch)
     second = complete_task(make_task(repo))
-    assert sorted(parses) == [("funcflow", "<slice>"), ("retrieval", "snippet.py")]
+    assert sorted(parses) == [("ast", "<slice>"), ("ast", "snippet.py")]
     assert same_output(second, first)
 
 
@@ -578,7 +579,8 @@ def test_reused_facts_equal_fresh_ones_on_every_dep_case(dep_case_table, monkeyp
         extract_context(root, name, 0, module_map=module_map)  # the facts are built here
         parses.clear()
         reused = extract_context(root, name, cursor, module_map=module_map)
-        assert [module for module, _ in parses] == ["funcflow"], name  # the slice alone
+        # the slice alone, a second time when it ends on a block header (the repair's)
+        assert parses in ([("ast", "<slice>")], [("ast", "<slice>")] * 2), name
         fresh = extract_context(root, name, cursor)
         assert reused == fresh, name
         # SymbolRecord.refs is left out of record equality, so compare it on its own

@@ -117,8 +117,8 @@ def prompt_inputs(tmp_path):
     graph = build_graph(bundle)
     ranked = select_topk(graph, personalized_pagerank(graph).scores)
     cfg_text = render_cfg(build_cfg(slice_))
-    index = build_index(tmp_path, exclude="main.py")
-    pool = semantic_candidates(index, slice_.code)
+    index = build_index(tmp_path)
+    pool = semantic_candidates(index, slice_.code, exclude="main.py")
     exemplars = rerank(pool, ast_paths_of(slice_.code))
     target_code = slice_.code + "    result = process_"
     return ranked, cfg_text, exemplars, target_code

@@ -80,8 +80,10 @@ def test_short_file_is_one_snippet(tmp_path):
 
 def test_target_file_excluded(tmp_path):
     write_repo(tmp_path, {"main.py": numbered_lines(30), "other.py": numbered_lines(30)})
-    index = build_index(tmp_path, exclude="main.py")
-    assert {s.path for s in index.snippets} == {"other.py"}
+    index = build_index(tmp_path)
+    assert {s.path for s in index.snippets} == {"main.py", "other.py"}
+    pool = semantic_candidates(index, "value_3 = 3", n=10, exclude="main.py")
+    assert pool and {s.path for s, _ in pool} == {"other.py"}
 
 
 def test_windows_split_lines_on_newline_only(tmp_path):
@@ -320,13 +322,13 @@ def test_reuse_windows_only_new_or_edited_files(tmp_path, monkeypatch):
     old = build_index(tmp_path)
     cache = index_repo(tmp_path, tmp_path / "index.json")
     parsed = []
-    real_parse = retrieval._ast_parse
+    real_parse = syntax._ast_parse
 
     def counted_parse(text, filename):
         parsed.append(text)
         return real_parse(text, filename)
 
-    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
+    monkeypatch.setattr(syntax, "_ast_parse", counted_parse)
     assert build_index(tmp_path, reuse=load_index(cache)) == old
     assert parsed == []
 
@@ -352,7 +354,7 @@ def test_in_place_edit_parses_every_window_of_the_file_once(tmp_path, monkeypatc
     store = load_index(cache)
     rebuilt = build_index(tmp_path, reuse=store)
     assert len([s for s in rebuilt.snippets if s.path == "a.py"]) == 4
-    assert parsed == [("retrieval", "a.py")]
+    assert parsed == [("ast", "a.py")]
     store.write()
     parsed.clear()
     assert build_index(tmp_path, reuse=load_index(cache)) == rebuilt
@@ -432,9 +434,8 @@ _CONTENT = st.lists(st.sampled_from(_LINES), max_size=14).map(lambda ls: "".join
     ),
     old_geometry=_GEOMETRY,
     new_geometry=_GEOMETRY,
-    exclude=st.sampled_from([None, *_FILES]),
 )
-def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geometry, exclude):
+def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geometry):
     """Edits, additions and deletions, with a write-back of windows and
     facts between them and through a reload."""
     with tempfile.TemporaryDirectory() as scratch:
@@ -463,8 +464,8 @@ def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geomet
             else:
                 write_repo(root, {name: change})
         store = load_index(cache)
-        reused = build_index(root, *new_geometry, exclude=exclude, reuse=store)
-        fresh = build_index(root, *new_geometry, exclude=exclude)
+        reused = build_index(root, *new_geometry, reuse=store)
+        fresh = build_index(root, *new_geometry)
         assert reused == fresh
         assert [s.snippet_id for s in reused.snippets] == [s.snippet_id for s in fresh.snippets]
 
@@ -476,7 +477,7 @@ def test_reused_build_equals_fresh_build(before, after, old_geometry, new_geomet
             assert stored.files[name]["key"] == hashlib.sha256(facts.file.text.encode()).hexdigest()
             assert facts_to_json(stored.facts(name, facts.file.text)) == facts_to_json(facts)
         # the windows written back serve the next build without a parse
-        assert build_index(root, *new_geometry, exclude=exclude, reuse=stored) == fresh
+        assert build_index(root, *new_geometry, reuse=stored) == fresh
         assert not stored.changed
 
 
@@ -562,7 +563,7 @@ def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
     fresh = build_index(repo, reuse=store)
     files = list(dict.fromkeys(s.path for s in fresh.snippets))
     assert len(files) == 8
-    computed = [("retrieval", path) for path in files for _ in range(1 + (path == "deep.py"))]
+    computed = [("ast", path) for path in files for _ in range(1 + (path == "deep.py"))]
     assert parses == computed
     assert [s.ast_paths for s in fresh.snippets if s.path == "deep.py"] == [("Module/FunctionDef/arguments/arg",)]
     assert all(s.ast_paths for s in fresh.snippets if s.path == "a.py")
@@ -571,7 +572,7 @@ def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
     (repo / "pkg" / "short.py").write_text("x = 2\n")
     parses.clear()
     assert build_index(repo, reuse=load_index(store.path)) == build_index(repo)
-    assert parses == [("retrieval", "pkg/short.py")] + computed
+    assert parses == [("ast", "pkg/short.py")] + computed
 
 
 def _cursor_queries():
@@ -615,20 +616,20 @@ def test_every_corpus_query_parses_in_at_most_three_calls(monkeypatch):
     holds every complete statement of its slice unless the repair had to
     cut at the error line, which no query of the corpora does."""
     calls = []
-    real_parse = retrieval._ast_parse
+    real_parse = syntax._ast_parse
 
     def counted_parse(text, filename):
         calls.append(text)
         return real_parse(text, filename)
 
-    monkeypatch.setattr(retrieval, "_ast_parse", counted_parse)
+    monkeypatch.setattr(syntax, "_ast_parse", counted_parse)
     queries = cut = 0
     for task_id, query, complete in _cursor_queries():
         calls.clear()
-        tree, kept = retrieval._parsed("snippet.py", query)
+        tree, rows = syntax._parsed("snippet.py", query)
         assert 1 <= len(calls) <= 3, task_id
         queries += 1
-        if kept < query.count("\n") + 1:
+        if len(rows) < query.count("\n") + 1:
             cut += 1
             continue
         # the repaired text starts with the query's lines, dedented
@@ -660,13 +661,13 @@ def test_every_corpus_query_parses_in_at_most_three_calls(monkeypatch):
 )
 def test_a_fragment_is_completed_before_it_is_cut(fragment, completed, monkeypatch):
     parsed = []
-    real_parse = retrieval._ast_parse
-    monkeypatch.setattr(retrieval, "_ast_parse", lambda text, name: parsed.append(text) or real_parse(text, name))
-    tree, kept = retrieval._parsed("snippet.py", fragment)
+    real_parse = syntax._ast_parse
+    monkeypatch.setattr(syntax, "_ast_parse", lambda text, name: parsed.append(text) or real_parse(text, name))
+    tree, rows = syntax._parsed("snippet.py", fragment)
     assert parsed[-1] == completed
-    assert (tree is not None, kept) == (True, fragment.count("\n") + 1)
+    assert (tree is not None, rows) == (True, list(range(fragment.count("\n") + 1)))
     # the appended lines file no path
-    assert ast_paths_of(fragment) == frozenset().union(*line_ast_paths("m.py", completed)[:kept])
+    assert ast_paths_of(fragment) == frozenset().union(*line_ast_paths("m.py", completed)[: len(rows)])
     assert not any("Pass" in path for path in ast_paths_of(fragment))
 
 
@@ -691,7 +692,7 @@ def test_ast_parse_warnings_and_failures_give_empty_sets_or_nothing_printed(monk
         def fail(text, filename, error=error):
             raise error("too much")
 
-        monkeypatch.setattr(retrieval, "_ast_parse", fail)
+        monkeypatch.setattr(syntax, "_ast_parse", fail)
         assert line_ast_paths("m.py", "x = 1\n") == [set(), set()]
 
 
