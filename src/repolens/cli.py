@@ -48,16 +48,16 @@ def main() -> None:
 @click.option(
     "--force",
     is_flag=True,
-    help="Start from an empty store: parse every file again and drop the stored file facts.",
+    help="Start from an empty store: parse every file again for its windows and facts.",
 )
 def cmd_index(repo: str, config_path: str | None, force: bool) -> None:
     """Build and persist the snippet index in ``<repo>/.repolens``, where
     ``complete`` and ``evaluate`` read it.
 
     The store holds one entry per file, keyed on the file's text, so only a new
-    or edited file is parsed again, once for all its windows. The file facts
-    ``complete`` and ``evaluate`` stored are kept for the files it windows,
-    and the entry of any other path is dropped; the index computes no facts.
+    or edited file is parsed again, once for all its windows and its file
+    facts, which ``complete`` and ``evaluate`` then read without a parse. The
+    entry of any other path is dropped.
     """
 
     cfg = _load_cfg(config_path)

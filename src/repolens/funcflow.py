@@ -115,10 +115,11 @@ class _Builder:
         """A node for ``stmt`` labelled with its first line (a decorated
         definition's first decorator), plus `` ...`` when the statement runs
         on and its later lines are not nodes of their own, as they are for a
-        ``header``."""
+        ``header``. A lone "\\r" in the label is written as the two
+        characters ``\\r``, so every label stays on its line."""
         decorators = getattr(stmt, "decorator_list", None)
         line = self.rows[(decorators[0] if decorators else stmt).lineno - 1]
-        text = self.lines[line].strip()
+        text = self.lines[line].strip().replace("\r", "\\r")
         if not header and self.rows[min(stmt.end_lineno, len(self.rows)) - 1] > line:
             text = f"{text} ..."
         return self.add(kind, text, line + self.line_offset)
@@ -223,7 +224,7 @@ def build_cfg(slice_: LocalSlice) -> ControlFlowGraph:
     """Statement-level CFG over the pre-cursor slice; empty slices, and
     slices ``ast`` cannot parse even with the repair, produce the trivial
     entry -> exit graph."""
-    tree, rows = _parsed("<slice>", slice_.code)
+    tree, rows, _ = _parsed("<slice>", slice_.code)
     builder = _Builder(slice_.code.split("\n"), rows, slice_.span.start_line)
     stmts = tree.body if tree is not None else []
     if slice_.origin == "function" and stmts and isinstance(stmts[0], (ast.FunctionDef, ast.AsyncFunctionDef)):

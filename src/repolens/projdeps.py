@@ -15,9 +15,11 @@ the path), reused while the file's text is the same. Every lookup reads the
 file, so an in-place edit is never served stale; no syntax tree is kept. A
 map built over the repository's ``.repolens`` store decodes the stored facts
 of a path and text it has no entry for before it parses, and keeps what it
-parsed in the store. Files that cannot be read or parsed are never kept and
-report on every call. The package keeps no state of its own: the facts live
-as long as the caller holds the map.
+parsed in the store. A file that cannot be read is never kept and reports on
+every pass. A file ``ast`` rejects is kept with the facts of the lines
+``syntax._parsed`` keeps of it, and an imported one reports a
+``syntax_error`` on every pass. The package keeps no state of its own: the
+facts live as long as the caller holds the map.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _resolve_module(
 
 
 class _ModuleReader:
-    """Reads each mapped module at most once per dependency pass and
-    reports each one that cannot be read or parsed once per pass."""
+    """Reads each mapped module at most once per dependency pass, and
+    reports once per pass each one that cannot be read (``resolution_error``)
+    or that ``ast`` rejects (``syntax_error``)."""
 
     def __init__(self, module_map: ModuleMap, diagnostics: list[Diagnostic] | None):
         self._map = module_map
@@ -192,18 +195,22 @@ class _ModuleReader:
             rel = self._map.path_of(dotted)
             try:
                 text = (Path(self._map.root) / rel).read_text(encoding="utf-8")
-                self._loaded[dotted] = self._map.facts(rel, text)
-            except (OSError, UnicodeDecodeError, ValueError) as err:
+            except (OSError, UnicodeDecodeError) as err:
                 self._loaded[dotted] = None
-                if self._diagnostics is not None:
-                    self._diagnostics.append(
-                        Diagnostic(
-                            code="resolution_error",
-                            message=f"could not parse {rel}: {err}",
-                            context={"module": dotted, "path": str(rel)},
-                        )
-                    )
+                self._report("resolution_error", f"could not read {rel}: {err}", dotted, rel)
+            else:
+                facts = self._loaded[dotted] = self._map.facts(rel, text)
+                if facts.error is not None:
+                    line = facts.error + 1
+                    message = f"syntax error in {rel} at line {line}; its facts come from what parses"
+                    self._report("syntax_error", message, dotted, rel, line=line)
         return self._loaded[dotted]
+
+    def _report(self, code: str, message: str, dotted: str, rel: str, **context) -> None:
+        if self._diagnostics is not None:
+            self._diagnostics.append(
+                Diagnostic(code=code, message=message, context={"module": dotted, "path": rel, **context})
+            )
 
     def module_record(self, dotted: str) -> SymbolRecord | None:
         """The whole module as one record named ``dotted``."""

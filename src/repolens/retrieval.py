@@ -7,7 +7,7 @@ pool is then re-ranked by a weighted blend of the semantic score and an
 AST-path Jaccard similarity, so structurally close snippets rise even when
 identifiers differ. The AST paths of windows and queries alike are walked
 off the standard library's ``ast`` trees, parsed through the bounded repair
-of ``syntax._parsed``; this module imports nothing from parso.
+of ``syntax._parsed``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from .config import PipelineConfig
 from .errors import BackendError, Diagnostic, EmbeddingBackendError
 from .gateway import post_json
 from .projdeps import _iter_source_files
-from .syntax import FileFacts, SourceFile, _parsed, facts_from_json, facts_to_json
+from .syntax import _FIELDS, _parsed
+from .syntax import FileFacts, SourceFile, SyntaxTree, facts_from_json, facts_to_json, file_facts, parse
 
 # AST paths are cut at this many node kinds, for the query and for every
 # snippet alike, so the two sides of the structure score always agree.
 _PATH_DEPTH = 12
 
-_INDEX_VERSION = 9
+_INDEX_VERSION = 10
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -92,9 +93,8 @@ def _posting_lists(snippets: list[Snippet]) -> dict[str, list[int]]:
 
 
 def index_path(repo_root: Path | str) -> Path:
-    """Where a repository's store is kept: one entry per file, holding the
-    windows ``repolens index`` cut and the file facts ``complete`` and
-    ``evaluate`` parsed."""
+    """Where a repository's store is kept: one entry per file, holding its
+    windows and its file facts."""
     return Path(repo_root) / ".repolens" / "snippets.json"
 
 
@@ -129,26 +129,26 @@ def ast_paths_of(text: str) -> frozenset[str]:
 
     if not text.strip():
         return frozenset()
-    return frozenset().union(*line_ast_paths("snippet.py", text))
+    query = SourceFile.from_text("snippet.py", text)
+    return frozenset().union(*line_ast_paths(SyntaxTree(*_parsed(query.path, text), query)))
 
 
-def line_ast_paths(path: str, text: str) -> list[set[str]]:
-    """The AST paths (see ``ast_paths_of``) of each line of ``text``, the
-    file at ``path``, from one walk of its ``ast`` tree: each terminal's
-    path is filed under every line it spans, and a terminal without a
-    position (an operator such as ``ast.Add``, an empty ``arguments``)
-    under its nearest positioned ancestor's. ``expr_context`` nodes are
-    dropped. Lines end at "\\n" alone, as the index cuts them; the lines
-    ``syntax._parsed`` cuts away, or all of them when nothing parses, get
-    none."""
+def line_ast_paths(tree: SyntaxTree) -> list[set[str]]:
+    """The AST paths (see ``ast_paths_of``) of each line of ``tree``'s
+    file, from one walk of its ``ast`` tree: each terminal's path is filed
+    under every line it spans, and a terminal without a position (an
+    operator such as ``ast.Add``, an empty ``arguments``) under its nearest
+    positioned ancestor's. ``expr_context`` nodes are dropped. Lines end at
+    "\\n" alone, as the index cuts them; the lines ``syntax._parsed`` cuts
+    away, or all of them when nothing parses, get none."""
 
-    lines: list[set[str]] = [set() for _ in range(text.count("\n") + 1)]
-    tree, rows = _parsed(path, text)
-    if tree is None:
+    lines: list[set[str]] = [set() for _ in range(tree.file.line_count)]
+    rows = tree.rows
+    if tree.root is None:
         return lines
     # below a full chain every node keeps it, so each terminal under a node
     # cut at ``_PATH_DEPTH`` takes that node's path
-    stack: list[tuple[ast.AST, str, int, int, int]] = [(tree, "", 0, 0, 0)]
+    stack: list[tuple[ast.AST, str, int, int, int]] = [(tree.root, "", 0, 0, 0)]
     while stack:
         node, chain, depth, first, last = stack.pop()
         if depth < _PATH_DEPTH:
@@ -158,10 +158,10 @@ def line_ast_paths(path: str, text: str) -> list[set[str]]:
         if hasattr(node, "end_lineno"):
             first, last = node.lineno, node.end_lineno
         leaf = True
-        for name in node._fields:
-            value = getattr(node, name, None)
+        for name in _FIELDS[type(node)]:
+            value = getattr(node, name)
             for child in value if type(value) is list else (value,):
-                if isinstance(child, ast.AST) and not isinstance(child, ast.expr_context):
+                if isinstance(child, ast.AST):
                     stack.append((child, chain, depth, first, last))
                     leaf = False
         # a terminal of an appended line (``_parsed``'s repair) is not filed
@@ -199,10 +199,12 @@ def build_index(
 
     A file's windows are taken from its entry in the ``reuse`` store when
     that entry was cut from the same text with the same window and stride.
-    Otherwise the file is parsed once, with ``ast``: a window's tokens come
-    from its text, and its AST paths are the union of its lines'
-    (``line_ast_paths``); the windows are kept in the file's entry. Ids, lines and text always come
-    from the file, and the result equals a fresh build. Each distinct token
+    Otherwise the file is parsed once (``syntax.parse``): a window's tokens
+    come from its text, and its AST paths are the union of its lines'
+    (``line_ast_paths``). With a store, the windows and the facts read off
+    the same tree (``syntax.file_facts``) are kept in the file's entry;
+    without one, no facts are read. Ids, lines and text always come from
+    the file, and the result equals a fresh build. Each distinct token
     or path is one string object across the index, whichever way its
     windows were obtained. A file that cannot be read is skipped, with an
     ``unreadable_file`` fault in the index's ``diagnostics``.
@@ -226,7 +228,8 @@ def build_index(
         chunks = ["\n".join(lines[start : start + window]) for start in starts]
         features = None if reuse is None else reuse.window_features(rel, text, window, stride, len(chunks))
         if features is None:
-            line_paths = line_ast_paths(rel, text)
+            tree = parse(SourceFile.from_text(rel, text))
+            line_paths = line_ast_paths(tree)
             features = [
                 (
                     tuple(sorted(identifier_tokens(chunk))),
@@ -236,6 +239,8 @@ def build_index(
             ]
             if reuse is not None:
                 reuse.keep_windows(rel, text, window, stride, features)
+                reuse.keep(file_facts(tree))
+            del tree, line_paths  # freed before the next file is parsed
         for start, chunk, (tokens, ast_paths) in zip(starts, chunks, features):
             snippets.append(
                 Snippet(
@@ -257,7 +262,7 @@ class Store:
     repository-relative path to one entry, keyed on the sha256 of the
     file's text. An entry holds the file's windows (each window's tokens and
     AST-path slots into the entry's own path table, with the window and
-    stride they were cut with) and, once parsed, the file's facts
+    stride they were cut with) and the file's facts
     (``syntax.facts_to_json``). An entry is decoded when it is looked up, and
     a lookup with any other text replaces the whole entry with an empty one,
     so an edited file is never served stale. A malformed entry, or a

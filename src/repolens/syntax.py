@@ -1,40 +1,26 @@
 """Error-tolerant Python parsing and symbol-level queries.
 
-This module holds both parse rules of the package.
+Every tree of the package comes from the standard library's ``ast``, through
+:func:`_parsed`: a bounded repair (``_closing``) completes a text ``ast``
+rejects, such as a fragment cut at a cursor, and failing that the text is cut
+before its error line. A query's and a slice's trees come from it directly
+(``retrieval.ast_paths_of``, ``funcflow.build_cfg``); a whole file's come
+from :func:`parse`, and serve both its index windows
+(``retrieval.line_ast_paths``) and its facts (:func:`file_facts`).
 
-:func:`parse` runs parso and keeps its tree as it is: ``SyntaxTree.root`` is
-parso's module node. parso keeps parsing through syntax errors and surfaces
-the broken region as ``error_node`` -- exactly what an unfinished file with
-a cursor in the middle looks like. These trees serve the file facts alone.
-parso is imported and its grammar generated on the first parse, not at
-import, so a run that parses no file facts (``repolens index``, ``--help``,
-a ``complete`` whose facts are stored) loads neither.
-
-:func:`_parsed` runs the standard library's ``ast`` through a bounded repair
-(``_closing``) that completes a fragment cut at a cursor. Its trees serve
-the index's AST paths (``retrieval.line_ast_paths``), the query's, and the
-control-flow sketch (``funcflow.build_cfg``).
-
-Analyzers read parso's nodes through three helpers, which hide its layout:
-  * :func:`children` is a node's retained children: ``newline`` and
-    ``endmarker`` leaves and a ``simple_stmt``'s ``;`` are dropped,
-    ``simple_stmt`` is spliced into its parent, and an
-    ``async_funcdef``/``async_stmt`` stands for its inner statement, whose
-    children it takes after the ``async`` keyword; a leaf has none
-  * :func:`kind_of` is parso's type name (``file_input``, ``funcdef``,
-    ``suite``, ``expr_stmt``, ``name``, ...), the inner statement's for an
-    async wrapper
-  * :func:`span` runs from the first retained leaf's start to the last
-    retained leaf's end; lines and columns are 0-based internally (the CLI
-    converts at the edge)
+Lines and columns are 0-based internally (the CLI converts at the edge).
+Lines end at "\\n" alone, columns count characters: ``ast``'s own lines
+(which also end at a lone "\\r") are mapped through ``SyntaxTree.rows``, and
+its columns, which count UTF-8 bytes, are counted again in characters.
 
 The walks over a tree keep their own stacks, so a deeply nested expression
 (thousands of levels, which CPython compiles) cannot exhaust Python's
 recursion limit.
 
-:func:`file_facts` reads what the analyses need off one tree and drops the
-tree; :func:`definitions_before` and ``funcflow.local_slice`` answer each
-cursor from those records, so one parse serves every cursor in a file.
+:func:`file_facts` reads what the analyses need off one tree, every
+reference set in one walk over its nodes, and drops the tree;
+:func:`definitions_before` and ``funcflow.local_slice`` answer each cursor
+from those records, so one parse serves every cursor in a file.
 :func:`facts_to_json` and :func:`facts_from_json` carry the facts across
 processes without the text: each record's code is cut from the file by its
 span when it is read back.
@@ -49,18 +35,9 @@ import re
 import tokenize
 import warnings
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
 from pathlib import Path, PurePosixPath
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    from parso.tree import NodeOrLeaf
-
-_PYTHON_GRAMMAR_VERSION = "3.10"
-
-_DROPPED_LEAVES = frozenset({"newline", "endmarker"})
-_ASYNC_WRAPPERS = frozenset({"async_funcdef", "async_stmt"})
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +97,14 @@ def load_source(root: Path | str, rel_path: str) -> SourceFile:
 
 @dataclass(slots=True, eq=False)
 class SyntaxTree:
-    root: NodeOrLeaf  # parso's module node
+    """A file's ``ast`` tree as :func:`_parsed` gives it: ``root`` is None
+    when nothing of the file parses, ``rows[n]`` is the file's line that
+    holds ``ast``'s line ``n + 1``, and ``error`` is the first line ``ast``
+    rejected, None when the text parsed as it is."""
+
+    root: ast.Module | None
+    rows: list[int]
+    error: int | None
     file: SourceFile
 
 
@@ -128,14 +112,16 @@ class SyntaxTree:
 class References:
     """Names a piece of code reads, calls directly, inherits from, and binds.
 
-    ``used``: names in reference position. Definitions, attribute names
-    after a dot, keyword-argument names and import paths are excluded, so
-    the base of ``pd.read_csv`` counts while ``read_csv`` does not.
-    ``called``: names called directly (``f(...)``, not ``a.f(...)``).
+    ``used``: names in reference position, and the names of ``global`` and
+    ``nonlocal`` statements. Definitions, attribute names after a dot,
+    keyword-argument names and import paths are excluded, so the base of
+    ``pd.read_csv`` counts while ``read_csv`` does not.
+    ``called``: names called directly (``f(...)`` and ``await f(...)``, not
+    ``a.f(...)``).
     ``bases``: names read in the base lists of the classes it defines.
     ``bound``: names it binds -- parameters; assignment, loop, ``with``,
-    ``except`` and comprehension targets; nested definition names; import
-    aliases -- in source order, each once. An attribute target
+    ``except``, ``del`` and comprehension targets; nested definition names;
+    import aliases -- in source order, each once. An attribute target
     (``self.x = ...``) binds nothing.
     """
 
@@ -175,8 +161,10 @@ class ImportRecord:
 class FileFacts:
     """What the analyses read off one file's tree (see :func:`file_facts`):
     every module-scope definition in source order, redefinitions included;
-    every named function, nested ones too, in walk order; the imports; and
-    the whole file's span and the module root's reference sets."""
+    every named function, nested ones too, in source order; the imports; and
+    the whole file's span and the module root's reference sets. ``error`` is
+    the first line ``ast`` rejected, None when the file parsed as it is; the
+    facts then come from what :func:`_parsed` kept of it."""
 
     file: SourceFile
     definitions: tuple[SymbolRecord, ...]
@@ -184,190 +172,302 @@ class FileFacts:
     imports: tuple[ImportRecord, ...]
     span: Span
     refs: References
-
-
-@cache
-def _grammar():
-    import parso  # imported on the first parse, so a run that parses nothing never loads it
-
-    return parso.load_grammar(version=_PYTHON_GRAMMAR_VERSION)
+    error: int | None = None
 
 
 def parse(file: SourceFile) -> SyntaxTree:
-    """Parse ``file`` with parso, recovering from syntax errors.
-
-    Raises ``ValueError`` for text nested too deeply for parso's error
-    recovery, which recurses one frame per nesting level.
-    """
-    try:
-        try:
-            module = _grammar().parse(file.text, error_recovery=True)
-        except RecursionError:
-            # parso accepts a last line without its newline through error
-            # recovery; a last line nested too deeply for that is parsed
-            # with its newline
-            if file.text.endswith("\n"):
-                raise
-            module = _grammar().parse(file.text + "\n", error_recovery=True)
-    except RecursionError as err:
-        raise ValueError(f"{file.path} is nested too deeply to parse") from err
-    return SyntaxTree(root=module, file=file)
+    """The ``ast`` tree of the whole ``file`` (see :func:`_parsed`)."""
+    return SyntaxTree(*_parsed(file.path, file.text), file)
 
 
-def children(node: NodeOrLeaf) -> list[NodeOrLeaf]:
-    """``node``'s retained children, in source order (see the module docstring)."""
-    kids = getattr(node, "children", None)
-    if kids is None:
-        return []
-    out = []
-    for child in kids:
-        kind = child.type
-        if kind == "simple_stmt":
-            # its statements, without the ';' separators and the newline
-            out.extend(c for c in child.children if c.type not in _DROPPED_LEAVES and not _is_semicolon(c))
-        elif kind not in _DROPPED_LEAVES:
-            out.append(child)
-    if node.type in _ASYNC_WRAPPERS:
-        inner = _async_inner(node)
-        if inner is not None:
-            return [child for child in out if child is not inner] + children(inner)
-    return out
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_ASSIGNS = (ast.Assign, ast.AugAssign, ast.AnnAssign)
 
 
-def kind_of(node: NodeOrLeaf) -> str:
-    """parso's type name of ``node``; an async wrapper takes its inner statement's."""
-    if node.type in _ASYNC_WRAPPERS:
-        inner = _async_inner(node)
-        if inner is not None:
-            return inner.type
-    return node.type
+class _Refs:
+    """Reference sets being collected; ``bound`` maps each name to the
+    position of its first binding."""
+
+    __slots__ = ("used", "called", "bases", "bound")
+
+    def __init__(self) -> None:
+        self.used: set[str] = set()
+        self.called: set[str] = set()
+        self.bases: set[str] = set()
+        self.bound: dict[str, tuple[int, int]] = {}
+
+    def frozen(self) -> References:
+        bound = tuple(sorted(self.bound, key=self.bound.get))
+        return References(frozenset(self.used), frozenset(self.called), frozenset(self.bases), bound)
 
 
-def span(node: NodeOrLeaf) -> Span:
-    """From the first retained leaf's start to the last one's end;
-    ``Span(0, 0, 0, 0)`` for a node with no retained leaf (an empty file's root)."""
-    first = last = node
-    while kids := children(first):
-        first = kids[0]
-    while kids := children(last):
-        last = kids[-1]
-    if hasattr(first, "children"):
-        return Span(0, 0, 0, 0)
-    (sl, sc), (el, ec) = first.start_pos, last.end_pos
-    return Span(sl - 1, sc, el - 1, ec)
+def _bind(sinks: tuple[_Refs, ...], name: str, node: ast.AST) -> None:
+    where = (node.lineno, node.col_offset)
+    for sink in sinks:
+        first = sink.bound.get(name)
+        if first is None or where < first:
+            sink.bound[name] = where
 
 
-def _is_semicolon(leaf: NodeOrLeaf) -> bool:
-    return leaf.type == "operator" and leaf.value == ";"
+# the fields of ``ast`` nodes that hold no node, and ``ctx``, whose
+# ``expr_context`` no walk reads
+_LEAF_FIELDS = frozenset(
+    "id attr arg name module level kind type_comment conversion is_async simple rest kwd_attrs ctx".split()
+)
 
 
-def _async_inner(node: NodeOrLeaf) -> NodeOrLeaf | None:
-    return next((child for child in node.children if hasattr(child, "children")), None)
+class _Fields(dict):
+    """Each ``ast`` node kind's other fields, the ones a walk reads."""
+
+    def __missing__(self, kind: type) -> tuple[str, ...]:
+        self[kind] = fields = tuple(name for name in kind._fields if name not in _LEAF_FIELDS)
+        return fields
 
 
-class _Defines(dict):
-    """Name leaf -> its ``is_definition()``, asked of parso once per leaf:
-    parso climbs the tree for each answer, and one ``file_facts`` walks
-    most names several times (the module's reference sets, each enclosing
-    definition's, each module-level statement's targets)."""
-
-    def __missing__(self, name: NodeOrLeaf) -> bool:
-        self[name] = answer = name.is_definition()
-        return answer
+_FIELDS = _Fields({ast.Constant: ()})
+# the kinds ``_collect`` reads more of than their child nodes
+_NAMING = frozenset(
+    {ast.Call, *_DEFS, ast.ClassDef, *_ASSIGNS, ast.arg, ast.Import, ast.ImportFrom, ast.Global, ast.Nonlocal}
+    | {ast.ExceptHandler, ast.MatchAs, ast.MatchStar, ast.MatchMapping}
+)
 
 
-def _symbol_from_definition(file: SourceFile, node: NodeOrLeaf, defines: _Defines) -> SymbolRecord | None:
-    """Record of a function or class definition node; None if it has no name."""
-    name = next((child for child in children(node) if child.type == "name"), None)
-    if name is None:
-        return None
-    def_span = span(node)
-    return SymbolRecord(
-        name=name.value,
-        sym_kind="function" if kind_of(node) == "funcdef" else "class",
-        def_span=def_span,
-        code=file.span_text(def_span),
-        refs=reference_sets(node, defines),
-    )
-
-
-# The only nodes that can hold a retained statement: parso's grammar puts
-# them in these, and error recovery in ``error_node``.
-_STATEMENT_CONTAINERS = frozenset({
-    "file_input", "suite", "if_stmt", "while_stmt", "for_stmt", "try_stmt", "with_stmt",
-    "funcdef", "classdef", "decorated", "error_node",
-})
-
-
-def _statement_nodes(root: NodeOrLeaf, kinds: set[str]) -> Iterator[NodeOrLeaf]:
-    """The nodes of ``kinds`` under ``root`` in walk order, visiting only
-    statement containers."""
-    stack = [root]
+def _collect(
+    start: ast.AST, sinks: tuple[_Refs, ...], owners: dict[int, _Refs], repair: tuple[int, int] | None = None
+) -> None:
+    """Add the names of ``start``'s subtree to ``sinks``, and those under a
+    node of ``owners`` (a definition or an assignment) to its own sink too.
+    A definition's decorators are read around it, not as part of it. A name
+    at or after ``repair``, where ``_parsed``'s repair starts, is its
+    placeholder and is left out."""
+    stack = [(start, sinks, False)]
+    pop, push = stack.pop, stack.append
+    repair_line = repair[0] if repair else float("inf")
     while stack:
-        node = stack.pop()
-        kind = kind_of(node)
-        if kind in kinds:
-            yield node
-        if kind in _STATEMENT_CONTAINERS:
-            stack.extend(reversed(children(node)))
+        node, sinks, in_bases = pop()
+        kind = type(node)
+        if kind is ast.Name:
+            if node.lineno >= repair_line and (node.lineno, node.col_offset) >= repair:
+                continue
+            name = node.id
+            if type(node.ctx) is ast.Load:
+                for sink in sinks:
+                    sink.used.add(name)
+                    if in_bases:
+                        sink.bases.add(name)
+            else:  # a Store or a Del target
+                _bind(sinks, name, node)
+            continue
+        if kind in _NAMING:
+            if kind is ast.Call:
+                if type(node.func) is ast.Name:
+                    for sink in sinks:
+                        sink.called.add(node.func.id)
+            elif kind in _DEFS or kind is ast.ClassDef:
+                for decorator in node.decorator_list:
+                    push((decorator, sinks, False))
+                own = owners.get(id(node))
+                if own is not None:
+                    sinks = (*sinks, own)
+                _bind(sinks, node.name, node)
+                for child in reversed(node.body):
+                    push((child, sinks, False))
+                if kind is ast.ClassDef:
+                    for base in reversed(node.bases + node.keywords):
+                        push((base, sinks, True))
+                else:
+                    if node.returns is not None:
+                        push((node.returns, sinks, False))
+                    push((node.args, sinks, False))
+                continue
+            elif kind in _ASSIGNS:
+                own = owners.get(id(node))
+                if own is not None:
+                    sinks = (*sinks, own)
+            elif kind is ast.arg:
+                _bind(sinks, node.arg, node)
+            elif kind is ast.Import or kind is ast.ImportFrom:
+                for alias in node.names:
+                    if alias.name != "*":
+                        local = alias.asname or (alias.name.split(".")[0] if kind is ast.Import else alias.name)
+                        _bind(sinks, local, alias)
+                continue
+            elif kind is ast.Global or kind is ast.Nonlocal:
+                for sink in sinks:
+                    sink.used.update(node.names)
+                continue
+            elif kind is ast.ExceptHandler or kind is ast.MatchAs or kind is ast.MatchStar:
+                if node.name:
+                    _bind(sinks, node.name, node)
+            elif kind is ast.MatchMapping and node.rest:
+                _bind(sinks, node.rest, node)
+        for name in _FIELDS[kind]:
+            value = getattr(node, name)
+            if type(value) is list:
+                for child in reversed(value):
+                    if isinstance(child, ast.AST):
+                        push((child, sinks, in_bases))
+            elif isinstance(value, ast.AST):
+                push((value, sinks, in_bases))
 
 
-# Comprehension variables and lambda parameters bind in a scope of their own.
-_NESTED_SCOPES = frozenset({"sync_comp_for", "comp_for", "lambdef"})
+def reference_sets(node: ast.AST) -> References:
+    """What the code of ``node``'s subtree references and binds, in one walk
+    over it. Each name's role is read off its node: a ``Name``'s context, or
+    the field (a definition's, a parameter's, an alias's, a handler's) that
+    holds it. Attribute names, keyword-argument names, import paths and
+    f-string conversions are strings, not names, so none is counted."""
+    refs = _Refs()
+    _collect(node, (refs,), {})
+    return refs.frozen()
 
 
-def _module_targets(stmt: NodeOrLeaf, defines: _Defines) -> Iterator[str]:
+def _inner(stmt: ast.stmt) -> list[ast.stmt]:
+    """The statements of ``stmt``'s blocks, in source order."""
+    kids: list[ast.stmt] = []
+    for name in ("body", "handlers", "orelse", "finalbody", "cases"):
+        for child in getattr(stmt, name, ()):
+            kids.extend(child.body if isinstance(child, (ast.excepthandler, ast.match_case)) else (child,))
+    return kids
+
+
+def _statements(root: ast.Module | None) -> Iterator[ast.stmt]:
+    """Every statement under ``root``, in source order, parents first."""
+    stack = list(reversed(root.body)) if root is not None else []
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        stack.extend(reversed(_inner(stmt)))
+
+
+def _module_targets(stmt: ast.stmt) -> list[str]:
     """Names a module-level assignment binds in the module's scope, in
-    source order: ``reference_sets(stmt).bound`` without the variables of
-    comprehensions and lambdas."""
-    stack = [stmt]
+    source order, each occurrence: its ``Store`` names but those of
+    comprehensions and lambdas, which bind in scopes of their own."""
+    found = []
+    stack: list[ast.AST] = [stmt]
     while stack:
         node = stack.pop()
-        if node.type == "name":
-            if node.value and defines[node]:
-                yield node.value
-        elif node.type in _NESTED_SCOPES or (node.type == "trailer" and node.children[0].value == "."):
-            continue  # a nested scope, or ``.name`` (an attribute target binds nothing)
-        else:
-            stack.extend(reversed(getattr(node, "children", ())))
+        if type(node) is ast.Name and type(node.ctx) is ast.Store:
+            found.append((node.lineno, node.col_offset, node.id))
+        elif type(node) is not ast.Lambda:
+            for name, value in ast.iter_fields(node):
+                if name != "generators":
+                    children = value if type(value) is list else [value]
+                    stack += [child for child in children if isinstance(child, ast.AST)]
+    return [name for *_, name in sorted(found)]
 
 
-def _module_definitions(tree: SyntaxTree, defines: _Defines) -> Iterator[SymbolRecord]:
-    """Module-scope functions, classes and assigned variables, in source
-    order, redefinitions included."""
-    for child in children(tree.root):
-        for stmt in children(child) if kind_of(child) == "decorated" else (child,):
-            kind = kind_of(stmt)
-            if kind in ("funcdef", "classdef"):
-                record = _symbol_from_definition(tree.file, stmt, defines)
-                if record:
-                    yield record
-            elif kind == "expr_stmt":
-                stmt_span = span(stmt)
-                code = tree.file.span_text(stmt_span)
-                refs = reference_sets(stmt, defines)
-                for name in _module_targets(stmt, defines):
-                    yield SymbolRecord(name=name, sym_kind="variable", def_span=stmt_span, code=code, refs=refs)
+class _Places:
+    """Turns ``ast`` positions in ``tree`` into ``Span`` coordinates of its
+    file: a position on a line the repair appended becomes the end of the
+    last line kept. ``origins[n]``, when there are any, is the column of
+    ``rows[n]`` at which ``ast``'s line ``n + 1`` starts: past a lone "\\r"
+    or past the indentation ``_parsed`` removed."""
+
+    def __init__(self, tree: SyntaxTree) -> None:
+        self.file, self.rows, self.origins = tree.file, tree.rows, None
+        text = tree.file.text
+        lines = (re.sub(r"\r\n?", "\n", text) if "\r" in text else text).split("\n")
+        indent = _indentation(lines)
+        if "\r" in text or indent:
+            starts = [0, *(match.end() for match in re.finditer(r"\r\n?|\n", text))]
+            self.origins = [
+                starts[n] - tree.file.line_index[row] + (len(indent) if lines[n].startswith(indent) else 0)
+                for n, row in enumerate(tree.rows)
+            ]
+
+    def point(self, lineno: int, col: int) -> tuple[int, int]:
+        if lineno > len(self.rows):
+            line = self.rows[-1]
+            return line, len(self.file.line_text(line))
+        line = self.rows[lineno - 1]
+        text = self.file.line_text(line)
+        origin = self.origins[lineno - 1] if self.origins else 0
+        if not text.isascii():  # ast's column counts UTF-8 bytes
+            col = len(text[origin:].encode("utf-8")[:col].decode("utf-8", "ignore"))
+        return line, min(origin + col, len(text))
+
+    def span(self, node: ast.stmt) -> Span:
+        """From ``node``'s start to the end of its last simple statement,
+        before any ";" after it."""
+        last = node
+        while kids := _inner(last):
+            last = kids[-1]
+        return Span(*self.point(node.lineno, node.col_offset), *self.point(last.end_lineno, last.end_col_offset))
+
+    def repair(self) -> tuple[int, int]:
+        """The ``ast`` position at which the repair's text starts: the end
+        of the last line kept."""
+        text = self.file.line_text(self.rows[-1])
+        origin = self.origins[-1] if self.origins else 0
+        return len(self.rows), len(text[origin:].encode("utf-8"))
+
+
+def _imports(statements: Iterable[ast.stmt], path: str, places: _Places) -> Iterator[ImportRecord]:
+    for stmt in statements:
+        if type(stmt) is ast.Import:
+            import_span = places.span(stmt)
+            for alias in stmt.names:
+                bound = ((alias.name, alias.asname or alias.name.split(".")[0]),)
+                yield ImportRecord(module_path=alias.name, bound_names=bound, import_span=import_span)
+        elif type(stmt) is ast.ImportFrom:
+            tail = stmt.module or ""
+            module_path = _resolve_relative(path, stmt.level, tail) if stmt.level else tail
+            if stmt.names[0].name == "*":
+                bound = (("*", "*"),)
+            else:
+                bound = tuple((alias.name, alias.asname or alias.name) for alias in stmt.names)
+            yield ImportRecord(module_path=module_path, bound_names=bound, import_span=places.span(stmt))
+
+
+def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
+    """All import statements in the file, one record per imported module, in
+    source order.
+
+    Relative imports are resolved against the file's package path (the
+    ``SourceFile.path`` is assumed repository-relative); unresolvable levels
+    keep their leading dots and will classify as external.
+    """
+    return list(file_facts(tree).imports)
 
 
 def file_facts(tree: SyntaxTree) -> FileFacts:
-    """Read the facts of ``tree``'s file; the tree itself is not kept."""
+    """Read the facts of ``tree``'s file; the tree itself is not kept. The
+    reference sets of the module and of every record come from one walk."""
     file = tree.file
-    defines = _Defines()
-    definitions = tuple(_module_definitions(tree, defines))
+    statements = list(_statements(tree.root))
+    body = tree.root.body if tree.root is not None else []
+    owners = {id(stmt): _Refs() for stmt in statements if type(stmt) in _DEFS}
+    owners.update((id(stmt), _Refs()) for stmt in body if type(stmt) is ast.ClassDef or type(stmt) in _ASSIGNS)
+    places = _Places(tree)
+    refs = _Refs()
+    if tree.root is not None:
+        _collect(tree.root, (refs,), owners, places.repair() if tree.error is not None else None)
+
+    def records(node: ast.stmt, kind: str, names: list[str]) -> list[SymbolRecord]:
+        def_span = places.span(node)
+        code, node_refs = file.span_text(def_span), owners[id(node)].frozen()
+        return [SymbolRecord(name, kind, def_span, code, node_refs) for name in names]
+
     # a module-level function is one record in both tuples
-    top = {record.def_span: record for record in definitions if record.sym_kind == "function"}
-    functions = (
-        top.get(span(node)) or _symbol_from_definition(file, node, defines)
-        for node in _statement_nodes(tree.root, {"funcdef"})
-    )
+    functions = {id(stmt): records(stmt, "function", [stmt.name])[0] for stmt in statements if type(stmt) in _DEFS}
+    definitions: list[SymbolRecord] = []
+    for stmt in body:
+        if type(stmt) in _DEFS:
+            definitions.append(functions[id(stmt)])
+        elif type(stmt) is ast.ClassDef:
+            definitions += records(stmt, "class", [stmt.name])
+        elif type(stmt) in _ASSIGNS:
+            definitions += records(stmt, "variable", _module_targets(stmt))
     return FileFacts(
         file=file,
-        definitions=definitions,
-        functions=tuple(record for record in functions if record),
-        imports=tuple(imports_of(tree)),
+        definitions=tuple(definitions),
+        functions=tuple(functions.values()),
+        imports=tuple(_imports(statements, file.path, places)),
         span=_file_span(file),
-        refs=reference_sets(tree.root, defines),
+        refs=refs.frozen(),
+        error=tree.error,
     )
 
 
@@ -387,7 +487,8 @@ def _refs_to_json(refs: References) -> list[list[str]]:
 def facts_to_json(facts: FileFacts) -> dict:
     """``facts`` as JSON values, without the text: each record is its name,
     kind, span and four reference lists, and the records shared by
-    ``definitions`` and ``functions`` (module-level functions) are stored once."""
+    ``definitions`` and ``functions`` (module-level functions) are stored
+    once. ``error`` is written only when there is one."""
     slots: dict[int, int] = {}
     records: list[list] = []
 
@@ -397,7 +498,7 @@ def facts_to_json(facts: FileFacts) -> dict:
             records.append([record.name, record.sym_kind, _span_to_json(record.def_span), *_refs_to_json(record.refs)])
         return slots[id(record)]
 
-    return {
+    doc = {
         "path": facts.file.path,
         "definitions": [slot(record) for record in facts.definitions],
         "functions": [slot(record) for record in facts.functions],
@@ -408,6 +509,9 @@ def facts_to_json(facts: FileFacts) -> dict:
         ],
         "refs": _refs_to_json(facts.refs),
     }
+    if facts.error is not None:
+        doc["error"] = facts.error
+    return doc
 
 
 def _strings(value) -> list[str]:
@@ -445,7 +549,7 @@ def facts_from_json(entry, file: SourceFile) -> FileFacts | None:
     """The facts ``facts_to_json`` wrote for ``file``, each record's code cut
     from ``file``'s text by its span; None when ``entry`` is malformed."""
     try:
-        if entry["path"] != file.path:
+        if entry["path"] != file.path or type(entry.get("error", 0)) is not int:
             return None
         records = dict(enumerate(_record_from_json(row, file) for row in entry["records"]))
         return FileFacts(
@@ -455,8 +559,9 @@ def facts_from_json(entry, file: SourceFile) -> FileFacts | None:
             imports=tuple(map(_import_from_json, entry["imports"])),
             span=_file_span(file),
             refs=_refs_from_json(entry["refs"]),
+            error=entry.get("error"),
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, AttributeError):
         return None
 
 
@@ -471,120 +576,17 @@ def definitions_before(facts: FileFacts, line: int) -> list[SymbolRecord]:
     return sorted(latest.values(), key=lambda r: (r.def_span.start_line, r.def_span.start_col))
 
 
-def reference_sets(node: NodeOrLeaf, defines: _Defines | None = None) -> References:
-    """What ``node``'s code references and binds, in one pass over the subtree.
-
-    Each name's position is judged from its parent while walking down: the
-    walk does not enter attribute trailers (``.name``) or f-string
-    conversions, skips the name of a keyword argument, and marks the
-    parenthesised children of a class definition as its base list. Layout
-    leaves hold no names and the async wrappers play no part here, so the
-    walk reads parso's children as they are. ``defines`` keeps each name's
-    ``is_definition()`` across the calls of one ``file_facts``.
-    """
-    if defines is None:
-        defines = _Defines()
-    used: set[str] = set()
-    called: set[str] = set()
-    bases: set[str] = set()
-    bound: dict[str, None] = {}
-    in_bases = False
-    stack: list[NodeOrLeaf | None] = [node]
-    while stack:
-        current = stack.pop()
-        if current is None:  # a class base list starts or ends here
-            in_bases = not in_bases
-            continue
-        kind = current.type
-        kids = getattr(current, "children", None)
-        if kids is None:
-            if kind == "name" and current.value:
-                if defines[current]:
-                    bound.setdefault(current.value)
-                else:
-                    used.add(current.value)
-                    if in_bases:
-                        bases.add(current.value)
-            continue
-        if kind in ("import_name", "import_from"):
-            for name in current.get_defined_names():
-                bound.setdefault(name.value)
-            continue
-        if kind == "fstring_conversion" or (kind == "trailer" and kids[0].value == "."):
-            continue
-        if kind == "classdef":
-            values = [getattr(child, "value", None) for child in kids]
-            if "(" in values and ")" in values:
-                # 'class' NAME '(' bases ')' ':' block, pushed in reverse
-                lo, hi = values.index("(") + 1, values.index(")")
-                stack.extend(reversed(kids[hi:]))
-                stack.append(None)
-                stack.extend(reversed(kids[lo:hi]))
-                stack.append(None)
-                kids = kids[:lo]
-        elif kind == "argument" and len(kids) >= 2 and getattr(kids[1], "value", None) == "=":
-            if kids[0].type == "name":
-                kids = kids[1:]
-        elif kind in ("atom_expr", "power") and len(kids) >= 2:
-            head, trailer = kids[0], kids[1]
-            if (
-                head.type == "name"
-                and trailer.type == "trailer"
-                and trailer.children[0].value == "("
-                and not defines[head]
-            ):
-                called.add(head.value)
-        stack.extend(reversed(kids))
-    return References(frozenset(used), frozenset(called), frozenset(bases), tuple(bound))
-
-
-def _resolve_relative(path: str, level: int, tail: str) -> str | None:
-    # level 1 is the file's own package: its path minus the file name
+def _resolve_relative(path: str, level: int, tail: str) -> str:
+    """The module ``level`` dots and ``tail`` name from the file at ``path``;
+    level 1 is the file's own package, its path minus the file name. Past
+    the root, the name keeps its dots."""
     parts = PurePosixPath(path).with_suffix("").parts
     if level > len(parts):
-        return None
+        return "." * level + tail
     joined = ".".join(parts[: len(parts) - level])
     if tail:
         return f"{joined}.{tail}" if joined else tail
-    return joined or None
-
-
-def imports_of(tree: SyntaxTree) -> list[ImportRecord]:
-    """All import statements in the file, one record per imported module, in
-    source order.
-
-    Relative imports are resolved against the file's package path (the
-    ``SourceFile.path`` is assumed repository-relative); unresolvable levels
-    keep their leading dots and will classify as external.
-    """
-    records: list[ImportRecord] = []
-    for pnode in _statement_nodes(tree.root, {"import_name", "import_from"}):
-        import_span = span(pnode)
-        if pnode.type == "import_name":
-            for path, defined in zip(pnode.get_paths(), pnode.get_defined_names()):
-                dotted = ".".join(p.value for p in path)
-                records.append(
-                    ImportRecord(module_path=dotted, bound_names=((dotted, defined.value),), import_span=import_span)
-                )
-            continue
-
-        level = pnode.level or 0
-        tail = ".".join(n.value for n in pnode.get_from_names())
-        if level:
-            resolved = _resolve_relative(tree.file.path, level, tail)
-            module_path = resolved if resolved is not None else "." * level + tail
-        else:
-            module_path = tail
-
-        if pnode.is_star_import():
-            bound: tuple[tuple[str, str], ...] = (("*", "*"),)
-        else:
-            pairs = []
-            for path, defined in zip(pnode.get_paths(), pnode.get_defined_names()):
-                pairs.append((path[-1].value, defined.value))
-            bound = tuple(pairs)
-        records.append(ImportRecord(module_path=module_path, bound_names=bound, import_span=import_span))
-    return records
+    return joined or "." * level
 
 
 def _ast_parse(text: str, filename: str) -> ast.Module:
@@ -594,13 +596,20 @@ def _ast_parse(text: str, filename: str) -> ast.Module:
         return ast.parse(text, filename)
 
 
-def _parsed(path: str, text: str) -> tuple[ast.Module | None, list[int]]:
+def _indentation(lines: list[str]) -> str:
+    """The indentation of the first of ``lines`` that holds code."""
+    code = next((line for line in lines if line.strip() and not line.lstrip().startswith("#")), "")
+    return code[: len(code) - len(code.lstrip())]
+
+
+def _parsed(path: str, text: str) -> tuple[ast.Module | None, list[int], int | None]:
     """The ``ast`` tree of ``text``, the file at ``path``, from at most three
-    ``ast.parse`` calls, and the rows of the lines the tree holds: ``rows[n]``
+    ``ast.parse`` calls; the rows of the lines the tree holds: ``rows[n]``
     is the 0-based line, lines ending at "\\n" alone, that holds ``ast``'s
-    line ``n + 1``. ``ast`` also ends a line at a lone "\\r", so a text
-    holding one is parsed with every "\\r" line end made a "\\n". A line
-    past ``len(rows)`` is one the repair below appended.
+    line ``n + 1``; and the row of the first line ``ast`` rejected, None
+    when it took the text as it is. ``ast`` also ends a line at a lone
+    "\\r", so a text holding one is parsed with every "\\r" line end made a
+    "\\n". A line past ``len(rows)`` is one the repair below appended.
 
     The lines are first dedented by the indentation of the first line that
     holds code, a function's def line in a query. A text ``ast`` rejects is
@@ -609,7 +618,8 @@ def _parsed(path: str, text: str) -> tuple[ast.Module | None, list[int]]:
     ``try`` is closed. If that text is rejected too, the lines from the
     error line on are cut once and the rest is completed the same way. A
     text nothing of which parses, or that ``ast`` cannot take at all (a NUL
-    byte, a nesting too deep for its parser), gives ``(None, [])``.
+    byte, a nesting too deep for its parser), gives no tree and no rows; its
+    error is on its first line when ``ast`` names none.
     """
 
     ends = re.findall(r"\r\n?|\n", text)
@@ -617,28 +627,29 @@ def _parsed(path: str, text: str) -> tuple[ast.Module | None, list[int]]:
     if len(ends) > rows[-1]:
         text = re.sub(r"\r\n?", "\n", text)
     lines = text.split("\n")
-    code = next((line for line in lines if line.strip() and not line.lstrip().startswith("#")), "")
-    indent = code[: len(code) - len(code.lstrip())]
+    indent = _indentation(lines)
     if indent:
         lines = [line.removeprefix(indent) for line in lines]
         text = "\n".join(lines)
+    rejected = 0
     try:
         try:
-            return _ast_parse(text, path), rows
+            return _ast_parse(text, path), rows, None
         except SyntaxError as err:
             error = err.lineno
+        rejected = rows[min(max(error or 1, 1), len(rows)) - 1]
         closing = _closing(lines)
         if closing:
             try:
-                return _ast_parse(text + closing, path), rows
+                return _ast_parse(text + closing, path), rows, rejected
             except SyntaxError as err:
                 error = err.lineno
         if not error or error < 2:
-            return None, []
+            return None, [], rejected
         lines = lines[: min(error, len(lines)) - 1]
-        return _ast_parse("\n".join(lines) + _closing(lines), path), rows[: len(lines)]
+        return _ast_parse("\n".join(lines) + _closing(lines), path), rows[: len(lines)], rejected
     except (SyntaxError, ValueError, RecursionError, MemoryError):
-        return None, []
+        return None, [], rejected
 
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}

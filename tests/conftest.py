@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repolens import retrieval, syntax
-from repolens.syntax import SourceFile, children, parse
+from repolens.syntax import SourceFile, parse
 
 TESTS_DIR = Path(__file__).parent
 DEP_CASES = sorted((TESTS_DIR / "dep_cases").glob("case*.py"))
@@ -35,21 +35,29 @@ def dep_case_table():
 
 def count_parses(monkeypatch) -> list[tuple[str, str]]:
     """Wrap ``syntax.parse`` in every ``repolens`` module that imported it,
-    and ``syntax``'s ``ast`` parse; each call appends (module, file path) to
-    the list returned, an ``ast.parse`` counting as ("ast", file path): a
-    query's paths as ("ast", "snippet.py"), a slice as ("ast", "<slice>")."""
+    and ``syntax``'s ``ast`` parse; each call appends to the list returned.
+    A whole-file parse counts once, as (module, file path), however many
+    ``ast.parse`` calls its repair makes; any other ``ast.parse`` counts as
+    ("ast", name): a query's paths as ("ast", "snippet.py"), a slice as
+    ("ast", "<slice>")."""
     parses: list[tuple[str, str]] = []
+    whole: list[str] = []  # the file a whole-file parse is reading
     real_parse, real_ast_parse = syntax.parse, syntax._ast_parse
 
     def wrap(module_name: str):
         def counted_parse(file):
             parses.append((module_name, file.path))
-            return real_parse(file)
+            whole.append(file.path)
+            try:
+                return real_parse(file)
+            finally:
+                whole.pop()
 
         return counted_parse
 
     def counted_ast_parse(text, filename):
-        parses.append(("ast", filename))
+        if not whole:
+            parses.append(("ast", filename))
         return real_ast_parse(text, filename)
 
     for name, module in list(sys.modules.items()):
@@ -71,15 +79,6 @@ def count_posting_builds(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(retrieval, "_posting_lists", counted_build)
     return built
-
-
-def walk(node):
-    """``node`` and every retained node under it, in source order."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(reversed(children(current)))
 
 
 def write_repo(root: Path, files: dict[str, str]) -> Path:

@@ -44,9 +44,9 @@ def traced_build(root: Path, reuse: retrieval.Store | None) -> tuple[retrieval.S
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     index = retrieval.build_index(root, PipelineConfig.window, PipelineConfig.stride, reuse=reuse)
-    # an ``ast`` tree has no parent links, so it is freed when dropped; the
-    # collection stays so that a checkout with cyclic (parso) trees is
-    # measured the same way
+    # the build's ``ast`` trees have no parent links, so each is freed when
+    # its file is done and this collection finds none of them; it stays so
+    # that a checkout whose trees held cycles (parso's) is measured alike
     gc.collect()
     current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

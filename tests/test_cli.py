@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -17,9 +18,9 @@ from repolens.cli import main
 from repolens.prompting import SECTION_HEADERS
 from repolens.pipeline import CompletionTask, complete_task
 from repolens.retrieval import build_index, index_path, load_index
-from tests.conftest import count_parses, read_store, write_repo, write_store
+from tests.conftest import count_parses, load_cursor_case, read_store, write_repo, write_store
 from tests.test_benchmark import TASK_ROWS, TRUTHS, write_bench
-from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, UTILS_PY, stored_facts, stored_paths
+from tests.test_pipeline import CURSOR, MAIN_PY, PROCESSOR_PY, REPO_PATHS, UTILS_PY, stored_facts, stored_paths
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ def test_index_after_rename_windows_the_new_path_and_drops_the_old(runner, repo,
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
     monkeypatch.undo()
-    assert parses == [("ast", "lib/path_utils.py")]
+    assert parses == [("retrieval", "lib/path_utils.py")]
     assert sorted(read_store(index_path(repo))) == ["data_processor.py", "lib/path_utils.py", "main.py"]
     assert stored_index(repo) == build_index(repo)
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
@@ -105,24 +106,33 @@ def test_index_rebuilds_when_window_changes(runner, repo, tmp_path):
 
 
 def test_index_keeps_stored_facts_and_force_drops_them(runner, repo):
+    """``index`` reads the facts of every file it parses off the windows'
+    tree, keeps those of an unchanged file as they are stored, and with
+    ``--force`` drops them all and reads them again."""
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert stored_facts(repo) == {}
-    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     facts = stored_facts(repo)
-    assert sorted(facts) == ["data_processor.py", "main.py"]
+    assert sorted(facts) == REPO_PATHS
+    assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
+    assert stored_facts(repo) == facts
 
+    # a stored name no parse gives stays until --force
+    files = read_store(index_path(repo))
+    files["main.py"]["facts"]["records"][0][0] = "kept_as_stored"
+    write_store(index_path(repo), files)
     (repo / "lib" / "text_utils.py").write_text(UTILS_PY + "\nextra = 1\n")
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert stored_facts(repo) == facts
+    kept = stored_facts(repo)
+    assert kept["main.py"]["records"][0][0] == "kept_as_stored"
+    assert kept["lib/text_utils.py"] != facts["lib/text_utils.py"]
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo), "--force"]).output
-    assert stored_facts(repo) == {}
+    assert stored_facts(repo) == {**kept, "main.py": facts["main.py"]}
 
 
 @pytest.mark.parametrize("edit", [False, True], ids=["same-text", "edited"])
 def test_index_drops_the_facts_of_a_renamed_file(runner, repo, edit):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
-    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+    assert stored_paths(repo) == REPO_PATHS
 
     (repo / "data_processor.py").rename(repo / "processor.py")
     if edit:
@@ -130,7 +140,7 @@ def test_index_drops_the_facts_of_a_renamed_file(runner, repo, edit):
     again = runner.invoke(main, ["index", "--repo", str(repo)])
     assert again.exit_code == 0, again.output
     assert "indexed" in again.output
-    assert stored_paths(repo) == ["main.py"]
+    assert stored_paths(repo) == ["lib/text_utils.py", "main.py", "processor.py"]
     assert "data_processor.py" not in read_store(index_path(repo))
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
@@ -142,7 +152,7 @@ def test_complete_write_back_keeps_the_indexed_windows(runner, repo):
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
     indexed = windows()
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
-    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+    assert stored_paths(repo) == REPO_PATHS
     assert windows() == indexed
 
 
@@ -154,12 +164,11 @@ def test_complete_writes_back_the_windows_of_an_edited_file(runner, repo, monkey
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
     # the slice is parsed for its sketch, the edited file once for its
-    # windows, then the query for its paths
-    ast_parses = [p for p in parses if p[0] == "ast"]
-    assert ast_parses == [("ast", "<slice>"), ("ast", "lib/text_utils.py"), ("ast", "snippet.py")]
+    # windows and facts, then the query for its paths
+    assert parses == [("ast", "<slice>"), ("retrieval", "lib/text_utils.py"), ("ast", "snippet.py")]
     parses.clear()
     second = runner.invoke(main, args)
-    assert [p for p in parses if p[0] == "ast"] == [("ast", "<slice>"), ("ast", "snippet.py")]
+    assert parses == [("ast", "<slice>"), ("ast", "snippet.py")]
     assert second.output == first.output
     assert "up to date" in runner.invoke(main, ["index", "--repo", str(repo)]).output
 
@@ -180,7 +189,7 @@ def test_store_with_a_bad_second_line_is_ignored_and_rebuilt(runner, repo, fault
     assert runner.invoke(main, complete_args(repo, "--dry-run")).exit_code == 0
     assert index_path(repo).read_text() == broken
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert stored_paths(repo) == []
+    assert stored_paths(repo) == REPO_PATHS
     assert stored_index(repo) == build_index(repo)
 
 
@@ -211,7 +220,7 @@ def old_store_is_ignored_and_rebuilt(runner, tmp_path, version, old_path):
     assert index_path(repo).read_bytes() == old
 
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    assert json.loads(index_path(repo).read_text())["version"] == 9
+    assert json.loads(index_path(repo).read_text())["version"] == 10
     assert index_path(repo).read_bytes() != old
     assert stored_index(repo) == build_index(repo)
 
@@ -226,31 +235,33 @@ def test_a_version_8_store_is_ignored_and_rebuilt(runner, tmp_path):
     old_store_is_ignored_and_rebuilt(runner, tmp_path, 8, lambda path: path.replace("Module", "file_input"))
 
 
-def run_fresh(*runs: list[str]) -> tuple[list[int], set[str]]:
-    """Run ``main`` on each argument list in one fresh interpreter; return how
-    often a parso grammar was generated after each run, and the modules
-    loaded at the end."""
+def test_a_version_9_store_is_ignored_and_rebuilt(runner, tmp_path):
+    """Version 9 stored facts read by parso, which counts no ``await f()``
+    as a call of ``f``, and no syntax error line."""
+    old_store_is_ignored_and_rebuilt(runner, tmp_path, 9, lambda path: path)
+
+
+def run_fresh(*runs: list[str]) -> set[str]:
+    """Run ``main`` on each argument list in one fresh interpreter in which
+    parso cannot be imported; return the modules loaded at the end."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import json, sys\n"
+        "sys.modules['parso'] = None  # importing parso now raises ImportError\n"
         "from repolens.cli import main\n"
-        "from repolens.syntax import _grammar\n"
-        "counts = []\n"
         f"for args in {[list(args) for args in runs]!r}:\n"
         "    main(args, standalone_mode=False)\n"
-        "    counts.append(_grammar.cache_info().misses)\n"
-        "print(json.dumps([counts, sorted(sys.modules)]))\n"
+        "print(json.dumps(sorted(name for name, module in sys.modules.items() if module is not None)))\n"
     )
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    counts, modules = json.loads(done.stdout.splitlines()[-1])
-    return counts, set(modules)
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_index_and_dry_run_load_neither_http_nor_evaluation(repo):
-    _, modules = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
+    modules = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
     unused = {
         "http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures", "multiprocessing", "csv",
         "repolens.evaluation",
@@ -262,39 +273,70 @@ def test_index_and_dry_run_load_neither_http_nor_evaluation(repo):
 def test_index_of_the_corpus_cases_starts_no_process_pool(tmp_path):
     corpus = tmp_path / "corpus_cases"
     shutil.copytree(Path(__file__).resolve().parent / "corpus_cases", corpus)
-    _, modules = run_fresh(["index", "--repo", str(corpus)])
+    modules = run_fresh(["index", "--repo", str(corpus)])
     assert "repolens.retrieval" in modules
     assert not {"multiprocessing", "concurrent.futures.process"} & modules
 
 
-def test_grammar_is_generated_on_the_first_parse(runner, repo):
+def test_index_complete_and_evaluate_run_without_parso(tmp_path):
+    cases = tmp_path / "dep_cases"
+    shutil.copytree(Path(__file__).resolve().parent / "dep_cases", cases)
+    _, _, cursor = load_cursor_case(cases / "case01_mixed.py")
+    tasks = tmp_path / "tasks.jsonl"
+    row = {"task_id": "t", "repo": "dep_cases", "file": "case01_mixed.py", "line": cursor, "ground_truth": "z"}
+    tasks.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    modules = run_fresh(
+        ["index", "--repo", str(cases)],
+        ["complete", "--repo", str(cases), "--file", "case01_mixed.py", "--line", str(cursor + 1), "--dry-run"],
+        ["evaluate", "--tasks", str(tasks), "--out", str(report), "--no-timing"],
+    )
+    assert {"repolens.pipeline", "repolens.evaluation"} <= modules
+    assert [row["error"] for row in json.loads(report.read_text())["per_task"]] == [""]
+
+
+def test_no_module_of_the_package_imports_parso():
+    """parso is a test oracle only: no module under ``src/repolens`` imports
+    it, and the package does not depend on it."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repolens"
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    assert "click" in imported and "parso" not in imported
+    pyproject = (package.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    runtime = pyproject.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+    dev = pyproject.split("\ndev = [", 1)[1].split("]", 1)[0]
+    assert '"click' in runtime and "parso" not in runtime and '"parso' in dev
+
+
+def test_a_complete_after_index_parses_no_whole_file(runner, repo, monkeypatch):
+    """``index`` keeps the facts of every file with its windows, so a
+    ``complete`` after it parses only its slice and its query."""
     assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
-    counts, _ = run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))
-    assert counts == [0, 1]
+    parses = count_parses(monkeypatch)
+    completed = runner.invoke(main, complete_args(repo, "--dry-run"))
+    assert completed.exit_code == 0, completed.output
+    assert parses == [("ast", "<slice>"), ("ast", "snippet.py")]
 
 
-def test_index_without_a_store_loads_no_parso(repo):
-    """Windows take their paths from ``ast``, so a full index build neither
-    imports parso nor generates its grammar; the facts of a ``complete``
-    after it do, once. The control-flow sketch comes from ``ast`` too, so a
-    later ``complete`` whose facts are stored imports no parso at all."""
-
-    def parso_modules(modules):
-        return {name for name in modules if name == "parso" or name.startswith("parso.")}
-
-    counts, modules = run_fresh(["index", "--repo", str(repo)])
-    assert counts == [0]
-    assert not parso_modules(modules)
-    assert run_fresh(["index", "--repo", str(repo)], complete_args(repo, "--dry-run"))[0] == [0, 1]
-    counts, modules = run_fresh(complete_args(repo, "--dry-run"))
-    assert counts == [0]
-    assert "repolens.funcflow" in modules
-    assert not parso_modules(modules)
+def test_index_without_a_store_loads_no_parso(runner, repo, monkeypatch):
+    """A full index build parses each file once, with ``ast``, for both its
+    windows and its facts, and runs where parso cannot be imported."""
+    assert "repolens.retrieval" in run_fresh(["index", "--repo", str(repo)])
+    index_path(repo).unlink()
+    parses = count_parses(monkeypatch)
+    assert "indexed" in runner.invoke(main, ["index", "--repo", str(repo)]).output
+    assert sorted(parses) == [("retrieval", path) for path in REPO_PATHS]
+    assert stored_paths(repo) == REPO_PATHS
 
 
 def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):
-    # CPython compiles 2,000 nested ``not``s and both ast and parso parse
-    # them, so every walk over a tree must keep its own stack
+    # CPython compiles 2,000 nested ``not``s, so every walk over a tree must
+    # keep its own stack
     deep = "def f(c):\n    return " + "not " * 2000 + "c\n"
     repo = write_repo(tmp_path / "deep", {"deep.py": deep, "main.py": "from deep import f\n\nflag = f(1)\nvalue = f(\n"})
     compile(deep, "deep.py", "exec")
@@ -305,8 +347,10 @@ def test_deeply_nested_expression_indexes_and_completes(runner, tmp_path):
     assert "return not not" in completed.output
 
 
-def test_syntax_error_after_a_deep_expression_fails_only_as_the_target(runner, tmp_path):
-    # parso's error recovery recurses once per nesting level
+def test_syntax_error_after_a_deep_expression_is_reported_by_its_importer(runner, tmp_path):
+    """``ast`` rejects deep.py's line 2, a ")" after a 2,000-deep chain. Its
+    facts come from line 1, so ``f`` resolves; a task that imports it reports
+    the error line once, and a task on it completes."""
     deep = "def f(c):\n    return " + "not " * 2000 + "c )\n"
     repo = write_repo(tmp_path / "deep", {"deep.py": deep, "main.py": "from deep import f\n\nflag = f(1)\nvalue = f(\n"})
     indexed = runner.invoke(main, ["index", "--repo", str(repo)])
@@ -317,12 +361,12 @@ def test_syntax_error_after_a_deep_expression_fails_only_as_the_target(runner, t
     importer = runner.invoke(main, args)
     assert importer.exit_code == 0, importer.output
     result = complete_task(CompletionTask("t", repo, "main.py", 3))
-    errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
-    assert [d.context["path"] for d in errors] == ["deep.py"]
+    errors = [d for d in result.bundle.diagnostics if d.code in ("syntax_error", "resolution_error")]
+    assert [(d.code, d.context["path"], d.context["line"]) for d in errors] == [("syntax_error", "deep.py", 2)]
+    assert "def f(c):" in result.prompt.text
 
     target = runner.invoke(main, ["complete", "--repo", str(repo), "--file", "deep.py", "--line", "2", "--dry-run"])
-    assert target.exit_code == 2
-    assert target.output.startswith("error: ")
+    assert target.exit_code == 0, target.output
 
 
 def test_index_exits_2_when_the_store_cannot_be_written(runner, repo, monkeypatch):

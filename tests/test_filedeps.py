@@ -13,16 +13,7 @@ from pathlib import Path
 
 from repolens.filedeps import explicit_deps, potential_deps
 from repolens.funcflow import local_slice
-from repolens.syntax import (
-    SourceFile,
-    definitions_before,
-    file_facts,
-    kind_of,
-    parse,
-    reference_sets,
-    span,
-)
-from tests.conftest import walk
+from repolens.syntax import SourceFile, definitions_before, file_facts, parse
 
 ROOT = Path(__file__).parent.parent
 BINDING_DIRS = (
@@ -203,12 +194,11 @@ def test_bindings_match_ast_oracle_on_every_function():
                 for node in ast.walk(ast.parse(text))
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            tree = parse(SourceFile.from_text(path.name, text))
-            for node in walk(tree.root):
-                if kind_of(node) != "funcdef":
-                    continue
-                fn = ast_fns[span(node).start_line]
-                assert set(reference_sets(node).bound) == _ast_bindings(fn) | {fn.name}, (path.name, fn.name)
+            facts = file_facts(parse(SourceFile.from_text(path.name, text)))
+            assert len(facts.functions) == len(ast_fns), path.name
+            for record in facts.functions:
+                fn = ast_fns[record.def_span.start_line]
+                assert set(record.refs.bound) == _ast_bindings(fn) | {fn.name}, (path.name, fn.name)
                 checked += 1
     assert checked > 800
 

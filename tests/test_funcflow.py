@@ -297,10 +297,12 @@ def test_a_slice_ending_on_a_block_header_gets_no_node_for_the_repair():
 
 
 def test_a_lone_carriage_return_keeps_every_label_on_its_line():
-    # ast ends a line at the "\r" inside the string; the sketch does not
+    # ast ends a line at the "\r" inside the string; the sketch does not,
+    # and writes the "\r" as the two characters \r
     text = "def f():\n    s = '''a\rb\n'''\n    t = 1\n    u = 2\n"
     cfg = _cfg(text, 4)
-    assert [(n.line, n.text) for n in cfg.nodes if n.kind == "statement"] == [(1, "s = '''a\rb ..."), (3, "t = 1")]
+    assert [(n.line, n.text) for n in cfg.nodes if n.kind == "statement"] == [(1, "s = '''a\\rb ..."), (3, "t = 1")]
+    assert "\r" not in render_cfg(cfg)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

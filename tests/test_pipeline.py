@@ -448,15 +448,19 @@ def same_output(one, other) -> bool:
     return (one.prompt, one.bundle.diagnostics) == (other.prompt, other.bundle.diagnostics)
 
 
+REPO_PATHS = ["data_processor.py", "lib/text_utils.py", "main.py"]
+
+
 def test_stored_facts_spare_every_file_parse(repo, monkeypatch):
-    index_repo(repo)
-    first = complete_task(make_task(repo))
-    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+    index_repo(repo)  # keeps the facts of every file it windows
+    assert stored_paths(repo) == REPO_PATHS
 
     parses = count_parses(monkeypatch)
-    second = complete_task(make_task(repo))
+    stored = complete_task(make_task(repo))
     assert sorted(parses) == [("ast", "<slice>"), ("ast", "snippet.py")]
-    assert same_output(second, first)
+    monkeypatch.undo()
+    index_path(repo).unlink()
+    assert same_output(stored, complete_task(make_task(repo)))
 
 
 def test_stored_module_edited_in_place_is_never_served_stale(repo):
@@ -480,6 +484,7 @@ def test_stored_module_edited_in_place_is_never_served_stale(repo):
 @pytest.mark.parametrize("fault", ["not_utf8", "dangling_link"])
 def test_unreadable_module_is_never_stored(repo, fault):
     index_repo(repo)
+    indexed = read_store(index_path(repo))
     module = repo / "data_processor.py"
     if fault == "not_utf8":
         module.write_bytes(b"\xff\xfe not utf8")
@@ -490,7 +495,8 @@ def test_unreadable_module_is_never_stored(repo, fault):
         result = complete_task(make_task(repo))
         errors = [d for d in result.bundle.diagnostics if d.code == "resolution_error"]
         assert [d.context["path"] for d in errors] == ["data_processor.py"]
-        assert stored_paths(repo) == ["main.py"]
+        # the entry of the text the index read stays as it was
+        assert read_store(index_path(repo)) == indexed
 
 
 def test_malformed_stored_facts_are_parsed_again(repo):
@@ -516,11 +522,13 @@ def test_malformed_stored_facts_are_parsed_again(repo):
             assert read_store(index_path(repo))[path] == good[path]
     write_store(index_path(repo), dict.fromkeys(good, 7))
     assert same_output(complete_task(make_task(repo)), expected)
-    assert stored_paths(repo) == ["data_processor.py", "main.py"]
+    assert stored_paths(repo) == REPO_PATHS
 
 
 def test_failed_store_write_changes_nothing(repo, monkeypatch):
     index_repo(repo)
+    # an edit the task must parse and write back
+    (repo / "data_processor.py").write_text(PROCESSOR_PY.replace("row.strip()", "row.strip().lower()"))
     before = index_path(repo).read_bytes()
 
     def refuse(*args):
@@ -541,7 +549,7 @@ def test_store_keeps_one_entry_per_path(repo):
     for i in range(3):
         module.write_text(PROCESSOR_PY.replace("row.strip()", f"row.strip()[{i}]"))
         complete_task(make_task(repo))
-        assert stored_paths(repo) == ["data_processor.py", "main.py"]
+        assert stored_paths(repo) == REPO_PATHS
 
 
 def test_complete_without_store_writes_nothing(repo):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 
 import pytest
@@ -19,14 +20,12 @@ from repolens.syntax import (
     ImportRecord,
     SourceFile,
     Span,
-    children,
     file_facts,
     imports_of,
-    kind_of,
     load_source,
     parse,
 )
-from tests.conftest import walk, write_repo
+from tests.conftest import write_repo
 
 MAIN_PY = """\
 import os
@@ -132,17 +131,19 @@ def test_module_map_keeps_facts_by_path_and_content(tmp_path, monkeypatch):
 
     monkeypatch.setattr(projdeps, "parse", counted_parse)
     one, two = "def f():\n    return 1\n", "def f():\n    return 2\n"
-    deep = "x = " + "not " * 2000 + "c )\n"  # nested too deeply for parso
+    deep = "x = 1\ny = " + "not " * 2000 + "c )\n"  # ast rejects line 2
     write_repo(tmp_path, {"m.py": one, "deep.py": deep})
     mmap = build_module_map(tmp_path)
     imports = [_record("m", ("f", "f")), _record("deep", ("x", "x"))]
     for _ in range(2):
         diagnostics = []
-        dep, _ = cross_module_deps(imports, {"f"}, mmap, diagnostics)
+        dep, kept = cross_module_deps(imports, {"f"}, mmap, diagnostics)
         assert dep.resolved.code == "def f():\n    return 1"
-        # a file that cannot be parsed is never kept: it reports, and is parsed again, on every pass
-        assert [(d.code, d.context["path"]) for d in diagnostics] == [("resolution_error", "deep.py")]
-    assert parsed == [one, deep, deep]  # an unchanged file is parsed once per map
+        # a file ast rejects keeps the facts of the lines before its error,
+        # and reports the error on every pass
+        assert kept.resolved.code == "x = 1"
+        assert [(d.code, d.context["path"], d.context["line"]) for d in diagnostics] == [("syntax_error", "deep.py", 2)]
+    assert parsed == [one, deep]  # an unchanged file is parsed once per map
 
     parsed.clear()
     first = mmap.facts("m.py", one)
@@ -241,11 +242,9 @@ def test_cross_file_resolved_code_reparses_to_named_def(tmp_path):
     mmap = build_module_map(tmp_path)
     deps = cross_module_deps(imports_of(tree), {"process_data"}, mmap)
     dep = next(d for d in deps if d.symbol == "process_data")
-    retree = parse(SourceFile.from_text("x.py", dep.resolved.code))
-    func = children(retree.root)[0]
-    assert kind_of(func) == "funcdef"
-    name_leaf = next(l for l in walk(func) if kind_of(l) == "name")
-    assert name_leaf.value == "process_data"
+    (func,) = parse(SourceFile.from_text("x.py", dep.resolved.code)).root.body
+    assert isinstance(func, ast.FunctionDef)
+    assert func.name == "process_data"
 
 
 def test_script_scope_marks_everything_potential(tmp_path):

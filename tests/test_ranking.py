@@ -8,6 +8,7 @@ personalization vector. Power iteration must agree with the solve.
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 from pathlib import Path
@@ -33,16 +34,13 @@ from repolens.syntax import (
     SourceFile,
     Span,
     SymbolRecord,
-    children,
     definitions_before,
     file_facts,
-    kind_of,
     load_source,
     parse,
     reference_sets,
-    span,
 )
-from tests.conftest import walk, write_repo
+from tests.conftest import write_repo
 
 TESTS_DIR = Path(__file__).parent
 SOURCE_DIRS = (
@@ -366,53 +364,35 @@ def test_explain_graph_is_json_ready(tmp_path):
     assert parsed["selections"]["file"] == [n.node_id for n in ranked.file_topk]
 
 
-def _oracle_base_names(class_node) -> set[str]:
-    kids = children(class_node)
-    open_idx = close_idx = None
-    for i, child in enumerate(kids):
-        if kind_of(child) == "operator" and child.value == "(":
-            open_idx = i
-        elif kind_of(child) == "operator" and child.value == ")":
-            close_idx = i
-            break
-    if open_idx is None or close_idx is None:
-        return set()
-    names: set[str] = set()
-    for child in kids[open_idx + 1 : close_idx]:
-        names |= set(reference_sets(child).used)
-    return names
-
-
 def _oracle_reference_sets(code: str) -> tuple[set[str], set[str], set[str]]:
-    """Oracle: how ``build_graph`` once found a node's references, by
-    parsing the node's code string on its own."""
+    """Oracle: a node's used, called and base names, by parsing its code
+    on its own and reading every ``ast`` node in it: loaded names and the
+    names of ``global`` and ``nonlocal`` statements, calls of a bare name,
+    and the loaded names under a class's bases and keywords."""
     if not code.strip():
         return set(), set(), set()
-    tree = parse(SourceFile.from_text("node.py", code))
-    used = set(reference_sets(tree.root).used)
+    tree = ast.parse(code)
+    used: set[str] = set()
     called: set[str] = set()
     bases: set[str] = set()
-    for node in walk(tree.root):
-        if kind_of(node) == "classdef":
-            bases |= _oracle_base_names(node)
-            continue
-        kids = children(node)
-        if kind_of(node) not in ("atom_expr", "power") or len(kids) < 2:
-            continue
-        head, trailer = kids[0], kids[1]
-        if (
-            kind_of(head) == "name"
-            and not head.is_definition()
-            and kind_of(trailer) == "trailer"
-            and children(trailer)
-            and children(trailer)[0].value == "("
-        ):
-            called.add(head.value or "")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            used.update(node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases + node.keywords:
+                bases.update(n.id for n in ast.walk(base) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     return used, called, bases
 
 
 def _as_sets(refs) -> tuple[set[str], set[str], set[str]]:
     return set(refs.used), set(refs.called), set(refs.bases)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AugAssign, ast.AnnAssign)
 
 
 def test_node_reference_sets_match_reparse_oracle():
@@ -428,13 +408,14 @@ def test_node_reference_sets_match_reparse_oracle():
             text = path.read_text(encoding="utf-8")
             tree = parse(SourceFile.from_text(path.name, text))
             where = path.name
-            for stmt in children(tree.root):
-                inner = children(stmt) if kind_of(stmt) == "decorated" else (stmt,)
-                for node in inner:
-                    if kind_of(node) in ("funcdef", "classdef", "expr_stmt"):
-                        code = tree.file.span_text(span(node))
-                        assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
-                        checked += 1
+            for node in tree.root.body:
+                if isinstance(node, DEFINITIONS):
+                    # a node's decorators are read with it
+                    decorators = getattr(node, "decorator_list", ())
+                    code = "".join(f"@{ast.get_source_segment(text, d)}\n" for d in decorators)
+                    code += ast.get_source_segment(text, node)
+                    assert _as_sets(reference_sets(node)) == _oracle_reference_sets(code), (where, code)
+                    checked += 1
             facts = file_facts(tree)
             assert _as_sets(facts.refs) == _oracle_reference_sets(text), where
             for record in facts.definitions:

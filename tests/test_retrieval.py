@@ -138,7 +138,7 @@ def test_index_cache_stores_each_ast_path_once(tmp_path):
     assert entries.keys() == files.keys()
     for path, entry in entries.items():
         windows = [s for s in index.snippets if s.path == path]
-        assert entry.keys() == {"key", "windows"}
+        assert entry.keys() == {"key", "windows", "facts"}  # the facts are read off the windows' tree
         assert entry["key"] == hashlib.sha256(files[path].encode()).hexdigest()
         cut = entry["windows"]
         assert cut.keys() == {"geometry", "ast_paths", "rows"}
@@ -354,7 +354,7 @@ def test_in_place_edit_parses_every_window_of_the_file_once(tmp_path, monkeypatc
     store = load_index(cache)
     rebuilt = build_index(tmp_path, reuse=store)
     assert len([s for s in rebuilt.snippets if s.path == "a.py"]) == 4
-    assert parsed == [("ast", "a.py")]
+    assert parsed == [("retrieval", "a.py")]
     store.write()
     parsed.clear()
     assert build_index(tmp_path, reuse=load_index(cache)) == rebuilt
@@ -542,20 +542,25 @@ def test_window_paths_are_the_union_of_their_lines_paths(lines, geometry):
         assert snippet.ast_paths == tuple(sorted(union))
 
 
+def _line_paths(text: str) -> list[set[str]]:
+    """``line_ast_paths`` of ``text`` read as the file m.py."""
+    return line_ast_paths(parse(SourceFile.from_text("m.py", text)))
+
+
 def test_a_lone_carriage_return_stays_inside_its_line():
     """ast ends a line at a lone "\\r" too; the paths stay with the line
     that holds it, as a window cut at "\\n" does."""
-    split = line_ast_paths("m.py", "a = 1\nb = 2\nc = (3,\n4)\n")
-    joined = line_ast_paths("m.py", "a = 1\rb = 2\nc = (3,\r4)\n")
+    split = _line_paths("a = 1\nb = 2\nc = (3,\n4)\n")
+    joined = _line_paths("a = 1\rb = 2\nc = (3,\r4)\n")
     assert joined == [split[0] | split[1], split[2] | split[3], split[4]]
     assert ast_paths_of("a = 1\rb = 2\n") == ast_paths_of("a = 1\nb = 2\n")
 
 
 def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
-    """One parse per file no store entry holds windows of, none for a stored
-    one. ``ast`` rejects deep.py (a syntax error after a 2,000-deep chain),
-    so its error line is cut in a second parse: its window holds the paths
-    of the line before it."""
+    """One whole-file parse per file no store entry holds windows of, none
+    for a stored one. ``ast`` rejects deep.py (a syntax error after a
+    2,000-deep chain), so the parse cuts its error line: its window holds
+    the paths of the line before it, and its stored facts name the line."""
     repo = _corpus_repo(tmp_path / "repo")
     write_repo(repo, {"deep.py": "def f(c):\n    return " + "not " * 2000 + "c )\n"})
     parses = count_parses(monkeypatch)
@@ -563,16 +568,17 @@ def test_a_build_parses_each_computed_file_once(tmp_path, monkeypatch):
     fresh = build_index(repo, reuse=store)
     files = list(dict.fromkeys(s.path for s in fresh.snippets))
     assert len(files) == 8
-    computed = [("ast", path) for path in files for _ in range(1 + (path == "deep.py"))]
+    computed = [("retrieval", path) for path in files]
     assert parses == computed
     assert [s.ast_paths for s in fresh.snippets if s.path == "deep.py"] == [("Module/FunctionDef/arguments/arg",)]
+    assert store.files["deep.py"]["facts"]["error"] == 1
     assert all(s.ast_paths for s in fresh.snippets if s.path == "a.py")
     store.write()
 
     (repo / "pkg" / "short.py").write_text("x = 2\n")
     parses.clear()
     assert build_index(repo, reuse=load_index(store.path)) == build_index(repo)
-    assert parses == [("ast", "pkg/short.py")] + computed
+    assert parses == [("retrieval", "pkg/short.py")] + computed
 
 
 def _cursor_queries():
@@ -626,7 +632,7 @@ def test_every_corpus_query_parses_in_at_most_three_calls(monkeypatch):
     queries = cut = 0
     for task_id, query, complete in _cursor_queries():
         calls.clear()
-        tree, rows = syntax._parsed("snippet.py", query)
+        tree, rows, _ = syntax._parsed("snippet.py", query)
         assert 1 <= len(calls) <= 3, task_id
         queries += 1
         if len(rows) < query.count("\n") + 1:
@@ -663,37 +669,37 @@ def test_a_fragment_is_completed_before_it_is_cut(fragment, completed, monkeypat
     parsed = []
     real_parse = syntax._ast_parse
     monkeypatch.setattr(syntax, "_ast_parse", lambda text, name: parsed.append(text) or real_parse(text, name))
-    tree, rows = syntax._parsed("snippet.py", fragment)
+    tree, rows, error = syntax._parsed("snippet.py", fragment)
     assert parsed[-1] == completed
-    assert (tree is not None, rows) == (True, list(range(fragment.count("\n") + 1)))
+    assert (tree is not None, rows, error) == (True, list(range(fragment.count("\n") + 1)), fragment.count("\n"))
     # the appended lines file no path
-    assert ast_paths_of(fragment) == frozenset().union(*line_ast_paths("m.py", completed)[: len(rows)])
+    assert ast_paths_of(fragment) == frozenset().union(*_line_paths(completed)[: len(rows)])
     assert not any("Pass" in path for path in ast_paths_of(fragment))
 
 
 def test_a_rejected_file_keeps_the_paths_of_the_lines_before_its_error():
     text = "import os\nx = [1,\n 2]\ny = )\nz = 2\n"
-    lines = line_ast_paths("m.py", text)
-    assert lines[:3] == line_ast_paths("m.py", "import os\nx = [1,\n 2]\n")[:3]
+    lines = _line_paths(text)
+    assert lines[:3] == _line_paths("import os\nx = [1,\n 2]\n")[:3]
     assert all(lines[:3]) and not any(lines[3:])
     # an error on the first line leaves nothing to keep
-    assert not any(line_ast_paths("m.py", "x = )\ny = 1\n"))
+    assert not any(_line_paths("x = )\ny = 1\n"))
 
 
 def test_ast_parse_warnings_and_failures_give_empty_sets_or_nothing_printed(monkeypatch, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        escaped = line_ast_paths("m.py", 'x = "\\d"\n')
+        escaped = _line_paths('x = "\\d"\n')
     assert escaped[0] == {"Module/Assign/Name", "Module/Assign/Constant"}
     assert capsys.readouterr() == ("", "")
-    assert line_ast_paths("m.py", "x = 1\0\ny = 2\n") == [set(), set(), set()]
+    assert _line_paths("x = 1\0\ny = 2\n") == [set(), set(), set()]
     for error in (RecursionError, MemoryError, ValueError):
 
         def fail(text, filename, error=error):
             raise error("too much")
 
         monkeypatch.setattr(syntax, "_ast_parse", fail)
-        assert line_ast_paths("m.py", "x = 1\n") == [set(), set()]
+        assert _line_paths("x = 1\n") == [set(), set()]
 
 
 def test_lexical_scores_hand_cases(tmp_path):
